@@ -6,13 +6,17 @@ normal form of that sum is the monomial's image in the degree-n normal
 basis.  A monomial is an identity component iff the image of the whole
 combination vanishes.
 
-Everything downstream runs off the expansion table, which records the
-image of each association type with the identity labeling.  Images of
-relabeled monomials follow by equivariance: if the type-i expansion has a
-term (dtype j, pi, c), the monomial (i, sigma) has the term
-(j, sigma o pi, c).  In the group algebra picture the table cell (i, j) is
-an element of Z[S_n] and a tuple of one element of QS_n per type is an
-identity iff sum_i g_i * cell(i, j) = 0 for every j.
+Only association types are ever expanded and normalized.  Expansion and
+the rewrite rules never look at leaf labels, so the image of a monomial
+is the image of its type with the labels moved: if the type-i expansion
+has a term (normal shape j, leaf order pi, c), the monomial (i, sigma)
+has the term (j, sigma o pi, c).  The image of each type is computed
+once per process and kept as compact integer arrays; the normal form of
+a combination relabels those arrays in numpy and sums coefficients
+exactly, so the expansion gate stays exact integer arithmetic.  In the
+group algebra picture the table cell (i, j) is an element of Z[S_n] and
+a tuple of one element of QS_n per type is an identity iff
+sum_i g_i * cell(i, j) = 0 for every j.
 
 Tables are expensive at degree 7 and 8, so they can be cached to disk as
 versioned JSON.
@@ -24,14 +28,15 @@ import json
 import os
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .dendriform import classify_normal, dnormalize, normal_dtypes
+from .dendriform import dnormalize, normal_dtype_index, normal_dtypes
 from .errors import ResourceLimit
 from .linalg import ExactMatrix
 from .monomials import (Word, all_perms, assoc_types, compose, degree,
-                        identity_perm, leaves, perm_index)
+                        leaves, perm_index, shape, with_leaves)
 from .symrep import RhoCache, dimension
 
 TABLE_FORMAT = "expansion-table"
@@ -68,17 +73,108 @@ def pj_normal_form(word: Word):
     return dnormalize(pj_expand(word))
 
 
+class TypeImage(NamedTuple):
+    """Image of one association type with leaves 1..n, as arrays.
+
+    Term k of the normal form is the normal shape with id shapes[k]
+    carrying leaf labels perms[k] + 1 in reading order, times coeffs[k].
+    """
+
+    shapes: np.ndarray   # int32 ids into _normal_shapes
+    perms: np.ndarray    # int8, terms x n, 0-based leaf labels
+    coeffs: np.ndarray   # int64
+    weight: int          # sum of |coeffs|
+
+
+# normal shapes (leaves 1..n) met in any image, numbered on first sight;
+# ids are shared by all degrees so the registry needs no degree limit
+_normal_shapes: list[Word] = []
+_normal_shape_id: dict[Word, int] = {}
+
+
+@cache
+def type_image(t: Word) -> TypeImage:
+    """Normal form of the association type t, normalized once per process."""
+    ids, perms, coeffs = [], [], []
+    for word, c in pj_normal_form(t).items():
+        s = shape(word)
+        sid = _normal_shape_id.get(s)
+        if sid is None:
+            sid = _normal_shape_id[s] = len(_normal_shapes)
+            _normal_shapes.append(s)
+        ids.append(sid)
+        perms.append([v - 1 for v in leaves(word)])
+        coeffs.append(c)
+    # the int64 conversion raises rather than wraps a coefficient too big
+    return TypeImage(np.array(ids, dtype=np.int32),
+                     np.array(perms, dtype=np.int8),
+                     np.array(coeffs, dtype=np.int64),
+                     sum(abs(c) for c in coeffs))
+
+
+def _row_keys(shapes: np.ndarray, codes: np.ndarray, radix: int):
+    """One int64 per row of (shape id, label codes < radix), equal exactly
+    when the rows are; keys are renumbered densely before they could
+    overflow."""
+    key = shapes.astype(np.int64)
+    bound = len(_normal_shapes)
+    for col in codes.T:
+        if bound * radix >= 2 ** 63:
+            _, key = np.unique(key, return_inverse=True)
+            key = key.reshape(-1).astype(np.int64)
+            bound = int(key.max()) + 1
+        key = key * radix + col
+        bound *= radix
+    return key
+
+
 def poly_normal_form(poly) -> dict:
-    """Normal form of a combination of one-product words."""
-    acc: dict = {}
+    """Normal form of a combination of one-product words.
+
+    Each word is its association type relabeled by its leaf sequence
+    sigma, so its terms are the cached type image with labels sigma o pi.
+    Coefficients are summed in int64 only when every coefficient is an
+    int and the sum of |coeff| * weight over all terms, which bounds
+    every partial sum, fits; otherwise they stay Python numbers (ints,
+    Fractions, ...) in object arrays.  Words are rebuilt only for the
+    nonzero terms of the result.
+    """
+    by_degree: dict[int, list] = {}
     for word, coeff in poly.items():
-        for t, c in pj_normal_form(word).items():
-            v = acc.get(t, 0) + coeff * c
-            if v:
-                acc[t] = v
-            else:
-                acc.pop(t, None)
-    return acc
+        sigma = leaves(word)
+        by_degree.setdefault(len(sigma), []).append(
+            (type_image(shape(word)), sigma, coeff))
+    out: dict = {}
+    for n, terms in by_degree.items():
+        images = [img for img, _, _ in terms]
+        coeffs = [c for _, _, c in terms]
+        labels, codes = np.unique([sigma for _, sigma, _ in terms],
+                                  return_inverse=True)
+        codes = codes.reshape(len(terms), n)
+        owner = np.repeat(np.arange(len(terms)),
+                          [len(img.coeffs) for img in images])
+        shapes = np.concatenate([img.shapes for img in images])
+        relabeled = codes[owner[:, None],
+                           np.concatenate([img.perms for img in images])]
+        image_coeffs = np.concatenate([img.coeffs for img in images])
+        if all(isinstance(c, int) for c in coeffs) and sum(
+                abs(c) * img.weight for img, _, c in terms) < 2 ** 63:
+            vals = np.array(coeffs, dtype=np.int64)[owner] * image_coeffs
+        else:
+            vals = np.array(coeffs, dtype=object)[owner] * \
+                image_coeffs.astype(object)
+        key = _row_keys(shapes, relabeled, len(labels))
+        order = np.argsort(key)
+        key = key[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        sums = np.add.reduceat(vals[order], starts)
+        nonzero = np.flatnonzero(sums != 0)
+        labels = labels.tolist()
+        for k, c in zip(nonzero.tolist(), sums[nonzero].tolist()):
+            row = order[starts[k]]
+            out[with_leaves(_normal_shapes[shapes[row]],
+                            [labels[v] for v in relabeled[row]])] = c
+    return out
 
 
 # --------------------------------------------------------------- the table
@@ -89,15 +185,17 @@ def expansion_table(n: int):
     """Tuple over association types of {dtype index: {perm: coeff}}.
 
     Row i is the normal form of the type-i monomial with leaves 1..n in
-    reading order, split by normal D-type.
+    reading order, split by normal D-type; it is read off the type's
+    cached image.
     """
+    index = normal_dtype_index(n)
     rows = []
     for t in assoc_types(n, 1):
+        img = type_image(t)
         cells: dict[int, dict] = {}
-        for word, coeff in pj_normal_form(t).items():
-            j, perm = classify_normal(word)
-            cell = cells.setdefault(j, {})
-            cell[perm] = cell.get(perm, 0) + int(coeff)
+        for sid, perm, c in zip(img.shapes.tolist(), (img.perms + 1).tolist(),
+                                img.coeffs.tolist()):
+            cells.setdefault(index[_normal_shapes[sid]], {})[tuple(perm)] = c
         rows.append({j: c for j, c in sorted(cells.items())})
     return tuple(rows)
 
@@ -127,7 +225,8 @@ def cached_expansion_table(n: int, cache_dir: str | None = None):
         return expansion_table(n)
     path = os.path.join(cache_dir, f"expansion-{n}.json")
     if os.path.exists(path):
-        deg, table = table_from_json(json.load(open(path)))
+        with open(path) as fh:
+            deg, table = table_from_json(json.load(fh))
         if deg == n:
             return table
     table = expansion_table(n)

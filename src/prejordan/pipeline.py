@@ -12,7 +12,10 @@ nullity of the transposed expansion block matrix.
 Every identity admitted through Identity.from_poly with check=True is
 expanded and normalized in exact integer arithmetic; anything that does
 not come out as the zero polynomial is rejected.  That check is the hard
-gate separating identities from everything else.
+gate separating identities from everything else.  It normalizes each
+association type once and reaches every monomial by relabeling that
+type's image (expansion is equivariant), so the arithmetic stays exact
+while the cost per identity is a few array operations.
 """
 
 from __future__ import annotations
@@ -81,7 +84,12 @@ class Identity:
         return {w: c for c, w in self.terms}
 
     def check_kernel_membership(self) -> None:
-        """Exact expansion; raises unless the result is zero."""
+        """Exact expansion; raises unless the result is zero.
+
+        The expansion is poly_normal_form: the cached image of each
+        term's association type, relabeled by the term's leaves, summed
+        with exact integer (or rational) coefficients.
+        """
         residue = poly_normal_form(self.poly())
         if residue:
             raise InvariantViolation(

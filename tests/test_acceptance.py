@@ -203,6 +203,12 @@ def test_criterion_08_degree7_subset():
             assert row.new == 0
 
 
+def test_criterion_08_degree7_liftings_pass_gate():
+    from prejordan.pipeline import liftings_to_degree
+    with stopwatch(10):
+        assert len(liftings_to_degree(7, verify=True)) == 672
+
+
 @pytest.mark.release
 def test_criterion_08_degree7_full_table_and_pruning():
     from prejordan.pipeline import ReportConfig, degree_report

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import random_word
-from prejordan.dendriform import normal_dtypes
+from prejordan.dendriform import dnormalize, normal_dtypes
 from prejordan.errors import ResourceLimit
 from prejordan.expansion import (cached_expansion_table, expansion_matrix,
                                  expansion_table, identity_vector,
@@ -16,7 +17,8 @@ from prejordan.expansion import (cached_expansion_table, expansion_matrix,
                                  xblock_transpose_rows)
 from prejordan.linalg import int_rows, read_matrix
 from prejordan.monomials import (assoc_types, classify, multilinear_basis,
-                                 parse_word, relabel)
+                                 parse_word, relabel, with_leaves)
+from prejordan.pipeline import liftings_to_degree
 from prejordan.symrep import RhoCache, dimension, partitions
 
 DATA = Path(__file__).parent / "data"
@@ -126,6 +128,76 @@ def test_poly_normal_form_linear():
         for u, cc in src.items():
             want[u] = want.get(u, 0) + c * cc
     assert combined == {u: c for u, c in want.items() if c}
+
+
+def reference_normal_form(poly):
+    """The definition: per-term sum of dnormalize(pj_expand(w))."""
+    acc = {}
+    for w, c in poly.items():
+        for u, cc in dnormalize(pj_expand(w)).items():
+            acc[u] = acc.get(u, 0) + c * cc
+    return {u: c for u, c in acc.items() if c}
+
+
+def test_poly_normal_form_exact():
+    # coefficient magnitudes on both sides of the int64 bound, rationals,
+    # repeated and out-of-range leaf labels, mixed degrees, cancellation
+    rng = random.Random(12)
+
+    def coeff():
+        return rng.choice([
+            rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            rng.choice((-1, 1)) * 2 ** 40, rng.choice((-1, 1)) * 2 ** 61,
+            rng.choice((-1, 1)) * (2 ** 63 + rng.randrange(2 ** 64))])
+
+    def word(n):
+        w = random_word(rng, n)
+        if rng.random() < 0.3:  # repeated labels, not all below n
+            w = with_leaves(w, [rng.choice((1, 2, 3, 12)) for _ in range(n)])
+        return w
+
+    combos = [{word(n): coeff() for _ in range(rng.randrange(1, 7))}
+              for n in range(2, 9) for _ in range(8)]
+    combos += [{word(rng.randrange(1, 7)): coeff() for _ in range(6)}
+               for _ in range(10)]
+    combos.append({word(10): 2 ** 70 + 1, word(5): Fraction(1, 3)})
+    # so many distinct labels that row keys must be renumbered mid-way
+    combos.append({with_leaves(word(8), rng.sample(range(1, 10 ** 9), 8)):
+                   coeff() for _ in range(25)})
+    combos += [{}, {1: 3}, {1: 2 ** 63}, {1: 2 ** 63 - 1},
+               {word(4): 0.5, word(4): 1.25, word(3): 0}]
+    for f in random.Random(13).sample(liftings_to_degree(6), 6):
+        scale = coeff() or 7
+        scaled = {w: scale * c for c, w in f.terms}
+        assert poly_normal_form(scaled) == {}
+        extra = word(6)
+        combos.append({**scaled, extra: scaled.get(extra, 0) + 1})
+    for poly in combos:
+        assert poly_normal_form(poly) == reference_normal_form(poly), poly
+
+
+def test_row_keys_renumber_instead_of_wrapping():
+    from prejordan.expansion import _row_keys, type_image
+    type_image(parse_word("(x1*x2)"))  # registers the shapes x<y and x>y
+    # shape id * radix^2 is 2^64 here, which int64 arithmetic wraps to 0
+    keys = _row_keys(np.array([0, 1]), np.zeros((2, 2), dtype=np.int64),
+                     2 ** 32)
+    assert keys[0] != keys[1]
+
+
+def test_type_images_normalized_once(monkeypatch):
+    # the table and the gate share one normalization per association type
+    import prejordan.expansion as expansion
+    calls = []
+    real = expansion.dnormalize
+    monkeypatch.setattr(expansion, "dnormalize",
+                        lambda poly: calls.append(1) or real(poly))
+    expansion.type_image.cache_clear()
+    expansion.expansion_table.cache_clear()
+    expansion_table(5)
+    for f in liftings_to_degree(5):  # gates the degree-4 pair on the way
+        poly_normal_form(f.poly())
+    assert len(calls) == len(assoc_types(4, 1)) + len(assoc_types(5, 1))
 
 
 def test_identity_vector_positions():
