@@ -292,8 +292,7 @@ def identity_vector(poly, n: int) -> list:
 
 
 def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
-                          table=None, rho: RhoCache | None = None,
-                          raw: bool = True):
+                          table=None, rho: RhoCache | None = None):
     """Rows of the transposed representation block matrix, in batches.
 
     The block matrix X has one d x d block per (type i, D-type j) cell,
@@ -304,11 +303,10 @@ def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
     transpose.  Rows of X^T arrive in batches of roughly chunk*d, grouped
     by D-type.
 
-    With raw=True (the default) the blocks skip the change of basis by
-    A(id)^-1; that factor multiplies each block on the left, so the rank
-    and nullity are unchanged while the assembly drops from cubic to
-    quadratic in the block size.  Pass raw=False for blocks that are
-    genuine representation matrices.
+    The blocks skip the change of basis by A(id)^-1; that factor
+    multiplies each block on the left, so the rank and nullity are
+    unchanged while the assembly drops from cubic to quadratic in the
+    block size.
     """
     if table is None:
         table = expansion_table(n)
@@ -324,23 +322,20 @@ def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
     for start in range(0, s, chunk):
         batch = []
         for j in range(start, min(start + chunk, s)):
-            if field != 'Q' and raw:
+            if field != 'Q':
                 idxs = [i for i, _ in cols[j]]
                 wide = rho.raw_of_elements([cell for _, cell in cols[j]])
                 blocks = [(i, wide[:, k * d:(k + 1) * d])
                           for k, i in enumerate(idxs)]
-            elif raw:
-                blocks = [(i, rho.raw_of_element(cell)) for i, cell in cols[j]]
             else:
-                blocks = [(i, rho.of_element(cell)) for i, cell in cols[j]]
+                blocks = [(i, rho.raw_of_element(cell)) for i, cell in cols[j]]
             for a in range(d):
                 if field == 'Q':
                     row = [Fraction(0)] * (t * d)
                     for i, M in blocks:
                         base = i * d
                         for b in range(d):
-                            row[base + b] = M[b][a] if raw is False \
-                                else int(M[b, a])
+                            row[base + b] = int(M[b, a])
                     batch.append(row)
                 else:
                     row = np.zeros(t * d, dtype=np.int64)

@@ -64,8 +64,10 @@ class RationalEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def add_rows(self, rows: Iterable[Sequence]) -> int:
-        return sum(self.add_row(r) for r in rows)
+    def add_rows(self, rows: Iterable[Sequence]) -> list[bool]:
+        """Reduce rows into the state in order; returns the rank increase
+        as one flag per row, True where that row raised the rank."""
+        return [self.add_row(r) for r in rows]
 
     def add_row(self, row: Sequence) -> bool:
         """Reduce one row into the state; True if the rank grew."""
@@ -177,23 +179,29 @@ class ModularEchelon:
     def rank(self) -> int:
         return self._n
 
-    def add_rows(self, rows) -> int:
+    def add_rows(self, rows) -> list[bool]:
         """Reduce a batch of integer rows into the state; returns the rank
-        increase."""
+        increase as one flag per row, True where that row raised the rank.
+
+        A row raises the rank exactly when it is independent of every row
+        before it, so the flags do not depend on how rows are batched.
+        """
         M = np.asarray(rows)
         if M.size == 0:
-            return 0
+            return []
         if M.ndim == 1:
             M = M.reshape(1, -1)
         if M.shape[1] != self.ncols:
             raise ValueError("row length does not match")
-        if M.dtype != np.float64:
+        if M.dtype == np.float64:
+            M = np.mod(M, self.p)
+        else:
             M = M.astype(np.int64) % self.p
-        added = 0
+        grew = np.zeros(M.shape[0], dtype=bool)
         for s in range(0, M.shape[0], self.block_rows):
-            block = np.mod(M[s:s + self.block_rows].astype(np.float64), self.p)
-            added += self._add_block(block)
-        return added
+            block = M[s:s + self.block_rows].astype(np.float64)
+            self._add_block(block, grew[s:s + self.block_rows])
+        return grew.tolist()
 
     def _forward(self, B: np.ndarray) -> None:
         # eliminate B against the stored rows, a row segment at a time
@@ -205,7 +213,8 @@ class ModularEchelon:
                 B -= coef @ self._R[a:b].astype(np.float64)
                 np.mod(B, p, out=B)
 
-    def _add_block(self, B: np.ndarray) -> int:
+    def _add_block(self, B: np.ndarray, grew: np.ndarray) -> None:
+        # grew[k] is set when row k of B adds a pivot
         p = self.p
         self._forward(B)
         nb = np.empty_like(B)
@@ -244,6 +253,7 @@ class ModularEchelon:
                         np.mod(sub, p, out=sub)
                 nb[len(npv)] = row
                 npv.append(pc)
+                grew[s + i] = True
             if fresh and len(npv) > fresh:
                 arr = np.asarray(npv[fresh:], dtype=np.intp)
                 coef = nb[:fresh, arr]
@@ -251,11 +261,10 @@ class ModularEchelon:
                     nb[:fresh] -= coef @ nb[fresh:len(npv)]
                     np.mod(nb[:fresh], p, out=nb[:fresh])
         if not npv:
-            return 0
+            return
         new = nb[:len(npv)]
         self._back_eliminate(new, npv)
         self._append(new, npv)
-        return len(npv)
 
     def _back_eliminate(self, new: np.ndarray, npv: list[int]) -> None:
         arr = np.asarray(npv, dtype=np.intp)

@@ -261,24 +261,53 @@ def identity_block(ident: Identity, lam, rho: RhoCache, t: int):
     return out
 
 
+#: most entries (rows x columns) per add_rows call when identity blocks
+#: are fed to an echelon state; a single block may exceed it.  Each
+#: ModularEchelon call converts the whole stored echelon to float64 twice,
+#: so a few large calls cost much less than one per identity.  The bound
+#: keeps a batch near the size of a kernel_rank batch (300 x 792 at degree
+#: 7), so it adds no memory: one degree-7 F_101 partition peaked at 69-72
+#: MiB with it (252-row batches), 86-91 MiB with 1,032-row batches and
+#: 150 MiB with all 4,032 rows in one call.  Where two blocks exceed it
+#: (d = 35 at degree 7, d >= 16 at degree 8) a call takes one identity.
+BLOCK_BATCH_ENTRIES = 200_000
+
+
+def _feed_identities(state, n: int, lam, rho: RhoCache, idents) -> list[bool]:
+    """Feed the blocks of idents into state, whole blocks batched into few
+    add_rows calls; returns per identity whether its block raised the rank.
+
+    A row raises the rank exactly when it is independent of every row fed
+    before it, so batching changes neither the rank nor the flags.
+    """
+    t = len(assoc_types(n, 1))
+    d = rho.dim
+    per_call = max(1, BLOCK_BATCH_ENTRIES // (d * state.ncols))
+    idents = list(idents)
+    grew: list[bool] = []
+    for start in range(0, len(idents), per_call):
+        rows: list = []
+        for ident in idents[start:start + per_call]:
+            if ident.degree != n:
+                raise ValueError("identity of the wrong degree")
+            rows.extend(identity_block(ident, lam, rho, t))
+        flags = state.add_rows(rows)
+        grew.extend(any(flags[k:k + d]) for k in range(0, len(flags), d))
+    return grew
+
+
 def lifted_rank(n: int, lam, liftings, field='Q',
                 rho: RhoCache | None = None) -> tuple[int, list[bool]]:
-    """Rank of the stacked lifted-identity blocks, fed one block at a time.
+    """Rank of the stacked lifted-identity blocks, fed one batch of whole
+    blocks at a time.
 
     Also reports, per identity, whether its block increased the rank; the
     union of those flags across partitions drives pruning.
     """
     if rho is None:
         rho = RhoCache(lam, field)
-    t = len(assoc_types(n, 1))
-    state = echelon_state(t * rho.dim, field)
-    grew = []
-    for ident in liftings:
-        if ident.degree != n:
-            raise ValueError("identity of the wrong degree")
-        before = state.rank
-        state.add_rows(identity_block(ident, lam, rho, t))
-        grew.append(state.rank > before)
+    state = echelon_state(len(assoc_types(n, 1)) * rho.dim, field)
+    grew = _feed_identities(state, n, lam, rho, liftings)
     return state.rank, grew
 
 
@@ -320,8 +349,7 @@ def new_identity_vectors(n: int, lam, liftings, field='Q', chunk: int = 50,
     t = len(assoc_types(n, 1))
     d = rho.dim
     state = echelon_state(t * d, field)
-    for ident in liftings:
-        state.add_rows(identity_block(ident, lam, rho, t))
+    _feed_identities(state, n, lam, rho, liftings)
     if field == 'Q':
         lifted_pivots = set(state.sorted_pivcols())
     else:
@@ -474,14 +502,16 @@ def _estimated_bytes(n: int, d: int) -> int:
     return 2 * (t * d) * (t * d)
 
 
+def _grew_somewhere(grews) -> list[int]:
+    """Indices of the identities whose block raised the lifted rank for at
+    least one partition, from one grew list per partition."""
+    return [i for i, flags in enumerate(zip(*grews)) if any(flags)]
+
+
 def _retained_indices(k: int, lifts, config: 'ReportConfig') -> list[int]:
     field = 'Q' if k <= 5 else config.prime
-    grew_any = [False] * len(lifts)
-    for lam in partitions(k):
-        _, grew = lifted_rank(k, lam, lifts, field)
-        for i, g in enumerate(grew):
-            grew_any[i] = grew_any[i] or g
-    return [i for i, g in enumerate(grew_any) if g]
+    return _grew_somewhere(lifted_rank(k, lam, lifts, field)[1]
+                           for lam in partitions(k))
 
 
 def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
@@ -525,7 +555,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
         degree=n, field='Q' if field == 'Q' else 'F',
         prime=None if field == 'Q' else int(field),
         chunk=config.chunk, lifting_count=len(liftings))
-    grew_any = [False] * len(liftings)
+    grews = []
     for lam in lam_list:
         d = dimension(lam)
         if _estimated_bytes(n, d) > config.memory_budget \
@@ -543,8 +573,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             progress(f"partition {format_partition(lam)} (d={d})")
         rho = RhoCache(lam, field)
         lrank, grew = lifted_rank(n, lam, liftings, field, rho)
-        for k, g in enumerate(grew):
-            grew_any[k] = grew_any[k] or g
+        grews.append(grew)
         xrank, nullity = kernel_rank(n, lam, field, config.chunk, table, rho)
         new = nullity - lrank
         if new < 0:
@@ -564,7 +593,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             lifted_cols=t * d, lifted_rank=lrank, all_rows=s * d,
             all_cols=t * d, all_rank=xrank, nullity=nullity, new=new,
             new_vectors=vectors))
-    report.retained = tuple(k for k, g in enumerate(grew_any) if g)
+    report.retained = tuple(_grew_somewhere(grews))
     return report
 
 
@@ -622,11 +651,9 @@ def compare_modules(a, b, n: int, method: str = "monomial",
         ranks = {}
         for first, second, key in ((a, b, "a"), (b, a, "b")):
             state = echelon_state(t * rho.dim, field)
-            for ident in first:
-                state.add_rows(identity_block(ident, lam, rho, t))
+            _feed_identities(state, n, lam, rho, first)
             ranks[f"rank_{key}"] = state.rank
-            for ident in second:
-                state.add_rows(identity_block(ident, lam, rho, t))
+            _feed_identities(state, n, lam, rho, second)
             ranks[f"rank_{key}_then_other"] = state.rank
         ok = (ranks["rank_a_then_other"] == ranks["rank_a"]
               and ranks["rank_b_then_other"] == ranks["rank_b"])

@@ -252,6 +252,18 @@ def test_criterion_08_degree7_full_table_and_pruning():
 
 
 @pytest.mark.release
+def test_criterion_08_degree7_pruning_pass():
+    # the pruning step of a degree-8 report on its own: the lifted ranks
+    # of all fifteen degree-7 partitions and the union of their flags
+    from prejordan.pipeline import (ReportConfig, _retained_indices,
+                                    liftings_to_degree)
+    with stopwatch(1800):
+        kept = _retained_indices(7, liftings_to_degree(7),
+                                 ReportConfig(degree=8))
+        assert len(kept) == 133
+
+
+@pytest.mark.release
 def test_criterion_09_degree8_gate_partitions():
     from prejordan.pipeline import ReportConfig, degree_report
     gate = ((8,), (7, 1), (3, 3, 2), (2, 1, 1, 1, 1, 1, 1),

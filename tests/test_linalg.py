@@ -173,23 +173,35 @@ class TestModularEchelon:
             assert list(pivs) == exact.sorted_pivcols()
 
     def test_chunked_equals_batch(self):
-        # one hundred random matrices fed whole and in ragged chunks
+        # one hundred random matrices fed whole and in ragged chunks; the
+        # rows reported as raising the rank do not depend on the chunking,
+        # nor on the state's own outer and mini blocks
         rng = random.Random(33)
         for _ in range(100):
             m, n = rng.randrange(1, 12), rng.randrange(1, 10)
             rows = random_int_matrix(rng, m, n, bound=200)
             whole = echelon_state(n, P)
-            whole.add_rows(rows)
+            flags = whole.add_rows(rows)
             chunked = echelon_state(n, P)
+            chunk_flags = []
             i = 0
             while i < m:
                 step = rng.randrange(1, m - i + 1)
-                chunked.add_rows(rows[i:i + step])
+                chunk_flags += chunked.add_rows(rows[i:i + step])
                 i += step
+            single = echelon_state(n, P)
+            increments = []
+            for row in rows:
+                before = single.rank
+                single.add_rows([row])
+                increments.append(single.rank > before)
             rw, pw = whole.rcf()
             rc, pc = chunked.rcf()
             assert whole.rank == chunked.rank
             assert (rw == rc).all() and (pw == pc).all()
+            tiny = echelon_state(n, P, block_rows=3, mini_rows=2)
+            assert flags == chunk_flags == increments == tiny.add_rows(rows)
+            assert sum(flags) == whole.rank
 
     def test_nullspace(self):
         rng = random.Random(34)
@@ -210,11 +222,24 @@ class TestModularEchelon:
             m, n = rng.randrange(1, 9), rng.randrange(1, 8)
             rows = random_rational_matrix(rng, m, n)
             whole = RationalEchelon(n)
-            whole.add_rows(rows)
+            flags = whole.add_rows(rows)
             chunked = RationalEchelon(n)
+            chunk_flags = []
+            i = 0
+            while i < m:
+                step = rng.randrange(1, m - i + 1)
+                chunk_flags += chunked.add_rows(rows[i:i + step])
+                i += step
+            single = RationalEchelon(n)
+            increments = []
             for row in rows:
-                chunked.add_row(row)
-            assert whole.rcf_rows() == chunked.rcf_rows()
+                before = single.rank
+                single.add_row(row)
+                increments.append(single.rank > before)
+            assert whole.rcf_rows() == chunked.rcf_rows() \
+                == single.rcf_rows()
+            assert flags == chunk_flags == increments
+            assert sum(flags) == whole.rank
 
 
 def _common_den(row):

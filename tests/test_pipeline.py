@@ -14,18 +14,19 @@ import pytest
 
 from prejordan.errors import InvariantViolation
 from prejordan.expansion import xblock_matrix
-from prejordan.linalg import RationalEchelon
-from prejordan.monomials import format_word, multilinear_basis, parse_word
-from prejordan.pipeline import (DegreeReport, Identity, ReportConfig,
-                                compare_modules, defining_identities,
-                                degree_report, identities_from_json,
-                                identities_to_json, kernel_character,
-                                kernel_rank, lift, lifted_rank,
-                                liftings_to_degree, load_identities, mul,
-                                new_identity_vectors, nullspace_identities,
-                                permuted_stack_rank, save_identities,
-                                squared_lengths)
-from prejordan.symrep import dimension, partitions
+from prejordan.linalg import RationalEchelon, echelon_state
+from prejordan.monomials import (assoc_types, format_word, multilinear_basis,
+                                 parse_word)
+from prejordan.pipeline import (BLOCK_BATCH_ENTRIES, DegreeReport, Identity,
+                                ReportConfig, compare_modules,
+                                defining_identities, degree_report,
+                                identities_from_json, identities_to_json,
+                                identity_block, kernel_character, kernel_rank,
+                                lift, lifted_rank, liftings_to_degree,
+                                load_identities, mul, new_identity_vectors,
+                                nullspace_identities, permuted_stack_rank,
+                                save_identities, squared_lengths)
+from prejordan.symrep import RhoCache, dimension, partitions
 
 PJ1_TERMS = {
     (1, "((x1*x2)*(x3*x4))"), (1, "((x1*x3)*(x2*x4))"),
@@ -195,6 +196,31 @@ class TestDegree5:
         assert strip(reports["Q"]) == strip(reports["F"])
 
 
+class TestBlockFeed:
+    @pytest.mark.parametrize("n, field", [(5, 'Q'), (6, 101)])
+    def test_batched_flags_match_one_identity_at_a_time(self, n, field):
+        # the reference feeds each identity's block in its own add_rows
+        # call; lifted_rank batches whole blocks, and at degree 6 the
+        # stacks of 321 and 42 span several batches
+        liftings = liftings_to_degree(n)
+        t = len(assoc_types(n, 1))
+        crossing = set()
+        for lam in partitions(n):
+            rho = RhoCache(lam, field)
+            state = echelon_state(t * rho.dim, field)
+            grew = []
+            for ident in liftings:
+                before = state.rank
+                state.add_rows(identity_block(ident, lam, rho, t))
+                grew.append(state.rank > before)
+            assert lifted_rank(n, lam, liftings, field, rho) \
+                == (state.rank, grew)
+            if len(liftings) * rho.dim * state.ncols > BLOCK_BATCH_ENTRIES:
+                crossing.add(lam)
+        if n == 6:
+            assert {(3, 2, 1), (4, 2)} <= crossing
+
+
 class TestNewIdentityExtraction:
     def test_deficient_generating_set(self):
         # lifting only the first defining identity leaves a gap at degree
@@ -221,8 +247,6 @@ class TestNewIdentityExtraction:
                 assert not any(prod)
             # independent from the lifted span: ranks add up
             state = RationalEchelon(len(vectors[0]))
-            from prejordan.pipeline import identity_block
-            from prejordan.symrep import RhoCache
             rho = RhoCache(lam, 'Q')
             for g in partial:
                 state.add_rows(identity_block(g, lam, rho, 14))
