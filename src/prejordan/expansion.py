@@ -301,7 +301,8 @@ def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
     identity component iff the corresponding row vector lies in the left
     nullspace of X, so ranks and nullspaces of identities come from the
     transpose.  Rows of X^T arrive in batches of roughly chunk*d, grouped
-    by D-type.
+    by D-type, as one unreduced integer array per batch over either field
+    (int64, or object past the bound of RhoCache.raw_of_elements).
 
     The blocks skip the change of basis by A(id)^-1; that factor
     multiplies each block on the left, so the rank and nullity are
@@ -322,27 +323,13 @@ def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
     for start in range(0, s, chunk):
         batch = []
         for j in range(start, min(start + chunk, s)):
-            if field != 'Q':
-                idxs = [i for i, _ in cols[j]]
-                wide = rho.raw_of_elements([cell for _, cell in cols[j]])
-                blocks = [(i, wide[:, k * d:(k + 1) * d])
-                          for k, i in enumerate(idxs)]
-            else:
-                blocks = [(i, rho.raw_of_element(cell)) for i, cell in cols[j]]
-            for a in range(d):
-                if field == 'Q':
-                    row = [Fraction(0)] * (t * d)
-                    for i, M in blocks:
-                        base = i * d
-                        for b in range(d):
-                            row[base + b] = int(M[b, a])
-                    batch.append(row)
-                else:
-                    row = np.zeros(t * d, dtype=np.int64)
-                    for i, M in blocks:
-                        row[i * d:(i + 1) * d] = M[:, a]
-                    batch.append(row)
-        yield batch
+            idxs = [i for i, _ in cols[j]]
+            wide = rho.raw_of_elements([cell for _, cell in cols[j]])
+            # row a of D-type j holds M_i[b, a] at column i*d + b
+            rows = np.zeros((d, t, d), dtype=wide.dtype)
+            rows[:, idxs] = wide.reshape(d, len(idxs), d).transpose(2, 1, 0)
+            batch.append(rows.reshape(d, t * d))
+        yield np.concatenate(batch)
 
 
 def xblock_matrix(n: int, lam, field='Q', table=None) -> ExactMatrix:
@@ -353,13 +340,10 @@ def xblock_matrix(n: int, lam, field='Q', table=None) -> ExactMatrix:
     d = rho.dim
     t = len(table)
     s = len(normal_dtypes(n))
-    zero = Fraction(0) if field == 'Q' else 0
-    rows = [[zero] * (s * d) for _ in range(t * d)]
+    rows = [[0] * (s * d) for _ in range(t * d)]
     for i, trow in enumerate(table):
         for j, cell in trow.items():
             M = rho.of_element(cell)
             for a in range(d):
-                for b in range(d):
-                    rows[i * d + a][j * d + b] = M[a][b] if field == 'Q' \
-                        else int(M[a][b])
+                rows[i * d + a][j * d:(j + 1) * d] = list(M[a])
     return ExactMatrix(rows, field)

@@ -66,7 +66,11 @@ class RationalEchelon:
 
     def add_rows(self, rows: Iterable[Sequence]) -> list[bool]:
         """Reduce rows into the state in order; returns the rank increase
-        as one flag per row, True where that row raised the rank."""
+        as one flag per row, True where that row raised the rank.  An
+        ndarray is read through tolist, so its entries arrive as exact
+        Python numbers."""
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
         return [self.add_row(r) for r in rows]
 
     def add_row(self, row: Sequence) -> bool:
@@ -122,6 +126,11 @@ class RationalEchelon:
 
     def sorted_pivcols(self) -> list[int]:
         return sorted(self.pivcols)
+
+    def rcf(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, pivcols) sorted by pivot column; rows hold Fractions."""
+        return (np.array(self.rcf_rows(), dtype=object).reshape(-1, self.ncols),
+                np.array(self.sorted_pivcols(), dtype=np.intp))
 
     def nullspace_basis(self) -> list[list[Fraction]]:
         if not self.reduced:
@@ -196,7 +205,7 @@ class ModularEchelon:
         if M.dtype == np.float64:
             M = np.mod(M, self.p)
         else:
-            M = M.astype(np.int64) % self.p
+            M = residues(M, self.p)
         grew = np.zeros(M.shape[0], dtype=bool)
         for s in range(0, M.shape[0], self.block_rows):
             block = M[s:s + self.block_rows].astype(np.float64)
@@ -307,6 +316,16 @@ class ModularEchelon:
         return canon.rcf()[0]
 
 
+def residues(M: np.ndarray, p: int) -> np.ndarray:
+    """Entries of an integer array mod p, as int64.  Object arrays (exact
+    Python numbers of any size) are reduced before the cast, so no entry
+    overflows; a non-integral entry raises ValueError."""
+    if M.dtype == object:
+        return np.array([_as_int(e) % p for e in M.flat],
+                        dtype=np.int64).reshape(M.shape)
+    return M.astype(np.int64) % p
+
+
 def echelon_state(ncols: int, field: Field, reduced: bool = True,
                   **modular_opts):
     """Fresh chunked-RCF state for the given field; feed it add_rows calls."""
@@ -321,6 +340,7 @@ class ExactMatrix:
 
     def __init__(self, rows, field: Field = 'Q'):
         self.field = _check_field(field)
+        rows = [r.tolist() if isinstance(r, np.ndarray) else r for r in rows]
         if self.field == 'Q':
             self.rows = [[Fraction(e) for e in row] for row in rows]
         else:
@@ -369,16 +389,10 @@ class ExactMatrix:
         return self.ncols - self.rank()
 
     def rcf(self) -> 'ExactMatrix':
-        state = self._state()
-        if self.field == 'Q':
-            return ExactMatrix(state.rcf_rows(), 'Q')
-        return ExactMatrix(state.rcf()[0].tolist(), self.field)
+        return ExactMatrix(self._state().rcf()[0], self.field)
 
     def nullspace_basis(self) -> 'ExactMatrix':
-        state = self._state()
-        if self.field == 'Q':
-            return ExactMatrix(state.nullspace_basis(), 'Q')
-        return ExactMatrix(state.nullspace_basis().tolist(), self.field)
+        return ExactMatrix(self._state().nullspace_basis(), self.field)
 
 
 def rcf(matrix: ExactMatrix) -> tuple[ExactMatrix, int]:
@@ -432,17 +446,17 @@ def express_in_rowspace(rows, targets) -> list[list[Fraction]]:
 # ---------------------------------------------------------------- integers
 
 
+def _as_int(e) -> int:
+    if isinstance(e, int):
+        return e
+    f = Fraction(e)
+    if f.denominator != 1:
+        raise ValueError("integer matrix expected")
+    return int(f.numerator)
+
+
 def int_rows(rows) -> list[list[int]]:
-    out = []
-    for row in rows:
-        new = []
-        for e in row:
-            f = Fraction(e)
-            if f.denominator != 1:
-                raise ValueError("integer matrix expected")
-            new.append(f.numerator)
-        out.append(new)
-    return out
+    return [[_as_int(e) for e in row] for row in rows]
 
 
 def hermite_with_transform(rows) -> tuple[list[list[int]], list[list[int]]]:

@@ -98,10 +98,22 @@ class Identity:
                 f"{format_word(next(iter(residue)))}")
 
     def group_algebra(self, t: int) -> list[dict]:
-        """One group algebra element per association type."""
+        """One group algebra element per association type, t of them.
+
+        classify, the costly part, runs once per identity: every partition
+        reads the same split.  Its results are kept on the identity as one
+        small int16 array (type, then leaf labels, per term), since a
+        tuple of t dicts would cost about 11 KiB per degree-7 identity.
+        """
+        split = self.__dict__.get("_split")
+        if split is None:
+            split = np.array([(i, *perm) for i, perm in
+                              (classify(w, 1) for _, w in self.terms)],
+                             dtype=np.int16)
+            object.__setattr__(self, "_split", split)
         out: list[dict] = [dict() for _ in range(t)]
-        for c, w in self.terms:
-            i, perm = classify(w, 1)
+        for (c, _), (i, *perm) in zip(self.terms, split.tolist()):
+            perm = tuple(perm)
             out[i][perm] = out[i].get(perm, 0) + c
         return out
 
@@ -234,31 +246,17 @@ def liftings_to_degree(n: int, retained: dict[int, list[int]] | None = None,
 # ------------------------------------------------- per-partition matrices
 
 
-def identity_block(ident: Identity, lam, rho: RhoCache, t: int):
-    """Block row of an identity: one raw d x d block per association type.
+def identity_block(ident: Identity, lam, rho: RhoCache, t: int) -> np.ndarray:
+    """Block row of an identity: one raw d x d block per association type,
+    shape (d, t*d).
 
     Blocks are sums of A-matrices without the change of basis, which
     multiplies the whole block row by an invertible matrix on the left
     and so changes neither its row space nor any rank computed from it.
-    Over 'Q' the result is a list of integer rows; over a prime, an
-    int64 array of residues, shape (d, t*d).
+    They are unreduced integer arrays over either field, from
+    RhoCache.raw_of_elements; the echelon state reduces them.
     """
-    d = rho.dim
-    elems = ident.group_algebra(t)
-    if rho.field == 'Q':
-        rows = [[0] * (t * d) for _ in range(d)]
-        for i, el in enumerate(elems):
-            if not el:
-                continue
-            M = rho.raw_of_element(el)
-            for a in range(d):
-                rows[a][i * d:(i + 1) * d] = [int(v) for v in M[a]]
-        return rows
-    out = np.zeros((d, t * d), dtype=np.int64)
-    for i, el in enumerate(elems):
-        if el:
-            out[:, i * d:(i + 1) * d] = rho.raw_of_element(el)
-    return out
+    return rho.raw_of_elements(ident.group_algebra(t))
 
 
 #: most entries (rows x columns) per add_rows call when identity blocks
@@ -286,12 +284,12 @@ def _feed_identities(state, n: int, lam, rho: RhoCache, idents) -> list[bool]:
     idents = list(idents)
     grew: list[bool] = []
     for start in range(0, len(idents), per_call):
-        rows: list = []
+        blocks = []
         for ident in idents[start:start + per_call]:
             if ident.degree != n:
                 raise ValueError("identity of the wrong degree")
-            rows.extend(identity_block(ident, lam, rho, t))
-        flags = state.add_rows(rows)
+            blocks.append(identity_block(ident, lam, rho, t))
+        flags = state.add_rows(np.concatenate(blocks))
         grew.extend(any(flags[k:k + d]) for k in range(0, len(flags), d))
     return grew
 
@@ -350,39 +348,16 @@ def new_identity_vectors(n: int, lam, liftings, field='Q', chunk: int = 50,
     d = rho.dim
     state = echelon_state(t * d, field)
     _feed_identities(state, n, lam, rho, liftings)
-    if field == 'Q':
-        lifted_pivots = set(state.sorted_pivcols())
-    else:
-        lifted_pivots = set(state.rcf()[1].tolist())
+    lifted_pivots = set(state.rcf()[1].tolist())
 
     _, _, xstate = kernel_rank(n, lam, field, chunk, table, rho,
                                keep_state=True)
-    a_id = rho.a(tuple(range(1, n + 1))).astype(np.int64)
-    if field == 'Q':
-        for v in xstate.nullspace_basis():
-            shifted = []
-            for i in range(t):
-                seg = v[i * d:(i + 1) * d]
-                shifted.extend(
-                    sum(seg[k] * int(a_id[k][j]) for k in range(d))
-                    for j in range(d))
-            state.add_rows([shifted])
-        final = state.rcf_rows()
-        pivs = state.sorted_pivcols()
-    else:
-        p = int(field)
-        null = xstate.nullspace_basis()
-        if null.size:
-            shifted = np.zeros_like(null)
-            for i in range(t):
-                blk = null[:, i * d:(i + 1) * d].astype(np.float64)
-                shifted[:, i * d:(i + 1) * d] = \
-                    (blk @ a_id.astype(np.float64)) % p
-            state.add_rows(shifted)
-        rows_arr, piv_arr = state.rcf()
-        final = [r.tolist() for r in rows_arr]
-        pivs = piv_arr.tolist()
-    return [row for row, pc in zip(final, pivs) if pc not in lifted_pivots]
+    a_id = rho.a(tuple(range(1, n + 1)))
+    N = np.asarray(xstate.nullspace_basis())
+    state.add_rows((N.reshape(-1, t, d) @ a_id).reshape(-1, t * d))
+    final, pivs = state.rcf()
+    return [row for row, pc in zip(final.tolist(), pivs.tolist())
+            if pc not in lifted_pivots]
 
 
 # -------------------------------------------------------------- reporting

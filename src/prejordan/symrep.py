@@ -26,7 +26,7 @@ from functools import cache
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import RationalEchelon, express_in_rowspace
+from .linalg import RationalEchelon, express_in_rowspace, residues
 from .monomials import inverse_perm
 
 Partition = tuple
@@ -282,9 +282,13 @@ def _invert_mod(M: np.ndarray, p: int) -> np.ndarray:
 class RhoCache:
     """Representation matrices for one partition over one field.
 
-    Over 'Q' matrices are lists of Fraction rows; over a prime p they are
-    numpy int64 arrays of residues.  A-matrices are cached per permutation,
-    so feeding many group algebra elements stays cheap.
+    Raw blocks, sums of A-matrices without the change of basis, are
+    integer matrices whatever the field and are built once for both:
+    int64 arrays under the bound stated in raw_of_elements, object
+    arrays of exact Python numbers past it.  Only of_element applies
+    A(id)^-1, a Fraction inverse over 'Q' and a modular one over a prime.
+    A-matrices are cached per permutation, so feeding many group algebra
+    elements stays cheap.
     """
 
     def __init__(self, lam: Partition, field='Q'):
@@ -293,8 +297,8 @@ class RhoCache:
         self.dim = dimension(lam)
         a_id = clifton_a(lam, tuple(range(1, sum(lam) + 1)))
         if field == 'Q':
-            self._a_id_inv = _invert_fraction(
-                [[Fraction(int(e)) for e in row] for row in a_id])
+            self._a_id_inv = np.array(_invert_fraction(
+                [[Fraction(int(e)) for e in row] for row in a_id]), dtype=object)
         else:
             self._a_id_inv = _invert_mod(a_id, int(field))
         self._acache: dict[tuple[int, ...], np.ndarray] = {}
@@ -309,67 +313,55 @@ class RhoCache:
         return self.of_element({perm: 1})
 
     def raw_of_element(self, terms: dict) -> np.ndarray:
-        """sum c * A(perm) without the change of basis A(id)^-1.
+        """The raw d x d block of one element; see raw_of_elements."""
+        return self.raw_of_elements([terms])
+
+    def raw_of_elements(self, elems) -> np.ndarray:
+        """Raw blocks sum c * A(perm) of several elements side by side,
+        shape (d, k*d), unreduced whatever the field.
 
         The raw block is A(id) times the representation matrix of the
         element.  Since A(id) is invertible and multiplies every block of a
         stacked block matrix on the left, row spaces of block rows and
         ranks of the whole matrix are the same as with genuine
         representation blocks, so rank pipelines use these directly.
+
+        The blocks are one contraction of the k x m coefficient matrix
+        against the m stacked A-matrices, taken over its nonzero entries.
+        Entries are int64 only when every coefficient is an int and each
+        element has sum |c| < 2**63, which bounds every partial sum since
+        |A| <= 1; otherwise they are exact Python numbers in an object
+        array.
         """
         d = self.dim
-        acc = np.zeros((d, d), dtype=np.int64)
-        for perm, coeff in terms.items():
-            c = int(coeff)
-            if self.field != 'Q':
-                c %= int(self.field)
-            if c:
-                acc += c * self.a(perm).astype(np.int64)
-        if self.field != 'Q':
-            acc %= int(self.field)
-        return acc
-
-    def raw_of_elements(self, elems) -> np.ndarray:
-        """Raw blocks of several elements side by side, shape (d, d*k).
-
-        Prime fields only; float64 accumulation is exact here because every
-        intermediate stays far below 2**53.
-        """
-        p = int(self.field)
-        d = self.dim
-        out = np.zeros((d, d * len(elems)), dtype=np.float64)
-        for k, terms in enumerate(elems):
-            blk = out[:, k * d:(k + 1) * d]
-            for perm, coeff in terms.items():
-                c = int(coeff) % p
-                if c:
-                    blk += c * self.a(perm)
-        out %= p
-        return out.astype(np.int64)
+        k = len(elems)
+        owners, starts, perms, coeffs = [], [], [], []
+        fits = True
+        for i, terms in enumerate(elems):
+            if terms:
+                owners.append(i)
+                starts.append(len(perms))
+                perms.extend(terms)
+                coeffs.extend(terms.values())
+                fits = fits and sum(map(abs, terms.values())) < 2 ** 63
+        fits = fits and all(isinstance(c, int) for c in coeffs)
+        dtype = np.int64 if fits else object
+        out = np.zeros((d, k, d), dtype=dtype)
+        if coeffs:
+            stacked = np.stack([self.a(p) for p in perms]).astype(dtype)
+            products = np.array(coeffs, dtype=dtype)[:, None, None] * stacked
+            out[:, owners] = np.add.reduceat(products, starts).transpose(1, 0, 2)
+        return out.reshape(d, k * d)
 
     def of_element(self, terms: dict):
-        """rho applied to a group algebra element {perm: coeff}."""
-        d = self.dim
+        """rho applied to a group algebra element {perm: coeff}: A(id)^-1
+        times its raw block, as Fraction rows over 'Q' and an int64 array
+        of residues over a prime."""
+        raw = self.raw_of_element(terms)
         if self.field == 'Q':
-            acc = [[Fraction(0)] * d for _ in range(d)]
-            for perm, coeff in terms.items():
-                A = self.a(perm)
-                for i in range(d):
-                    row = acc[i]
-                    arow = A[i]
-                    for j in range(d):
-                        if arow[j]:
-                            row[j] += coeff * int(arow[j])
-            inv = self._a_id_inv
-            return [[sum(inv[i][k] * acc[k][j] for k in range(d) if inv[i][k])
-                     for j in range(d)] for i in range(d)]
+            return (self._a_id_inv @ raw.astype(object)).tolist()
         p = int(self.field)
-        acc = np.zeros((d, d), dtype=np.int64)
-        for perm, coeff in terms.items():
-            c = int(coeff) % p
-            if c:
-                acc += c * self.a(perm).astype(np.int64)
-        return self._a_id_inv @ (acc % p) % p
+        return self._a_id_inv @ residues(raw, p) % p
 
 
 def clifton_matrix(lam: Partition, perm: tuple[int, ...], field='Q'):

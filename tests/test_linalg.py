@@ -203,6 +203,29 @@ class TestModularEchelon:
             assert flags == chunk_flags == increments == tiny.add_rows(rows)
             assert sum(flags) == whole.rank
 
+    def test_rows_beyond_int64_reduce_exactly(self):
+        # object rows are reduced mod p before any cast to int64, so a
+        # multiple of 2**70 gives the flags and RCF of the unscaled rows
+        rng = random.Random(36)
+        st = echelon_state(3, P)
+        assert st.add_rows([[2 ** 70, 1, 0]]) == [True]
+        assert st.rcf()[0].tolist() == [[1, pow(2 ** 70, -1, P), 0]]
+        for _ in range(30):
+            m, n = rng.randrange(1, 10), rng.randrange(1, 8)
+            rows = random_int_matrix(rng, m, n, bound=50)
+            plain = echelon_state(n, P)
+            scaled = echelon_state(n, P)
+            assert scaled.add_rows([[2 ** 70 * e for e in r] for r in rows]) \
+                == plain.add_rows(rows)
+            (rs, ps), (rp, pp) = scaled.rcf(), plain.rcf()
+            assert (rs == rp).all() and (ps == pp).all()
+
+    def test_rejects_non_integral_rows(self):
+        st = echelon_state(2, P)
+        with pytest.raises(ValueError):
+            st.add_rows([[Fraction(1, 2), 2 ** 70]])
+        assert st.rank == 0
+
     def test_nullspace(self):
         rng = random.Random(34)
         for _ in range(40):

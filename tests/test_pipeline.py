@@ -14,7 +14,7 @@ import pytest
 
 from prejordan.errors import InvariantViolation
 from prejordan.expansion import xblock_matrix
-from prejordan.linalg import RationalEchelon, echelon_state
+from prejordan.linalg import echelon_state
 from prejordan.monomials import (assoc_types, format_word, multilinear_basis,
                                  parse_word)
 from prejordan.pipeline import (BLOCK_BATCH_ENTRIES, DegreeReport, Identity,
@@ -26,7 +26,7 @@ from prejordan.pipeline import (BLOCK_BATCH_ENTRIES, DegreeReport, Identity,
                                 load_identities, mul, new_identity_vectors,
                                 nullspace_identities, permuted_stack_rank,
                                 save_identities, squared_lengths)
-from prejordan.symrep import RhoCache, dimension, partitions
+from prejordan.symrep import RhoCache, partitions
 
 PJ1_TERMS = {
     (1, "((x1*x2)*(x3*x4))"), (1, "((x1*x3)*(x2*x4))"),
@@ -220,9 +220,25 @@ class TestBlockFeed:
         if n == 6:
             assert {(3, 2, 1), (4, 2)} <= crossing
 
+    @pytest.mark.parametrize("n, field", [(5, 'Q'), (6, 101)])
+    def test_scaled_liftings_keep_rank_and_flags(self, n, field):
+        # times 2**70 every block is past the int64 bound of the raw-block
+        # builder and travels as exact Python ints; ranks and flags must
+        # not move
+        liftings = liftings_to_degree(n)
+        scaled = [Identity(f.degree, tuple((c * 2 ** 70, w) for c, w in f.terms),
+                           f.provenance) for f in liftings]
+        t = len(assoc_types(n, 1))
+        for lam in partitions(n):
+            rho = RhoCache(lam, field)
+            assert identity_block(scaled[0], lam, rho, t).dtype == object
+            assert lifted_rank(n, lam, scaled, field, rho) \
+                == lifted_rank(n, lam, liftings, field, rho)
+
 
 class TestNewIdentityExtraction:
-    def test_deficient_generating_set(self):
+    @pytest.mark.parametrize("field", ['Q', 101])
+    def test_deficient_generating_set(self, field):
         # lifting only the first defining identity leaves a gap at degree
         # 5 for some partition; the extracted vectors must close exactly
         # that gap and be genuine kernel elements
@@ -230,24 +246,24 @@ class TestNewIdentityExtraction:
         partial = lift(f)
         found_gap = False
         for lam in partitions(5):
-            lrank, _ = lifted_rank(5, lam, partial)
-            _, nullity = kernel_rank(5, lam)
+            lrank, _ = lifted_rank(5, lam, partial, field)
+            _, nullity = kernel_rank(5, lam, field)
             missing = nullity - lrank
             if missing == 0:
                 continue
             found_gap = True
-            vectors = new_identity_vectors(5, lam, partial)
+            vectors = new_identity_vectors(5, lam, partial, field)
             assert len(vectors) == missing
-            X = xblock_matrix(5, lam)
-            d = dimension(lam)
+            X = xblock_matrix(5, lam, field)
             for v in vectors:
-                prod = [sum(Fraction(v[i]) * X.rows[i][j]
-                            for i in range(len(v)))
+                prod = [sum(v[i] * X.rows[i][j] for i in range(len(v)))
                         for j in range(X.ncols)]
+                if field != 'Q':
+                    prod = [e % field for e in prod]
                 assert not any(prod)
             # independent from the lifted span: ranks add up
-            state = RationalEchelon(len(vectors[0]))
-            rho = RhoCache(lam, 'Q')
+            state = echelon_state(len(vectors[0]), field)
+            rho = RhoCache(lam, field)
             for g in partial:
                 state.add_rows(identity_block(g, lam, rho, 14))
             assert state.rank == lrank

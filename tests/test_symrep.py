@@ -197,18 +197,20 @@ class TestCliftonMatrices:
         assert (got == want).all()
 
     def test_raw_blocks_differ_by_leading_matrix(self):
-        # raw block = A(id) times the genuine representation block
+        # raw block = A(id) times the genuine representation block; a
+        # half-integer coefficient stays exact in the raw block
         n = 4
         rng = random.Random(79)
         perms = all_perms(n)
         for lam in partitions(n):
             rho = RhoCache(lam, 'Q')
             a_id = np.array(rho.a(tuple(range(1, n + 1))), dtype=object)
-            elem = {rng.choice(perms): 3, rng.choice(perms): -2}
-            raw = np.array(rho.raw_of_element(
-                {p: int(c) for p, c in elem.items()}), dtype=object)
-            genuine = np.array(rho.of_element(elem), dtype=object)
-            assert (raw == a_id @ genuine).all()
+            for elem in ({rng.choice(perms): 3, rng.choice(perms): -2},
+                         {rng.choice(perms): Fraction(1, 2)}):
+                raw = rho.raw_of_element(elem)
+                genuine = np.array(rho.of_element(elem), dtype=object)
+                assert raw.any()
+                assert (raw == a_id @ genuine).all()
 
     def test_raw_of_elements_stacks_columns(self):
         lam = (2, 2)
@@ -219,8 +221,41 @@ class TestCliftonMatrices:
         stacked = rho.raw_of_elements([e1, e2])
         d = rho.dim
         assert stacked.shape == (d, 2 * d)
-        assert (stacked[:, :d] == rho.raw_of_element(e1) % 101).all()
-        assert (stacked[:, d:] == rho.raw_of_element(e2) % 101).all()
+        assert (stacked[:, :d] == rho.raw_of_element(e1)).all()
+        assert (stacked[:, d:] == rho.raw_of_element(e2)).all()
+
+    def test_raw_blocks_int64_bound(self):
+        # int64 only while every element has sum |c| < 2**63; two
+        # A-matrices with a shared entry of equal sign drive that entry to
+        # sum |c| exactly, so a looser bound wraps it
+        lam = (2, 1, 1)
+        rho = RhoCache(lam, 101)
+        d = rho.dim
+        perms = all_perms(4)
+        p, q = next((p, q) for p in perms for q in perms if p < q and
+                    (rho.a(p) * rho.a(q) == 1).any())
+
+        def reference(elem):
+            return np.array([[sum(c * int(rho.a(r)[i, j])
+                                  for r, c in elem.items())
+                              for j in range(d)] for i in range(d)],
+                            dtype=object)
+
+        edge = {p: 2 ** 62, q: 2 ** 62 - 1}
+        over = {p: 2 ** 62, q: 2 ** 62}
+        stacked = rho.raw_of_elements([edge, edge, {p: -3}])
+        assert stacked.dtype == np.int64
+        assert (stacked[:, :d] == reference(edge)).all()
+        assert (stacked[:, d:2 * d] == reference(edge)).all()
+        assert np.abs(stacked).max() == 2 ** 63 - 1
+        raw = rho.raw_of_element(over)
+        assert raw.dtype == object
+        assert (raw == reference(over)).all()
+        assert max(abs(e) for e in raw.flat) == 2 ** 63
+        mixed = rho.raw_of_elements([edge, over])
+        assert mixed.dtype == object
+        assert (mixed[:, :d] == reference(edge)).all()
+        assert (mixed[:, d:] == reference(over)).all()
 
     def test_clifton_matrix_helper(self):
         assert clifton_matrix((2, 1), (1, 2, 3)) == \
