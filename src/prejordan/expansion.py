@@ -4,19 +4,31 @@ The product under study is x*y = (x>y) + (y<x).  Expanding every '*' node
 of a degree-n monomial gives a sum of 2^(n-1) dendriform words, and the
 normal form of that sum is the monomial's image in the degree-n normal
 basis.  A monomial is an identity component iff the image of the whole
-combination vanishes.
+combination vanishes.  pj_expand and pj_normal_form compute images that
+way; they are kept as the reference the tests compare against.
 
-Only association types are ever expanded and normalized.  Expansion and
-the rewrite rules never look at leaf labels, so the image of a monomial
-is the image of its type with the labels moved: if the type-i expansion
-has a term (normal shape j, leaf order pi, c), the monomial (i, sigma)
-has the term (j, sigma o pi, c).  The image of each type is computed
-once per process and kept as compact integer arrays; the normal form of
-a combination relabels those arrays in numpy and sums coefficients
-exactly, so the expansion gate stays exact integer arithmetic.  In the
-group algebra picture the table cell (i, j) is an element of Z[S_n] and
-a tuple of one element of QS_n per type is an identity iff
-sum_i g_i * cell(i, j) = 0 for every j.
+The program builds images by composition instead.  The normal form
+respects products, so the image of an association type t = A*B is
+
+    img(t) = img(A) > img(B) + img(B) < img(A),
+
+and each term pair (u, v) of the two images contributes c_u c_v times
+N(u op v), the normal form of one product of two normal shapes.  Those
+products are memoized on (op, u, v), so each is rewritten once per
+process, and every type image is composed from the cached images of its
+two factors, down to the leaves.
+
+Expansion and the rewrite rules never look at leaf labels, so the image
+of a monomial is the image of its type with the labels moved: if the
+type-i image has a term (normal shape j, leaf order pi, c), the monomial
+(i, sigma) has the term (j, sigma o pi, c).  Images are kept as compact
+integer arrays and composed with the same relabel-and-sum step that
+gives the normal form of a combination; int64 is used only under a bound
+on every partial sum (the weights w(A) w(B) w(N) for a composition,
+which raises OverflowError past 2**63), so the expansion gate stays exact
+integer arithmetic.  In the group algebra picture the table cell (i, j)
+is an element of Z[S_n] and a tuple of one element of QS_n per type is
+an identity iff sum_i g_i * cell(i, j) = 0 for every j.
 
 Tables are expensive at degree 7 and 8, so they can be cached to disk as
 versioned JSON.
@@ -74,10 +86,11 @@ def pj_normal_form(word: Word):
 
 
 class TypeImage(NamedTuple):
-    """Image of one association type with leaves 1..n, as arrays.
+    """A normal form over normal words with leaves 1..n, as arrays: the
+    image of an association type, or the product of two normal shapes.
 
-    Term k of the normal form is the normal shape with id shapes[k]
-    carrying leaf labels perms[k] + 1 in reading order, times coeffs[k].
+    Term k is the normal shape with id shapes[k] carrying leaf labels
+    perms[k] + 1 in reading order, times coeffs[k].
     """
 
     shapes: np.ndarray   # int32 ids into _normal_shapes
@@ -92,11 +105,10 @@ _normal_shapes: list[Word] = []
 _normal_shape_id: dict[Word, int] = {}
 
 
-@cache
-def type_image(t: Word) -> TypeImage:
-    """Normal form of the association type t, normalized once per process."""
+def _image(poly) -> TypeImage:
+    """The arrays of a normal form whose words carry leaves 1..n."""
     ids, perms, coeffs = [], [], []
-    for word, c in pj_normal_form(t).items():
+    for word, c in poly.items():
         s = shape(word)
         sid = _normal_shape_id.get(s)
         if sid is None:
@@ -110,6 +122,65 @@ def type_image(t: Word) -> TypeImage:
                      np.array(perms, dtype=np.int8),
                      np.array(coeffs, dtype=np.int64),
                      sum(abs(c) for c in coeffs))
+
+
+@cache
+def _product(op: str, u: int, v: int) -> TypeImage:
+    """N(u op v) for normal shapes u on leaves 1..a and v on a+1..n,
+    normalized once per process."""
+    left, right = _normal_shapes[u], _normal_shapes[v]
+    a = degree(left)
+    word = (op, left, with_leaves(right, range(a + 1, a + degree(right) + 1)))
+    return _image(dnormalize({word: 1}))
+
+
+@cache
+def type_image(t: Word) -> TypeImage:
+    """Normal form of the association type t with leaves 1..n.
+
+    The image of a leaf is the leaf; the image of t = A*B is composed from
+    the cached images of shape(A) and shape(B) (see _compose), so the only
+    rewriting is one normalization per product of two normal shapes.
+    """
+    if isinstance(t, int):
+        return _image({1: 1})
+    op, left, right = t
+    if op != '*':
+        raise ValueError(f"expected a one-product word, found {op!r}")
+    return _compose(type_image(shape(left)), type_image(shape(right)))
+
+
+def _compose(left: TypeImage, right: TypeImage) -> TypeImage:
+    """img(A*B) = img(A) > img(B) + img(B) < img(A) from img(A), img(B).
+
+    With a = deg A, each term pair (u, v) contributes c_u c_v N(u > v)
+    with labels concat(pi_u, pi_v + a)[pi_N] and c_u c_v N(v < u) with
+    labels concat(pi_v + a, pi_u)[pi_N].  The products run in int64, so
+    w(A) * w(B) * (largest w(N) of each operation, summed), which bounds
+    every product and partial sum, must stay below 2**63; past it this
+    raises OverflowError instead of wrapping.
+    """
+    a = left.perms.shape[1]
+    ushapes, ugroup = np.unique(left.shapes, return_inverse=True)
+    vshapes, vgroup = np.unique(right.shapes, return_inverse=True)
+    pairs = [(u, v) for u in ushapes.tolist() for v in vshapes.tolist()]
+    over = [_product('>', u, v) for u, v in pairs]
+    under = [_product('<', v, u) for u, v in pairs]
+    bound = left.weight * right.weight * (max(p.weight for p in over)
+                                          + max(p.weight for p in under))
+    if bound >= 2 ** 63:
+        raise OverflowError("composed image coefficients may exceed int64")
+    i = np.repeat(np.arange(len(left.coeffs)), len(right.coeffs))
+    j = np.tile(np.arange(len(right.coeffs)), len(left.coeffs))
+    group = (ugroup[i] * len(vshapes) + vgroup[j]).tolist()
+    pu, pv = left.perms[i], right.perms[j] + a
+    c = left.coeffs[i] * right.coeffs[j]
+    shapes, perms, coeffs = _relabel_sum(
+        [over[g] for g in group] + [under[g] for g in group],
+        np.concatenate([np.concatenate([pu, pv], axis=1),
+                        np.concatenate([pv, pu], axis=1)]),
+        np.concatenate([c, c]), a + right.perms.shape[1])
+    return TypeImage(shapes, perms, coeffs, int(np.abs(coeffs).sum()))
 
 
 def _row_keys(shapes: np.ndarray, codes: np.ndarray, radix: int):
@@ -126,6 +197,32 @@ def _row_keys(shapes: np.ndarray, codes: np.ndarray, radix: int):
         key = key * radix + col
         bound *= radix
     return key
+
+
+def _relabel_sum(images: list[TypeImage], codes: np.ndarray,
+                 coeffs: np.ndarray, radix: int):
+    """The sum over k of coeffs[k] times images[k] relabeled by codes[k],
+    as (shapes, labels, coeffs) arrays of its nonzero terms.
+
+    Term (s, pi, c) of images[k] becomes (s, codes[k][pi], coeffs[k] * c);
+    terms with equal (shape, labels) are summed.  Coefficients keep the
+    dtype of coeffs (int64 or object), so int64 callers bound the sums.
+    """
+    owner = np.repeat(np.arange(len(images)),
+                      [len(img.coeffs) for img in images])
+    shapes = np.concatenate([img.shapes for img in images])
+    labels = codes[owner[:, None],
+                   np.concatenate([img.perms for img in images])]
+    vals = coeffs[owner] * np.concatenate(
+        [img.coeffs for img in images]).astype(coeffs.dtype, copy=False)
+    key = _row_keys(shapes, labels, radix)
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sums = np.add.reduceat(vals[order], starts)
+    nonzero = np.flatnonzero(sums != 0)
+    rows = order[starts[nonzero]]
+    return shapes[rows], labels[rows], sums[nonzero]
 
 
 def poly_normal_form(poly) -> dict:
@@ -150,30 +247,17 @@ def poly_normal_form(poly) -> dict:
         coeffs = [c for _, _, c in terms]
         labels, codes = np.unique([sigma for _, sigma, _ in terms],
                                   return_inverse=True)
-        codes = codes.reshape(len(terms), n)
-        owner = np.repeat(np.arange(len(terms)),
-                          [len(img.coeffs) for img in images])
-        shapes = np.concatenate([img.shapes for img in images])
-        relabeled = codes[owner[:, None],
-                           np.concatenate([img.perms for img in images])]
-        image_coeffs = np.concatenate([img.coeffs for img in images])
         if all(isinstance(c, int) for c in coeffs) and sum(
                 abs(c) * img.weight for img, _, c in terms) < 2 ** 63:
-            vals = np.array(coeffs, dtype=np.int64)[owner] * image_coeffs
+            vals = np.array(coeffs, dtype=np.int64)
         else:
-            vals = np.array(coeffs, dtype=object)[owner] * \
-                image_coeffs.astype(object)
-        key = _row_keys(shapes, relabeled, len(labels))
-        order = np.argsort(key)
-        key = key[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        sums = np.add.reduceat(vals[order], starts)
-        nonzero = np.flatnonzero(sums != 0)
+            vals = np.array(coeffs, dtype=object)
+        shapes, relabeled, sums = _relabel_sum(
+            images, codes.reshape(len(terms), n), vals, len(labels))
         labels = labels.tolist()
-        for k, c in zip(nonzero.tolist(), sums[nonzero].tolist()):
-            row = order[starts[k]]
-            out[with_leaves(_normal_shapes[shapes[row]],
-                            [labels[v] for v in relabeled[row]])] = c
+        for sid, row, c in zip(shapes.tolist(), relabeled.tolist(),
+                               sums.tolist()):
+            out[with_leaves(_normal_shapes[sid], [labels[v] for v in row])] = c
     return out
 
 

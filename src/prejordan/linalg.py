@@ -336,7 +336,10 @@ def echelon_state(ncols: int, field: Field, reduced: bool = True,
 
 
 class ExactMatrix:
-    """Dense exact matrix with an explicit field tag, 'Q' or a prime."""
+    """Dense exact matrix with an explicit field tag, 'Q' or a prime.
+
+    Over F_p the entries must be integers; a non-integral entry raises
+    ValueError rather than being truncated."""
 
     def __init__(self, rows, field: Field = 'Q'):
         self.field = _check_field(field)
@@ -344,7 +347,8 @@ class ExactMatrix:
         if self.field == 'Q':
             self.rows = [[Fraction(e) for e in row] for row in rows]
         else:
-            self.rows = [[int(e) % self.field for e in row] for row in rows]
+            self.rows = [[_as_int(e) % self.field for e in row]
+                         for row in rows]
         widths = {len(r) for r in self.rows}
         if len(widths) > 1:
             raise ValueError("ragged rows")
@@ -592,7 +596,8 @@ def gram_det(rows) -> int:
 
 def write_matrix(f, rows, field: Field) -> None:
     """Matrix interchange format: header 'rows cols field', then one line of
-    entries per row (rationals as p or p/q, residues as integers)."""
+    entries per row (rationals as p or p/q, residues as integers; over F_p
+    a non-integral entry raises ValueError)."""
     from .monomials import coeff_str
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
@@ -602,7 +607,7 @@ def write_matrix(f, rows, field: Field) -> None:
         if field == 'Q':
             f.write(" ".join(coeff_str(Fraction(e)) for e in row) + "\n")
         else:
-            f.write(" ".join(str(int(e) % field) for e in row) + "\n")
+            f.write(" ".join(str(_as_int(e) % field) for e in row) + "\n")
 
 
 def read_matrix(f) -> tuple[list[list], Field]:

@@ -12,10 +12,11 @@ nullity of the transposed expansion block matrix.
 Every identity admitted through Identity.from_poly with check=True is
 expanded and normalized in exact integer arithmetic; anything that does
 not come out as the zero polynomial is rejected.  That check is the hard
-gate separating identities from everything else.  It normalizes each
-association type once and reaches every monomial by relabeling that
-type's image (expansion is equivariant), so the arithmetic stays exact
-while the cost per identity is a few array operations.
+gate separating identities from everything else.  It builds the image
+of each association type once (composed from memoized products of normal
+shapes) and reaches every monomial by relabeling that type's image
+(expansion is equivariant), so the arithmetic stays exact while the cost
+per identity is a few array operations.
 """
 
 from __future__ import annotations

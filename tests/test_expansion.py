@@ -16,8 +16,9 @@ from prejordan.expansion import (cached_expansion_table, expansion_matrix,
                                  poly_normal_form, xblock_matrix,
                                  xblock_transpose_rows)
 from prejordan.linalg import int_rows, read_matrix
-from prejordan.monomials import (assoc_types, classify, multilinear_basis,
-                                 parse_word, relabel, with_leaves)
+from prejordan.monomials import (assoc_types, classify, leaves,
+                                 multilinear_basis, parse_word, relabel,
+                                 shape, with_leaves)
 from prejordan.pipeline import liftings_to_degree
 from prejordan.symrep import RhoCache, dimension, partitions
 
@@ -89,7 +90,7 @@ def test_equivariance():
 def test_table_matches_direct_expansion():
     from prejordan.dendriform import classify_normal
     from prejordan.monomials import identity_perm, with_leaves
-    for n in (3, 4, 5):
+    for n in range(3, 8):
         table = expansion_table(n)
         dtypes = normal_dtypes(n)
         for i, tword in enumerate(assoc_types(n, 1)):
@@ -185,19 +186,85 @@ def test_row_keys_renumber_instead_of_wrapping():
     assert keys[0] != keys[1]
 
 
+def image_dict(img):
+    return {(sid, tuple(perm)): c for sid, perm, c in
+            zip(img.shapes.tolist(), img.perms.tolist(), img.coeffs.tolist())}
+
+
+def reference_image(t):
+    """The definition: the rewrite of all 2^(n-1) words of t's expansion."""
+    from prejordan.expansion import _normal_shape_id
+    return {(_normal_shape_id[shape(w)], tuple(v - 1 for v in leaves(w))): c
+            for w, c in pj_normal_form(t).items()}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_type_images_match_reference(n):
+    from prejordan.expansion import type_image
+    for t in assoc_types(n, 1):
+        assert image_dict(type_image(t)) == reference_image(t), t
+
+
+@pytest.mark.release
+def test_type_images_match_reference_degree8():
+    from prejordan.expansion import type_image
+    for t in assoc_types(8, 1):
+        assert image_dict(type_image(t)) == reference_image(t), t
+
+
+def test_composed_image_int64_bound():
+    # leaves: N(1 > 2) and N(2 < 1) have weight 1, so composing leaf images
+    # scaled by k and m is bounded by k * m * (1 + 1)
+    from prejordan.expansion import _compose, type_image
+    leaf = type_image(1)
+
+    def scaled(img, k):
+        return img._replace(coeffs=img.coeffs * k,
+                            weight=img.weight * abs(k))
+
+    xy = type_image(parse_word("(x1*x2)"))
+    for k, m in ((2 ** 62 - 1, 1), (2 ** 31 - 1, -(2 ** 31))):
+        assert image_dict(_compose(scaled(leaf, k), scaled(leaf, m))) == \
+            {key: k * m * c for key, c in image_dict(xy).items()}
+    with pytest.raises(OverflowError):
+        _compose(scaled(leaf, 2 ** 31), scaled(leaf, 2 ** 31))
+    with pytest.raises(OverflowError):
+        _compose(scaled(leaf, 2 ** 62), scaled(leaf, -1))
+    # a real pair far below the bound composes exactly after scaling
+    a = type_image(parse_word("((x1*x2)*x3)"))
+    b = type_image(parse_word("(x1*(x2*x3))"))
+    t = parse_word("(((x1*x2)*x3)*(x4*(x5*x6)))")
+    assert image_dict(_compose(scaled(a, 2 ** 40), scaled(b, -3))) == \
+        {key: -3 * 2 ** 40 * c for key, c in image_dict(type_image(t)).items()}
+
+
 def test_type_images_normalized_once(monkeypatch):
-    # the table and the gate share one normalization per association type
+    # every type image is composed from products of two normal shapes;
+    # each product is normalized once per process, and a second table and
+    # gate pass over fresh type images normalizes nothing
     import prejordan.expansion as expansion
+    from prejordan.dendriform import is_normal
     calls = []
     real = expansion.dnormalize
     monkeypatch.setattr(expansion, "dnormalize",
-                        lambda poly: calls.append(1) or real(poly))
-    expansion.type_image.cache_clear()
-    expansion.expansion_table.cache_clear()
-    expansion_table(5)
-    for f in liftings_to_degree(5):  # gates the degree-4 pair on the way
-        poly_normal_form(f.poly())
-    assert len(calls) == len(assoc_types(4, 1)) + len(assoc_types(5, 1))
+                        lambda poly: calls.append(poly) or real(poly))
+
+    def table_and_gate():
+        expansion.type_image.cache_clear()
+        expansion.expansion_table.cache_clear()
+        expansion_table(5)
+        for f in liftings_to_degree(5):  # gates the degree-4 pair on the way
+            poly_normal_form(f.poly())
+
+    expansion._product.cache_clear()
+    table_and_gate()
+    assert all(len(poly) == 1 for poly in calls)
+    words = [next(iter(poly)) for poly in calls]
+    assert len(set(words)) == len(words) == \
+        expansion._product.cache_info().currsize
+    assert all(is_normal(u) and is_normal(v) for _, u, v in words)
+    table_and_gate()
+    assert len(calls) == len(words)
 
 
 def test_identity_vector_positions():

@@ -281,6 +281,15 @@ class TestExactMatrix:
             null = A.nullspace_basis()
             assert null.nrows == A.nullity()
 
+    def test_rationals_over_fp_rejected(self):
+        # a residue class mod p has no truncated rational in it
+        assert ExactMatrix([[Fraction(4, 2), -1, 2 ** 70]], P).rows == \
+            [[2, P - 1, 2 ** 70 % P]]
+        with pytest.raises(ValueError):
+            ExactMatrix([[Fraction(1, 2), 1]], P)
+        with pytest.raises(ValueError):
+            ExactMatrix([[1.5, 1]], P)
+
     def test_rowspace_membership(self):
         rng = random.Random(42)
         rows = random_int_matrix(rng, 4, 6)
@@ -443,6 +452,14 @@ def test_matrix_roundtrip_modular():
     back, field = read_matrix(buf)
     assert field == P
     assert back == [[e % P for e in r] for r in rows]
+
+
+def test_write_matrix_rejects_rationals_over_fp():
+    buf = io.StringIO()
+    write_matrix(buf, [[Fraction(4, 2), -1]], P)
+    assert buf.getvalue() == f"1 2 {P}\n2 {P - 1}\n"
+    with pytest.raises(ValueError):
+        write_matrix(io.StringIO(), [[Fraction(1, 2), 1]], P)
 
 
 def test_read_matrix_rejects_bad_body():
