@@ -31,7 +31,7 @@ from functools import cache
 from typing import Union
 
 from .monomials import (MAX_BASIS_DEGREE, Word, coeff_str, format_word,
-                        leaves, parse_word, relabel, shape, with_leaves)
+                        parse_word, relabel, split, with_leaves)
 
 DPoly = dict  # Word -> Fraction, zero coefficients never stored
 
@@ -87,10 +87,10 @@ def normalize_word(word: Word):
     """
     if isinstance(word, int):
         return ((word, 1),)
-    lv = leaves(word)
+    s, lv = split(word)
     if lv == tuple(range(1, len(lv) + 1)):
         return _normalize_shape(word)
-    return tuple((relabel(t, lv), c) for t, c in _normalize_shape(shape(word)))
+    return tuple((relabel(t, lv), c) for t, c in _normalize_shape(s))
 
 
 def _normalize_shape(word: Word):
@@ -221,8 +221,8 @@ def normal_dtype_index(n: int) -> dict[Word, int]:
 
 def classify_normal(word: Word) -> tuple[int, tuple[int, ...]]:
     """(normal type index, permutation) of a normal multilinear word."""
-    perm = leaves(word)
-    idx = normal_dtype_index(len(perm)).get(shape(word))
+    s, perm = split(word)
+    idx = normal_dtype_index(len(perm)).get(s)
     if idx is None:
         raise ValueError(f"not a normal word: {word!r}")
     return idx, perm

@@ -48,7 +48,7 @@ from .dendriform import dnormalize, normal_dtype_index, normal_dtypes
 from .errors import ResourceLimit
 from .linalg import ExactMatrix
 from .monomials import (Word, all_perms, assoc_types, compose, degree,
-                        leaves, perm_index, shape, with_leaves)
+                        perm_index, shape, split, with_leaves)
 from .symrep import RhoCache, dimension
 
 TABLE_FORMAT = "expansion-table"
@@ -109,13 +109,13 @@ def _image(poly) -> TypeImage:
     """The arrays of a normal form whose words carry leaves 1..n."""
     ids, perms, coeffs = [], [], []
     for word, c in poly.items():
-        s = shape(word)
+        s, lv = split(word)
         sid = _normal_shape_id.get(s)
         if sid is None:
             sid = _normal_shape_id[s] = len(_normal_shapes)
             _normal_shapes.append(s)
         ids.append(sid)
-        perms.append([v - 1 for v in leaves(word)])
+        perms.append([v - 1 for v in lv])
         coeffs.append(c)
     # the int64 conversion raises rather than wraps a coefficient too big
     return TypeImage(np.array(ids, dtype=np.int32),
@@ -238,9 +238,9 @@ def poly_normal_form(poly) -> dict:
     """
     by_degree: dict[int, list] = {}
     for word, coeff in poly.items():
-        sigma = leaves(word)
+        s, sigma = split(word)
         by_degree.setdefault(len(sigma), []).append(
-            (type_image(shape(word)), sigma, coeff))
+            (type_image(s), sigma, coeff))
     out: dict = {}
     for n, terms in by_degree.items():
         images = [img for img, _, _ in terms]

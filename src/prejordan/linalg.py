@@ -2,8 +2,9 @@
 
 Everything here is exact.  Rational computations use fractions.Fraction;
 modular computations keep integer residues, and the numpy fast paths only
-ever hold integer values in float64, where every intermediate sum stays far
-below 2**53 and is therefore computed exactly.
+ever hold integer values in float64, where every intermediate sum stays at
+most 2**53 - p in magnitude (guarded by ModularEchelon) and is therefore
+computed and reduced exactly.
 
 Conventions fixed across the package:
 
@@ -151,12 +152,46 @@ class RationalEchelon:
         return canon.rcf_rows()
 
 
+_MOD_CHUNK = 2 ** 13  # entries per pass of _mod_inplace: a 64 KiB scratch
+
+
+def _mod_inplace(A: np.ndarray, p: int) -> None:
+    """Reduce the integer values of A into [0, p), in place.
+
+    A must be a C-contiguous float64 array whose every entry is an integer
+    x with |x| <= 2**53 - p.  Then q = floor(x / p), with one correctly
+    rounded division, is exact.  If p divides x, x / p is an integer below
+    2**53 and is computed exactly.  If not, x / p lies at least 1/p below
+    the next integer k, and |k| < 2**53 / p (from |x| + p <= 2**53); the
+    division can round x / p up to k only if that gap is at most half an
+    ulp of k, at most |k| * 2**-53 < 1/p.  So q*p is an exact integer and
+    x - q*p is the residue in [0, p), with no correction pass.  The
+    quotients go through a scratch buffer of at most _MOD_CHUNK entries,
+    so reducing a large array adds no copy of it.
+    """
+    if A.dtype != np.float64 or not A.flags.c_contiguous:
+        raise TypeError("_mod_inplace needs a C-contiguous float64 array")
+    flat = A.reshape(-1)
+    q = np.empty(min(flat.size, _MOD_CHUNK))
+    for s in range(0, flat.size, _MOD_CHUNK):
+        x = flat[s:s + _MOD_CHUNK]
+        qs = q[:x.size]
+        np.divide(x, p, out=qs)
+        np.floor(qs, out=qs)
+        qs *= p
+        x -= qs
+
+
 class ModularEchelon:
     """Running RCF over F_p backed by numpy.
 
     Reduced rows are stored as small integers; new rows are eliminated
-    against them with float64 matrix products, which are exact because every
-    accumulated sum is an integer below 2**53 (guarded in __init__).  Rows
+    against them with float64 matrix products.  Every value the
+    elimination forms is an integer of magnitude at most ncols*(p-1)**2:
+    a product sums at most rank <= ncols terms of (p-1)*(p-1) and is
+    subtracted from a residue in [0, p).  __init__ requires
+    ncols*(p-1)**2 + p <= 2**53, so every sum is computed exactly and
+    _mod_inplace reduces it back to [0, p) by exact floor division.  Rows
     are processed in outer blocks (one conversion sweep of the stored rows
     per block) and inner mini blocks (one back-substitution product per mini
     block), so the arithmetic cost is dominated by BLAS calls and the peak
@@ -169,7 +204,7 @@ class ModularEchelon:
         self.p = int(p)
         if self.p < 2:
             raise ValueError("modulus must be at least 2")
-        if ncols * (self.p - 1) ** 2 >= 2 ** 53:
+        if ncols * (self.p - 1) ** 2 + self.p > 2 ** 53:
             raise ValueError("modulus too large for exact float64 products")
         self.block_rows = block_rows
         self.mini_rows = mini_rows
@@ -202,10 +237,7 @@ class ModularEchelon:
             M = M.reshape(1, -1)
         if M.shape[1] != self.ncols:
             raise ValueError("row length does not match")
-        if M.dtype == np.float64:
-            M = np.mod(M, self.p)
-        else:
-            M = residues(M, self.p)
+        M = residues(M, self.p)
         grew = np.zeros(M.shape[0], dtype=bool)
         for s in range(0, M.shape[0], self.block_rows):
             block = M[s:s + self.block_rows].astype(np.float64)
@@ -220,7 +252,7 @@ class ModularEchelon:
             coef = B[:, self._piv[a:b]]
             if coef.any():
                 B -= coef @ self._R[a:b].astype(np.float64)
-                np.mod(B, p, out=B)
+                _mod_inplace(B, p)
 
     def _add_block(self, B: np.ndarray, grew: np.ndarray) -> None:
         # grew[k] is set when row k of B adds a pivot
@@ -235,7 +267,7 @@ class ModularEchelon:
                 coef = Bm[:, arr]
                 if coef.any():
                     Bm -= coef @ nb[:len(npv)]
-                    np.mod(Bm, p, out=Bm)
+                    _mod_inplace(Bm, p)
             fresh = len(npv)
             for i in range(Bm.shape[0]):
                 row = Bm[i]
@@ -244,7 +276,7 @@ class ModularEchelon:
                     coef = row[arr]
                     if coef.any():
                         row -= coef @ nb[fresh:len(npv)]
-                        np.mod(row, p, out=row)
+                        _mod_inplace(row, p)
                 nz = np.nonzero(row)[0]
                 if nz.size == 0:
                     continue
@@ -252,14 +284,14 @@ class ModularEchelon:
                 inv = pow(int(row[pc]), -1, p)
                 if inv != 1:
                     row *= inv
-                    np.mod(row, p, out=row)
+                    _mod_inplace(row, p)
                 row[pc] = 1.0
                 if len(npv) > fresh:
                     sub = nb[fresh:len(npv)]
                     col = sub[:, pc].copy()
                     if col.any():
                         sub -= np.outer(col, row)
-                        np.mod(sub, p, out=sub)
+                        _mod_inplace(sub, p)
                 nb[len(npv)] = row
                 npv.append(pc)
                 grew[s + i] = True
@@ -268,7 +300,7 @@ class ModularEchelon:
                 coef = nb[:fresh, arr]
                 if coef.any():
                     nb[:fresh] -= coef @ nb[fresh:len(npv)]
-                    np.mod(nb[:fresh], p, out=nb[:fresh])
+                    _mod_inplace(nb[:fresh], p)
         if not npv:
             return
         new = nb[:len(npv)]
@@ -283,7 +315,7 @@ class ModularEchelon:
             coef = seg[:, arr]
             if coef.any():
                 seg -= coef @ new
-                np.mod(seg, self.p, out=seg)
+                _mod_inplace(seg, self.p)
                 self._R[a:b] = seg.astype(self._dtype)
 
     def _append(self, new: np.ndarray, npv: list[int]) -> None:
@@ -319,10 +351,15 @@ class ModularEchelon:
 def residues(M: np.ndarray, p: int) -> np.ndarray:
     """Entries of an integer array mod p, as int64.  Object arrays (exact
     Python numbers of any size) are reduced before the cast, so no entry
-    overflows; a non-integral entry raises ValueError."""
+    overflows; a non-integral entry raises ValueError.  A float array may
+    hold only integers of magnitude below 2**53, where float64 is exact;
+    any other entry, inf and nan included, raises ValueError."""
     if M.dtype == object:
         return np.array([_as_int(e) % p for e in M.flat],
                         dtype=np.int64).reshape(M.shape)
+    if M.dtype.kind == 'f' and not (np.all(np.abs(M) < 2 ** 53)
+                                    and np.all(M == np.floor(M))):
+        raise ValueError("integer matrix expected")
     return M.astype(np.int64) % p
 
 

@@ -71,7 +71,20 @@ def with_leaves(word: Word, labels) -> Word:
 
 def shape(word: Word) -> Word:
     """The association type of a word: same tree, leaves relabeled 1,2,..."""
-    return with_leaves(word, range(1, degree(word) + 1))
+    return split(word)[0]
+
+
+def split(word: Word) -> tuple[Word, tuple[int, ...]]:
+    """(shape(word), leaves(word)) from one walk of the word."""
+    labels: list[int] = []
+
+    def go(w):
+        if isinstance(w, int):
+            labels.append(w)
+            return len(labels)
+        return (w[0], go(w[1]), go(w[2]))
+
+    return go(word), tuple(labels)
 
 
 def is_multilinear(word: Word) -> bool:
@@ -158,8 +171,8 @@ def assoc_type_index(n: int, ops: int = 1) -> dict[Word, int]:
 
 def classify(word: Word, ops: int = 1) -> tuple[int, tuple[int, ...]]:
     """Split a multilinear word into (association type index, permutation)."""
-    perm = leaves(word)
-    idx = assoc_type_index(len(perm), ops).get(shape(word))
+    s, perm = split(word)
+    idx = assoc_type_index(len(perm), ops).get(s)
     if idx is None:
         raise ValueError(f"word not an association type of its degree: {word!r}")
     return idx, perm
@@ -184,8 +197,8 @@ def basis_index(n: int, ops: int = 1):
     tidx = assoc_type_index(n, ops)
 
     def go(word: Word) -> int:
-        perm = leaves(word)
-        return tidx[shape(word)] * fact + pidx[perm]
+        s, perm = split(word)
+        return tidx[s] * fact + pidx[perm]
 
     return go
 

@@ -35,7 +35,7 @@ from .expansion import (cached_expansion_table, expansion_matrix,
                         poly_normal_form, xblock_transpose_rows)
 from .linalg import echelon_state, hermite_with_transform, lll_reduce
 from .monomials import (Word, all_perms, assoc_types, classify, coeff_str,
-                        degree, format_word, leaves, relabel, with_leaves)
+                        format_word, leaves, relabel, with_leaves)
 from .symrep import RhoCache, dimension, format_partition, partitions
 
 IDENTITY_FORMAT = "identity-list"
@@ -68,11 +68,11 @@ class Identity:
         words = [w for w, c in poly.items() if c]
         if not words:
             raise ValueError("the zero polynomial is not an identity")
-        degs = {degree(w) for w in words}
+        keyed = sorted(((classify(w, 1), w) for w in words))
+        degs = {len(perm) for (_, perm), _ in keyed}
         if len(degs) != 1:
             raise ValueError("terms of mixed degree")
         n = degs.pop()
-        keyed = sorted(((classify(w, 1), w) for w in words))
         coeffs = [Fraction(poly[w]) for _, w in keyed]
         den = math.lcm(*(c.denominator for c in coeffs))
         terms = tuple((int(c * den), w) for c, (_, w) in zip(coeffs, keyed))
@@ -265,9 +265,9 @@ def identity_block(ident: Identity, lam, rho: RhoCache, t: int) -> np.ndarray:
 #: ModularEchelon call converts the whole stored echelon to float64 twice,
 #: so a few large calls cost much less than one per identity.  The bound
 #: keeps a batch near the size of a kernel_rank batch (300 x 792 at degree
-#: 7), so it adds no memory: one degree-7 F_101 partition peaked at 69-72
-#: MiB with it (252-row batches), 86-91 MiB with 1,032-row batches and
-#: 150 MiB with all 4,032 rows in one call.  Where two blocks exceed it
+#: 7), so it adds no memory: one degree-7 F_101 partition (61) peaked at
+#: 62-63 MiB with it (252-row batches), 87 MiB with 1,032-row batches and
+#: 161 MiB with all 4,032 rows in one call.  Where two blocks exceed it
 #: (d = 35 at degree 7, d >= 16 at degree 8) a call takes one identity.
 BLOCK_BATCH_ENTRIES = 200_000
 
@@ -595,8 +595,8 @@ def permuted_stack_rank(idents, n: int, state=None, field='Q'):
         state = echelon_state(width, field)
     index = basis_index(n, 1)
     for ident in idents:
-        state.add_rows(ident.relabeled(sigma).vector(width, index)
-                       for sigma in all_perms(n))
+        state.add_rows([ident.relabeled(sigma).vector(width, index)
+                        for sigma in all_perms(n)])
     return state, state.rank
 
 

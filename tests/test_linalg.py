@@ -9,13 +9,15 @@ import io
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import random_int_matrix, random_rational_matrix
-from prejordan.linalg import (ExactMatrix, RationalEchelon, echelon_state,
+from prejordan.linalg import (ExactMatrix, ModularEchelon, RationalEchelon,
+                              _MOD_CHUNK, _mod_inplace, echelon_state,
                               express_in_rowspace, gram_det,
                               hermite_with_transform, int_det, int_rows,
-                              lll_reduce, read_matrix, write_matrix)
+                              lll_reduce, read_matrix, residues, write_matrix)
 
 P = 101
 
@@ -226,6 +228,15 @@ class TestModularEchelon:
             st.add_rows([[Fraction(1, 2), 2 ** 70]])
         assert st.rank == 0
 
+    def test_rejects_non_integral_float_rows(self):
+        st = echelon_state(3, P)
+        with pytest.raises(ValueError, match="integer matrix expected"):
+            st.add_rows(np.array([[0.5, 1.0, 0.0]]))
+        assert st.rank == 0
+        # integral floats are read as the integers they hold
+        assert st.add_rows(np.array([[-1.0, 2.0, 0.0]])) == [True]
+        assert st.rcf()[0].tolist() == [[1, P - 2, 0]]
+
     def test_nullspace(self):
         rng = random.Random(34)
         for _ in range(40):
@@ -268,6 +279,65 @@ class TestModularEchelon:
 def _common_den(row):
     from math import lcm
     return lcm(*(Fraction(e).denominator for e in row)) if row else 1
+
+
+class TestModularReduction:
+    """_mod_inplace against Python's % on the range ModularEchelon
+    guarantees, |x| <= 2**53 - p, the width guard that gives it, and
+    residues on float input."""
+
+    PRIMES = [2, 101, 32003, 1000003]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_matches_python_mod(self, p):
+        top = 2 ** 53 - p
+        k = top // p
+        edge = [top, -top, -1, 0, 1, p - 1, p, -p,
+                k * p, k * p - 1, k * p + 1, -k * p, -k * p - 1, -k * p + 1,
+                (k - 1) * p + 1, -(k - 1) * p - 1]
+        rng = random.Random(p)
+        # spread over every scale of the range, and past one scratch chunk
+        rand = [rng.choice((-1, 1)) * rng.randrange(2 ** rng.randrange(1, 54))
+                for _ in range(3 * _MOD_CHUNK + 7)]
+        values = [x for x in edge + rand if abs(x) <= top]
+        A = np.array(values, dtype=np.float64)
+        assert [int(a) for a in A] == values  # every value held exactly
+        _mod_inplace(A, p)
+        assert [int(a) for a in A] == [x % p for x in values]
+        M = np.array(edge, dtype=np.float64).reshape(2, -1)
+        _mod_inplace(M, p)
+        assert M.ravel().tolist() == [x % p for x in edge]
+
+    def test_rejects_what_it_cannot_reduce_in_place(self):
+        A = np.arange(12, dtype=np.float64).reshape(3, 4)
+        with pytest.raises(TypeError):
+            _mod_inplace(A[:, ::2], P)
+        with pytest.raises(TypeError):
+            _mod_inplace(A.T, P)
+        with pytest.raises(TypeError):
+            _mod_inplace(np.arange(12), P)
+        assert A.ravel().tolist() == list(range(12))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_width_guard(self, p):
+        # ncols*(p-1)**2 + p <= 2**53 bounds every value the elimination
+        # reduces by 2**53 - p; the widest state allowed is built, the
+        # next one is refused
+        widest = (2 ** 53 - p) // (p - 1) ** 2
+        assert ModularEchelon(widest, p).ncols == widest
+        with pytest.raises(ValueError):
+            ModularEchelon(widest + 1, p)
+
+    def test_residues_reject_non_integral_floats(self):
+        for bad in ([0.5, 2.7, -1.5], [2.0 ** 53], [-2.0 ** 60],
+                    [float("inf")], [float("nan")]):
+            with pytest.raises(ValueError):
+                residues(np.array(bad), P)
+            with pytest.raises(ValueError):
+                residues(np.array(bad, dtype=np.float32), P)
+        ok = np.array([[-1.0, 0.0], [2.0 ** 53 - 1, 7.0]])
+        assert residues(ok, P).tolist() == [[P - 1, 0],
+                                            [(2 ** 53 - 1) % P, 7]]
 
 
 class TestExactMatrix:

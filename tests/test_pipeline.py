@@ -27,6 +27,7 @@ from prejordan.pipeline import (BLOCK_BATCH_ENTRIES, DegreeReport, Identity,
                                 nullspace_identities, permuted_stack_rank,
                                 save_identities, squared_lengths)
 from prejordan.symrep import RhoCache, partitions
+from test_acceptance import DEGREE6_ROWS
 
 PJ1_TERMS = {
     (1, "((x1*x2)*(x3*x4))"), (1, "((x1*x3)*(x2*x4))"),
@@ -280,6 +281,14 @@ class TestComparison:
         assert verdict["equivalent"]
         assert verdict["rank_a"] == verdict["rank_b"] == 16
 
+    def test_defining_pair_generates_kernel_mod_p(self):
+        # the monomial method feeds F_p states the same row lists as Q
+        pair = list(defining_identities())
+        basis = nullspace_identities(4, "lll")
+        verdict = compare_modules(pair, basis, 4, field=101)
+        assert verdict["equivalent"]
+        assert verdict["rank_a"] == verdict["rank_b"] == 16
+
     def test_partition_method_agrees(self):
         pair = list(defining_identities())
         basis = nullspace_identities(4, "rcf")
@@ -383,6 +392,19 @@ class TestReportConfig:
         assert all(row.lifted_rank is None for row in rep.rows)
         text = rep.to_text()
         assert "skipped" in text
+
+
+@pytest.mark.parametrize("p", [32003, 1000003])
+def test_degree6_table_at_wider_primes(p):
+    # the int16 and int32 row stores; a rank mod p never exceeds the rank
+    # over Q, so new = 0 at any prime proves there is no new identity
+    rep = degree_report(ReportConfig(degree=6, field="F", prime=p))
+    assert rep.prime == p
+    assert rep.lifting_count == 84
+    assert {row.partition: (row.lifted_rank, row.all_rank)
+            for row in rep.rows} == DEGREE6_ROWS
+    assert all(row.nullity == row.lifted_rank and row.new == 0
+               for row in rep.rows)
 
 
 @pytest.fixture(scope="module")
