@@ -353,9 +353,8 @@ def new_identity_vectors(n: int, lam, liftings, field='Q', chunk: int = 50,
 
     _, _, xstate = kernel_rank(n, lam, field, chunk, table, rho,
                                keep_state=True)
-    a_id = rho.a(tuple(range(1, n + 1)))
     N = np.asarray(xstate.nullspace_basis())
-    state.add_rows((N.reshape(-1, t, d) @ a_id).reshape(-1, t * d))
+    state.add_rows((N.reshape(-1, t, d) @ rho.a_id).reshape(-1, t * d))
     final, pivs = state.rcf()
     return [row for row, pc in zip(final.tolist(), pivs.tolist())
             if pc not in lifted_pivots]

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .linalg import RationalEchelon, express_in_rowspace, residues
-from .monomials import inverse_perm
 
 Partition = tuple
 
@@ -214,41 +213,72 @@ def decompose(char_values, n: int) -> tuple[int, ...]:
 # ------------------------------------------------------ Clifton's matrices
 
 
+#: most working-array entries of one step of clifton_a; a batch of
+#: permutations is split into steps under it (2 MiB of int8 per array)
+CLIFTON_BATCH_ENTRIES = 2 ** 21
+
+#: largest n clifton_a takes: it holds row indices (< n) and column
+#: heights (<= n) in int8
+CLIFTON_MAX_N = 127
+
+
 @cache
 def _clifton_data(lam: Partition):
+    """Tableau data of Clifton's rule, cells in column-major order: d, the
+    value at each cell of each tableau (d, n), the row of each value in
+    each tableau (n, d), the height of each cell's column (n,), the pairs
+    of cells k < l in one column (2, pairs), and the working entries per
+    permutation, d * d * max(n, pairs)."""
     tabs = standard_tableaux(lam)
-    d = len(tabs)
-    n = sum(lam)
-    colheight = np.array(conjugate(lam), dtype=np.int64)
-    cumh = np.concatenate([[0], np.cumsum(colheight)])
-    row_of = np.zeros((d, n), dtype=np.int64)
-    col_of = np.zeros((d, n), dtype=np.int64)
+    heights = conjugate(lam)
+    cells = [(r, c) for c, h in enumerate(heights) for r in range(h)]
+    entries = np.array([[tab[r][c] - 1 for r, c in cells] for tab in tabs],
+                       dtype=np.intp)
+    row_of = np.zeros((len(cells), len(tabs)), dtype=np.int8)
     for t, tab in enumerate(tabs):
         for r, row in enumerate(tab):
-            for c, v in enumerate(row):
-                row_of[t, v - 1] = r
-                col_of[t, v - 1] = c
-    src_rank = cumh[col_of] + row_of          # column-major cell rank
-    xorder = np.argsort(src_rank, axis=1)
-    mcol = colheight[col_of]                  # height of the column holding x
-    return d, n, row_of, col_of, cumh, xorder, mcol
+            row_of[np.array(row) - 1, t] = r
+    height = np.array([heights[c] for _, c in cells], dtype=np.int8)
+    pairs = np.array([(k, l) for l, (_, cl) in enumerate(cells)
+                      for k, (_, ck) in enumerate(cells[:l]) if ck == cl],
+                     dtype=np.intp).reshape(-1, 2).T
+    work = len(tabs) ** 2 * max(len(cells), pairs.shape[1])
+    return len(tabs), entries, row_of, height, pairs, work
 
 
-def clifton_a(lam: Partition, perm: tuple[int, ...]) -> np.ndarray:
-    """The d x d matrix A(perm) of Clifton's construction, entries -1/0/1."""
-    d, n, row_of, col_of, cumh, xorder, mcol = _clifton_data(lam)
-    ip = np.array(inverse_perm(perm), dtype=np.int64) - 1
-    rowS = row_of[:, ip]                                  # (b, x)
-    ok = (rowS[None, :, :] < mcol[:, None, :]).all(axis=2)
-    tcell = cumh[col_of][:, None, :] + rowS[None, :, :]   # (a, b, x)
-    q = np.take_along_axis(tcell, np.broadcast_to(xorder[:, None, :], tcell.shape), axis=2)
-    qs = np.sort(q, axis=2)
-    ok &= ~(np.diff(qs, axis=2) == 0).any(axis=2)
-    inv = np.zeros((d, d), dtype=np.int64)
-    for k in range(n - 1):
-        inv += (q[:, :, k, None] > q[:, :, k + 1:]).sum(axis=2)
-    sign = 1 - 2 * (inv & 1)
-    return np.where(ok, sign, 0).astype(np.int8)
+def clifton_a(lam: Partition, perms) -> np.ndarray:
+    """Clifton's d x d matrices A(perm) of a sequence of m permutations,
+    shape (m, d, d), entries -1/0/1 in int8.
+
+    Entry (a, b) of A(perm) compares T_a with perm T_b, which holds
+    perm(v) where T_b holds v.  Place each value x at its column in T_a
+    and its row in perm T_b.  The entry is 0 when some x falls below the
+    bottom of its column (the row test) or two values land on one cell
+    (the duplicate-cell test); otherwise the placement is a tableau with
+    the columns of T_a, and the entry is the sign of the column
+    permutation between the two.  Cells of different columns keep their
+    column-major order, so only cells of one column can collide or be
+    inverted, and the sign is the parity of the inversions of rows within
+    columns.  All m permutations are evaluated by one broadcast over a
+    leading axis, in steps of at most CLIFTON_BATCH_ENTRIES entries.
+    """
+    n = sum(lam)
+    if n > CLIFTON_MAX_N:
+        raise ValueError(f"clifton_a takes n <= {CLIFTON_MAX_N}, got {n}")
+    d, entries, row_of, height, pairs, work = _clifton_data(lam)
+    # inverses, 0-based: x sits in perm T_b where inv[m, x] sits in T_b
+    inv = np.argsort(np.asarray(perms).reshape(-1, n), axis=1)
+    out = np.empty((len(inv), d, d), dtype=np.int8)
+    step = max(1, CLIFTON_BATCH_ENTRIES // work)
+    for lo in range(0, len(inv), step):
+        # rows[m, a, k, b]: the row in perm T_b of the value at cell k of T_a
+        rows = row_of[inv[lo:lo + step, entries]]
+        ok = (rows < height[:, None]).all(axis=2)
+        upper, lower = rows[:, :, pairs[0]], rows[:, :, pairs[1]]
+        ok &= (upper != lower).all(axis=2)
+        odd = np.logical_xor.reduce(upper > lower, axis=2)
+        out[lo:lo + step] = np.where(ok, np.where(odd, -1, 1), 0)
+    return out
 
 
 def _invert_fraction(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -286,28 +316,50 @@ class RhoCache:
     integer matrices whatever the field and are built once for both:
     int64 arrays under the bound stated in raw_of_elements, object
     arrays of exact Python numbers past it.  Only of_element applies
-    A(id)^-1, a Fraction inverse over 'Q' and a modular one over a prime.
-    A-matrices are cached per permutation, so feeding many group algebra
-    elements stays cheap.
+    A(id)^-1: over 'Q' as an integer matrix and one denominator, over a
+    prime as a modular inverse.  The A-matrices met so far are kept in
+    one int8 store; a call builds the ones new to it by one batched
+    clifton_a call and gathers its stack from the store.
     """
 
     def __init__(self, lam: Partition, field='Q'):
         self.lam = lam
         self.field = field
         self.dim = dimension(lam)
-        a_id = clifton_a(lam, tuple(range(1, sum(lam) + 1)))
+        identity = tuple(range(1, sum(lam) + 1))
+        # A-matrices stacked in order of first use; perm -> its index
+        self._store = clifton_a(lam, [identity])
+        self._index = {identity: 0}
+        self.a_id = self._store[0]
         if field == 'Q':
-            self._a_id_inv = np.array(_invert_fraction(
-                [[Fraction(int(e)) for e in row] for row in a_id]), dtype=object)
+            inv = _invert_fraction([[Fraction(int(e)) for e in row]
+                                    for row in self.a_id])
+            den = math.lcm(*(e.denominator for row in inv for e in row))
+            # A(id)^-1 = num / den, num an integer matrix
+            num = np.array([[int(e * den) for e in row] for row in inv],
+                           dtype=object)
+            self._a_id_inv = (num, den)
         else:
-            self._a_id_inv = _invert_mod(a_id, int(field))
-        self._acache: dict[tuple[int, ...], np.ndarray] = {}
+            self._a_id_inv = _invert_mod(self.a_id, int(field))
 
-    def a(self, perm: tuple[int, ...]) -> np.ndarray:
-        hit = self._acache.get(perm)
-        if hit is None:
-            hit = self._acache[perm] = clifton_a(self.lam, perm)
-        return hit
+    def _stacked(self, perms) -> np.ndarray:
+        """A(perm) for each of perms, shape (len(perms), d, d), as one
+        gather from the store; the permutations not met before are built
+        first, by one clifton_a call."""
+        index = self._index
+        new = [p for p in dict.fromkeys(perms) if p not in index]
+        if new:
+            size = len(index) + len(new)
+            if size > len(self._store):
+                # double the store, but never past all n! matrices
+                cap = min(max(size, 2 * len(self._store)),
+                          math.factorial(sum(self.lam)))
+                grown = np.empty((cap, self.dim, self.dim), dtype=np.int8)
+                grown[:len(index)] = self._store[:len(index)]
+                self._store = grown
+            self._store[len(index):size] = clifton_a(self.lam, new)
+            index.update(zip(new, range(len(index), size)))
+        return self._store[[index[p] for p in perms]]
 
     def of_perm(self, perm: tuple[int, ...]):
         return self.of_element({perm: 1})
@@ -348,7 +400,7 @@ class RhoCache:
         dtype = np.int64 if fits else object
         out = np.zeros((d, k, d), dtype=dtype)
         if coeffs:
-            stacked = np.stack([self.a(p) for p in perms]).astype(dtype)
+            stacked = self._stacked(perms).astype(dtype)
             products = np.array(coeffs, dtype=dtype)[:, None, None] * stacked
             out[:, owners] = np.add.reduceat(products, starts).transpose(1, 0, 2)
         return out.reshape(d, k * d)
@@ -359,7 +411,9 @@ class RhoCache:
         of residues over a prime."""
         raw = self.raw_of_element(terms)
         if self.field == 'Q':
-            return (self._a_id_inv @ raw.astype(object)).tolist()
+            num, den = self._a_id_inv
+            return [[Fraction(e, den) for e in row]
+                    for row in (num @ raw.astype(object)).tolist()]
         p = int(self.field)
         return self._a_id_inv @ residues(raw, p) % p
 

@@ -13,6 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import clifton_a_reference
+from prejordan import symrep
 from prejordan.errors import InvariantViolation
 from prejordan.monomials import all_perms, compose
 from prejordan.symrep import (RhoCache, character, character_table,
@@ -168,7 +170,9 @@ class TestCliftonMatrices:
             caches = {}
             for _ in range(125):
                 lam = rng.choice(lams)
-                rho = caches.setdefault(lam, RhoCache(lam, 'Q'))
+                rho = caches.get(lam)
+                if rho is None:
+                    rho = caches[lam] = RhoCache(lam, 'Q')
                 p, q = rng.choice(perms), rng.choice(perms)
                 left = np.array(rho.of_perm(compose(p, q)), dtype=object)
                 right = np.array(rho.of_perm(p), dtype=object) @ \
@@ -181,9 +185,44 @@ class TestCliftonMatrices:
         for n in (4, 5):
             perms = all_perms(n)
             for lam in partitions(n):
-                for _ in range(5):
-                    A = clifton_a(lam, rng.choice(perms))
-                    assert set(np.unique(A)) <= {-1, 0, 1}
+                A = clifton_a(lam, [rng.choice(perms) for _ in range(5)])
+                assert A.shape == (5, dimension(lam), dimension(lam))
+                assert set(np.unique(A)) <= {-1, 0, 1}
+
+    def test_clifton_a_matches_reference(self, monkeypatch):
+        # the batched builder against the per-permutation rule, with the
+        # working bound set so that batches split into steps of 1 and of 7
+        # permutations; 7 divides none of the batch sizes of two or more
+        rng = random.Random(80)
+        cases = [(lam, all_perms(n)) for n in range(1, 7)
+                 for lam in partitions(n)]
+        cases += [(lam, rng.sample(all_perms(7), 60))
+                  for lam in ((6, 1), (4, 2, 1), (3, 2, 1, 1))]
+        cases += [(lam, rng.sample(all_perms(8), 40))
+                  for lam in ((4, 3, 1), (2, 2, 1, 1, 1, 1))]
+        for lam, perms in cases:
+            want = [clifton_a_reference(lam, perm) for perm in perms]
+            work = symrep._clifton_data(lam)[-1]
+            for step in (1, 7):
+                monkeypatch.setattr(symrep, "CLIFTON_BATCH_ENTRIES",
+                                    step * work + work // 2)
+                got = clifton_a(lam, perms)
+                assert got.dtype == np.int8
+                assert got.shape == (len(perms),) + (dimension(lam),) * 2
+                assert (got == np.array(want)).all()
+
+    def test_clifton_a_width_guard(self):
+        # row indices and column heights are int8, so n <= 127; the
+        # single column (1^127) has height 127 and A(perm) = sign(perm)
+        rng = random.Random(81)
+        n = 127
+        perms = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(4)]
+        signs = [(-1) ** (n - len(cycle_type(p))) for p in perms]
+        assert clifton_a((1,) * n, perms)[:, 0, 0].tolist() == signs
+        assert clifton_a((n,), perms).tolist() == [[[1]]] * 4
+        for lam in ((n + 1,), (1,) * (n + 1)):
+            with pytest.raises(ValueError, match="n <= 127"):
+                clifton_a(lam, [tuple(range(1, n + 2))])
 
     def test_of_element_linear(self):
         n = 4
@@ -204,7 +243,7 @@ class TestCliftonMatrices:
         perms = all_perms(n)
         for lam in partitions(n):
             rho = RhoCache(lam, 'Q')
-            a_id = np.array(rho.a(tuple(range(1, n + 1))), dtype=object)
+            a_id = rho.a_id.astype(object)
             for elem in ({rng.choice(perms): 3, rng.choice(perms): -2},
                          {rng.choice(perms): Fraction(1, 2)}):
                 raw = rho.raw_of_element(elem)
@@ -232,11 +271,12 @@ class TestCliftonMatrices:
         rho = RhoCache(lam, 101)
         d = rho.dim
         perms = all_perms(4)
+        a = dict(zip(perms, clifton_a(lam, perms)))
         p, q = next((p, q) for p in perms for q in perms if p < q and
-                    (rho.a(p) * rho.a(q) == 1).any())
+                    (a[p] * a[q] == 1).any())
 
         def reference(elem):
-            return np.array([[sum(c * int(rho.a(r)[i, j])
+            return np.array([[sum(c * int(a[r][i, j])
                                   for r, c in elem.items())
                               for j in range(d)] for i in range(d)],
                             dtype=object)

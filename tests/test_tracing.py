@@ -1,6 +1,7 @@
 """Traced benchmark runs (perfbench/tracing.py) rebind package names to
 timing wrappers; check that the names they rebind still carry the work."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -9,15 +10,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
-import json, sys
+import collections, json, sys
 sys.path[:0] = sys.argv[2:]
 import tracing
 from prejordan import expansion, pipeline
 tracer = tracing.Tracer("check")
 tracing.install(tracer)
 exec(sys.argv[1])
-print(json.dumps({"spans": sorted({span[1] for span in tracer.spans}),
-                  "counts": tracer.counts}))
+names = [span[1] for span in tracer.spans]
+print(json.dumps({
+    "spans": sorted(set(names)),
+    "calls": collections.Counter(names),
+    "nested": collections.Counter(f"{names[parent]} > {name}" for
+                                  parent, name, _, _ in tracer.spans
+                                  if parent >= 0),
+    "counts": tracer.counts}))
 """
 
 
@@ -39,11 +46,25 @@ def test_traced_table_records_spans():
     assert out["counts"]["dendriform.terms_in"] > 0
 
 
+@functools.cache
+def traced_report() -> dict:
+    return traced("pipeline.degree_report("
+                  "pipeline.ReportConfig(degree=5, field='F'))")
+
+
 def test_traced_report_records_linalg_spans():
-    out = traced("pipeline.degree_report("
-                 "pipeline.ReportConfig(degree=5, field='F'))")
+    out = traced_report()
     assert {"linalg.lifted.add_rows",
             "linalg.kernel.add_rows"} <= set(out["spans"])
     for ctx in ("lifted", "kernel"):
         assert out["counts"][f"linalg.{ctx}.rows_in"] > 0
         assert out["counts"][f"linalg.{ctx}.rank"] > 0
+
+
+def test_traced_report_records_symrep_spans():
+    # the A-matrices of raw blocks are built by calls to the module global
+    # symrep.clifton_a, so the symrep.clifton_a span times them
+    out = traced_report()
+    assert {"symrep.clifton_a", "symrep.raw_blocks"} <= set(out["spans"])
+    assert out["calls"].get("symrep.clifton_a", 0) > 0
+    assert out["nested"].get("symrep.raw_blocks > symrep.clifton_a", 0) > 0
