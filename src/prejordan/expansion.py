@@ -47,8 +47,9 @@ import numpy as np
 from .dendriform import dnormalize, normal_dtype_index, normal_dtypes
 from .errors import ResourceLimit
 from .linalg import ExactMatrix
-from .monomials import (Word, all_perms, assoc_types, compose, degree,
-                        perm_index, shape, split, with_leaves)
+from .monomials import (Word, all_perms, assoc_type_index, assoc_types,
+                        compose, degree, format_word, perm_index, shape,
+                        split, with_leaves)
 from .symrep import RhoCache, dimension
 
 TABLE_FORMAT = "expansion-table"
@@ -211,49 +212,87 @@ def _relabel_sum(images: list[TypeImage], codes: np.ndarray,
     owner = np.repeat(np.arange(len(images)),
                       [len(img.coeffs) for img in images])
     shapes = np.concatenate([img.shapes for img in images])
-    labels = codes[owner[:, None],
-                   np.concatenate([img.perms for img in images])]
+    # codes[owner, perms] as one flat gather, much faster than two indices
+    labels = codes.ravel()[(owner * codes.shape[1])[:, None]
+                           + np.concatenate([img.perms for img in images])]
     vals = coeffs[owner] * np.concatenate(
         [img.coeffs for img in images]).astype(coeffs.dtype, copy=False)
     key = _row_keys(shapes, labels, radix)
-    order = np.argsort(key)
+    order = np.argsort(key, kind="stable")
     key = key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     sums = np.add.reduceat(vals[order], starts)
     nonzero = np.flatnonzero(sums != 0)
     rows = order[starts[nonzero]]
     return shapes[rows], labels[rows], sums[nonzero]
 
 
+@cache
+def _type_image_at(n: int, i: int) -> TypeImage:
+    """type_image of the association type with index i of degree n."""
+    return type_image(assoc_types(n, 1)[i])
+
+
+def coeff_array(n: int, types, coeffs) -> np.ndarray:
+    """Coefficients of terms whose association types (degree n) have the
+    indices types, in int64 when every coefficient is an int and the sum
+    of |coeff| * weight of its type's image is below 2**63, which bounds
+    every partial sum of their normal form (and, every weight being at
+    least 1, every entry of a raw block built from them); otherwise as an
+    object array of the exact numbers."""
+    coeffs = list(coeffs)
+    if all(isinstance(c, int) for c in coeffs) and sum(
+            abs(c) * _type_image_at(n, i).weight
+            for c, i in zip(coeffs, types)) < 2 ** 63:
+        return np.array(coeffs, dtype=np.int64)
+    return np.array(coeffs, dtype=object)
+
+
+def split_normal_form(n: int, types: np.ndarray, codes: np.ndarray,
+                      coeffs: np.ndarray, radix: int):
+    """Normal form of a combination of one-product words given by arrays:
+    term k is coeffs[k] times the degree-n association type types[k] with
+    leaf codes codes[k] (< radix) in reading order.  Returns its nonzero
+    terms as (normal shape ids, label codes, coeffs) arrays.
+
+    Each term is its type's cached image relabeled by its codes, summed by
+    _relabel_sum; int64 coefficients must come from coeff_array, whose
+    bound covers every partial sum.
+    """
+    if not len(types):  # the empty combination is its own normal form
+        return types, codes, coeffs
+    return _relabel_sum([_type_image_at(n, i) for i in types.tolist()],
+                        codes, coeffs, radix)
+
+
 def poly_normal_form(poly) -> dict:
     """Normal form of a combination of one-product words.
 
-    Each word is its association type relabeled by its leaf sequence
-    sigma, so its terms are the cached type image with labels sigma o pi.
-    Coefficients are summed in int64 only when every coefficient is an
-    int and the sum of |coeff| * weight over all terms, which bounds
-    every partial sum, fits; otherwise they stay Python numbers (ints,
-    Fractions, ...) in object arrays.  Words are rebuilt only for the
-    nonzero terms of the result.
+    The words are split into the arrays of split_normal_form, per degree:
+    association type index, leaf sequence sigma (any labels, repeats
+    allowed, coded by rank among the labels present) and coefficient.
+    Coefficients are summed in int64 only under the bound of coeff_array;
+    otherwise they stay Python numbers (ints, Fractions, ...) in object
+    arrays.  Words are rebuilt only for the nonzero terms of the result.
     """
     by_degree: dict[int, list] = {}
     for word, coeff in poly.items():
         s, sigma = split(word)
-        by_degree.setdefault(len(sigma), []).append(
-            (type_image(s), sigma, coeff))
+        by_degree.setdefault(len(sigma), []).append((s, sigma, coeff))
     out: dict = {}
     for n, terms in by_degree.items():
-        images = [img for img, _, _ in terms]
-        coeffs = [c for _, _, c in terms]
+        index = assoc_type_index(n, 1)
+        types = []
+        for s, _, _ in terms:
+            if s not in index:
+                raise ValueError(f"expected a one-product word, found "
+                                 f"{format_word(s)}")
+            types.append(index[s])
         labels, codes = np.unique([sigma for _, sigma, _ in terms],
                                   return_inverse=True)
-        if all(isinstance(c, int) for c in coeffs) and sum(
-                abs(c) * img.weight for img, _, c in terms) < 2 ** 63:
-            vals = np.array(coeffs, dtype=np.int64)
-        else:
-            vals = np.array(coeffs, dtype=object)
-        shapes, relabeled, sums = _relabel_sum(
-            images, codes.reshape(len(terms), n), vals, len(labels))
+        shapes, relabeled, sums = split_normal_form(
+            n, np.array(types), codes.reshape(len(terms), n),
+            coeff_array(n, types, [c for _, _, c in terms]), len(labels))
         labels = labels.tolist()
         for sid, row, c in zip(shapes.tolist(), relabeled.tolist(),
                                sums.tolist()):
@@ -375,6 +414,12 @@ def identity_vector(poly, n: int) -> list:
 # ----------------------------------------------- per-partition block rows
 
 
+#: most terms times d*d of one raw_of_elements call of xblock_transpose_rows:
+#: the cells of a batch share calls up to it, which bounds each int64
+#: working array of a call to 8 MiB
+XBLOCK_CALL_ENTRIES = 2 ** 20
+
+
 def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
                           table=None, rho: RhoCache | None = None):
     """Rows of the transposed representation block matrix, in batches.
@@ -404,16 +449,27 @@ def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
     for i, row in enumerate(table):
         for j, cell in row.items():
             cols[j].append((i, cell))
+    per_call = max(1, XBLOCK_CALL_ENTRIES // (d * d))
     for start in range(0, s, chunk):
-        batch = []
-        for j in range(start, min(start + chunk, s)):
-            idxs = [i for i, _ in cols[j]]
-            wide = rho.raw_of_elements([cell for _, cell in cols[j]])
+        js = range(start, min(start + chunk, s))
+        # (D-type in batch, type, cell), split into calls of <= per_call terms
+        parts, size = [[]], 0
+        for b, j in enumerate(js):
+            for i, cell in cols[j]:
+                if parts[-1] and size + len(cell) > per_call:
+                    parts.append([])
+                    size = 0
+                parts[-1].append((b, i, cell))
+                size += len(cell)
+        rows = np.zeros((len(js), d, t, d), dtype=np.int64)
+        for part in parts:
+            wide = rho.raw_of_elements([cell for _, _, cell in part])
+            if wide.dtype == object:
+                rows = rows.astype(object)
             # row a of D-type j holds M_i[b, a] at column i*d + b
-            rows = np.zeros((d, t, d), dtype=wide.dtype)
-            rows[:, idxs] = wide.reshape(d, len(idxs), d).transpose(2, 1, 0)
-            batch.append(rows.reshape(d, t * d))
-        yield np.concatenate(batch)
+            rows[[b for b, _, _ in part], :, [i for _, i, _ in part]] = \
+                wide.reshape(d, len(part), d).transpose(1, 2, 0)
+        yield rows.reshape(-1, t * d)
 
 
 def xblock_matrix(n: int, lam, field='Q', table=None) -> ExactMatrix:

@@ -170,11 +170,14 @@ def assoc_type_index(n: int, ops: int = 1) -> dict[Word, int]:
 
 
 def classify(word: Word, ops: int = 1) -> tuple[int, tuple[int, ...]]:
-    """Split a multilinear word into (association type index, permutation)."""
+    """Split a multilinear word into (association type index, permutation);
+    ValueError unless its leaves are a permutation of 1..n."""
     s, perm = split(word)
     idx = assoc_type_index(len(perm), ops).get(s)
     if idx is None:
         raise ValueError(f"word not an association type of its degree: {word!r}")
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise ValueError(f"word is not multilinear: {format_word(word)}")
     return idx, perm
 
 

@@ -17,6 +17,14 @@ of each association type once (composed from memoized products of normal
 shapes) and reaches every monomial by relabeling that type's image
 (expansion is equivariant), so the arithmetic stays exact while the cost
 per identity is a few array operations.
+
+An identity is held as one split of its terms into arrays: association
+type index, leaf labels and coefficient per term.  Words are classified
+once, when an identity is made from words (the two defining identities,
+a file, a nullspace basis).  Lifting maps types through per-degree
+tables and inserts the new leaf label, relabeling permutes the labels,
+and the gate and the block rows read the arrays; (coeff, word) terms
+are built only when something reads them.
 """
 
 from __future__ import annotations
@@ -27,15 +35,18 @@ import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .expansion import (cached_expansion_table, expansion_matrix,
-                        poly_normal_form, xblock_transpose_rows)
+from .expansion import (cached_expansion_table, coeff_array,
+                        expansion_matrix, poly_normal_form, split_normal_form,
+                        xblock_transpose_rows)
 from .linalg import echelon_state, hermite_with_transform, lll_reduce
-from .monomials import (Word, all_perms, assoc_types, classify, coeff_str,
-                        format_word, leaves, relabel, with_leaves)
+from .monomials import (Word, all_perms, assoc_type_index, assoc_types,
+                        classify, coeff_str, degree, format_word, relabel,
+                        with_leaves)
 from .symrep import RhoCache, dimension, format_partition, partitions
 
 IDENTITY_FORMAT = "identity-list"
@@ -51,32 +62,86 @@ MEMORY_BUDGET = 2_500_000_000
 
 @dataclass(frozen=True)
 class Identity:
-    """A multilinear identity, stored as exact monomial terms.
+    """A multilinear identity: exact terms coeff * word.
 
-    Terms are (coeff, word) pairs in canonical order: association type
-    index first, then lexicographic order of the leaf labels.  provenance
-    records where the identity came from: 'defining', 'lifted',
-    'nullspace' or 'reduced'.
+    Every identity holds one canonical split of its terms, computed once:
+    types (association type index of each term), leaves (int8, the
+    term's leaf labels in reading order, 0-based, a permutation of
+    0..n-1) and coeffs (int64 under the bound of expansion.coeff_array,
+    an object array of exact numbers past it).  Lifting, relabeling, the
+    expansion gate and the block rows work on these arrays alone.  The
+    split is in canonical order, association type first and then the
+    lexicographic order of the leaves, for identities made by from_poly,
+    lifting or relabeling.
+
+    terms, the (coeff, word) pairs in the split's order, are built from
+    the split when they are first read (printing, poly(), equality,
+    dataclasses.replace).  An identity constructed from terms, as
+    Identity(degree, terms, provenance) or by dataclasses.replace, gets
+    its split from its own words by classify, never from another
+    identity.  provenance records where the identity came from:
+    'defining', 'lifted', 'nullspace' or 'reduced'.
     """
 
     degree: int
     terms: tuple
     provenance: str = "defining"
 
+    def __post_init__(self):
+        types, leaves = _split_words([w for _, w in self.terms], self.degree)
+        for name, value in (("types", types), ("leaves", leaves), (
+                "coeffs", coeff_array(self.degree, types.tolist(),
+                                      (c for c, _ in self.terms)))):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _of_split(n: int, types, leaves, coeffs,
+                  provenance: str) -> 'Identity':
+        """A degree-n identity from its split; terms are built when first
+        read."""
+        ident = object.__new__(Identity)
+        for name, value in (("degree", n), ("provenance", provenance),
+                            ("types", types), ("leaves", leaves),
+                            ("coeffs", coeffs)):
+            object.__setattr__(ident, name, value)
+        return ident
+
+    @staticmethod
+    def _canonical(n: int, types, leaves, coeffs,
+                   provenance: str) -> 'Identity':
+        """_of_split with the terms sorted into canonical order."""
+        order = np.lexsort((*leaves.T[::-1], types))
+        return Identity._of_split(n, types[order], leaves[order],
+                                  coeffs[order], provenance)
+
+    def __getattr__(self, name):
+        # only reached while terms is not yet in the instance dict
+        if name != "terms":
+            raise AttributeError(name)
+        shapes = assoc_types(self.degree, 1)
+        terms = tuple((c, with_leaves(shapes[i], perm)) for i, perm, c in zip(
+            self.types.tolist(), (self.leaves + 1).tolist(),
+            self.coeffs.tolist()))
+        object.__setattr__(self, "terms", terms)
+        return terms
+
     @staticmethod
     def from_poly(poly: dict, provenance: str, check: bool = True) -> 'Identity':
+        """The identity of a polynomial {word: coeff} in canonical order,
+        denominators cleared; ValueError unless every word is multilinear
+        of one degree, and with check, InvariantViolation unless it
+        expands to zero."""
         words = [w for w, c in poly.items() if c]
         if not words:
             raise ValueError("the zero polynomial is not an identity")
-        keyed = sorted(((classify(w, 1), w) for w in words))
-        degs = {len(perm) for (_, perm), _ in keyed}
-        if len(degs) != 1:
-            raise ValueError("terms of mixed degree")
-        n = degs.pop()
-        coeffs = [Fraction(poly[w]) for _, w in keyed]
+        n = degree(words[0])
+        types, leaves = _split_words(words, n)
+        coeffs = [Fraction(poly[w]) for w in words]
         den = math.lcm(*(c.denominator for c in coeffs))
-        terms = tuple((int(c * den), w) for c, (_, w) in zip(coeffs, keyed))
-        ident = Identity(n, terms, provenance)
+        ident = Identity._canonical(
+            n, types, leaves,
+            coeff_array(n, types.tolist(), (int(c * den) for c in coeffs)),
+            provenance)
         if check:
             ident.check_kernel_membership()
         return ident
@@ -87,34 +152,26 @@ class Identity:
     def check_kernel_membership(self) -> None:
         """Exact expansion; raises unless the result is zero.
 
-        The expansion is poly_normal_form: the cached image of each
-        term's association type, relabeled by the term's leaves, summed
-        with exact integer (or rational) coefficients.
+        The split goes straight to expansion.split_normal_form: the cached
+        image of each term's association type, relabeled by the term's
+        leaves, summed with exact integer (or rational) coefficients.
         """
-        residue = poly_normal_form(self.poly())
-        if residue:
+        n = self.degree
+        if len(split_normal_form(n, self.types, self.leaves, self.coeffs,
+                                 n)[2]):
+            residue = poly_normal_form(self.poly())
             raise InvariantViolation(
                 f"claimed identity does not expand to zero; "
                 f"{len(residue)} residual terms, first "
                 f"{format_word(next(iter(residue)))}")
 
     def group_algebra(self, t: int) -> list[dict]:
-        """One group algebra element per association type, t of them.
-
-        classify, the costly part, runs once per identity: every partition
-        reads the same split.  Its results are kept on the identity as one
-        small int16 array (type, then leaf labels, per term), since a
-        tuple of t dicts would cost about 11 KiB per degree-7 identity.
-        """
-        split = self.__dict__.get("_split")
-        if split is None:
-            split = np.array([(i, *perm) for i, perm in
-                              (classify(w, 1) for _, w in self.terms)],
-                             dtype=np.int16)
-            object.__setattr__(self, "_split", split)
+        """One group algebra element {perm: coeff} per association type, t
+        of them, read off the split."""
         out: list[dict] = [dict() for _ in range(t)]
-        for (c, _), (i, *perm) in zip(self.terms, split.tolist()):
-            perm = tuple(perm)
+        for i, perm, c in zip(self.types.tolist(),
+                              map(tuple, (self.leaves + 1).tolist()),
+                              self.coeffs.tolist()):
             out[i][perm] = out[i].get(perm, 0) + c
         return out
 
@@ -125,8 +182,15 @@ class Identity:
         return vec
 
     def relabeled(self, perm) -> 'Identity':
-        poly = {relabel(w, perm): c for c, w in self.terms}
-        return Identity.from_poly(poly, self.provenance, check=False)
+        """The identity with leaf v renamed perm[v-1], in canonical order;
+        ValueError unless perm is a permutation of 1..degree."""
+        if sorted(perm) != list(range(1, self.degree + 1)):
+            raise ValueError(f"{tuple(perm)} is not a permutation of "
+                             f"1..{self.degree}")
+        sigma = np.array(perm, dtype=np.int8) - 1
+        return Identity._canonical(self.degree, self.types,
+                                   sigma[self.leaves], self.coeffs,
+                                   self.provenance)
 
     def __str__(self) -> str:
         bits = []
@@ -135,6 +199,17 @@ class Identity:
             mag = coeff_str(Fraction(abs(c)))
             bits.append(sign + ("" if mag == "1" else mag) + format_word(w))
         return " ".join(bits)
+
+
+def _split_words(words, n: int):
+    """Association type indices (intp) and 0-based leaves (int8) of
+    multilinear words of degree n, by classify; ValueError otherwise."""
+    split = [classify(w, 1) for w in words]
+    if any(len(perm) != n for _, perm in split):
+        raise ValueError(f"terms not all of degree {n}")
+    leaves = np.array([perm for _, perm in split], dtype=np.int8)
+    return (np.array([i for i, _ in split], dtype=np.intp),
+            leaves.reshape(len(split), n) - 1)
 
 
 def mul(a: Word, b: Word) -> Word:
@@ -195,11 +270,80 @@ def defining_identities() -> tuple[Identity, Identity]:
 # ---------------------------------------------------------------- liftings
 
 
-def _substitute(word: Word, var: int, replacement: Word) -> Word:
-    if isinstance(word, int):
-        return replacement if word == var else word
-    return (word[0], _substitute(word[1], var, replacement),
-            _substitute(word[2], var, replacement))
+@cache
+def _lift_maps(n: int):
+    """Where lifting sends each association type of degree n, as type
+    indices of degree n+1: sub[t, k] when the leaf at reading position k
+    becomes the product of itself and a new last leaf, right[t] for t
+    times a new leaf, left[t] for a new leaf times t.  Built from the
+    type words once per degree."""
+    index = assoc_type_index(n + 1, 1)
+    labels = range(1, n + 2)
+
+    def grow(word, k):
+        if isinstance(word, int):
+            return ('*', word, 0) if word == k else word
+        return (word[0], grow(word[1], k), grow(word[2], k))
+
+    types = assoc_types(n, 1)
+    sub = [[index[with_leaves(grow(t, k), labels)] for k in range(1, n + 1)]
+           for t in types]
+    right = [index[mul(t, n + 1)] for t in types]
+    left = [index[with_leaves(mul(0, t), labels)] for t in types]
+    return (np.array(sub, dtype=np.intp), np.array(right, dtype=np.intp),
+            np.array(left, dtype=np.intp))
+
+
+def _liftings(idents: list[Identity]) -> list[Identity]:
+    """The n+2 liftings of each of idents (all of degree n), in order.
+
+    For a term with leaves L, the substitution x_v <- x_v * x_{n+1} sends
+    type t to sub[t, k], k the position of v in L, and inserts the new
+    label after position k; the multiplications by x_{n+1} use right and
+    left and put the new label last or first.  Substitution sends
+    distinct monomials to distinct monomials, so each lifting keeps its
+    source's coefficients and term count; one lexsort puts the terms of
+    every lifting in canonical order.
+    """
+    if not idents:
+        return []
+    n = idents[0].degree
+    if any(f.degree != n for f in idents):
+        raise ValueError("identities of mixed degree")
+    sub, right, left = _lift_maps(n)
+    sizes = [len(f.types) for f in idents]
+    types = np.concatenate([f.types for f in idents])
+    leaves = np.concatenate([f.leaves for f in idents])
+    coeffs = np.concatenate([f.coeffs for f in idents])
+    # at[v, k]: the position of label v in term k; substituting for v puts
+    # the new label n right after it
+    at = np.argsort(leaves, axis=1).T[:, :, None]
+    j = np.arange(n + 1)
+    grown = leaves[np.arange(len(types))[:, None], np.where(j <= at, j, j - 1)]
+    grown[j == at + 1] = n
+    new = np.full((len(types), 1), n, dtype=np.int8)
+    # axis 0: which lifting; axis 1: which source term
+    lifted_types = np.concatenate([sub[types, at[:, :, 0]],
+                                   right[types][None], left[types][None]])
+    lifted_leaves = np.concatenate([
+        grown, np.concatenate([leaves, new], axis=1)[None],
+        np.concatenate([new, leaves], axis=1)[None]]).reshape(-1, n + 1)
+    # the index of each term's lifting in the output
+    owner = (np.repeat(np.arange(len(idents)), sizes)[None] * (n + 2)
+             + np.arange(n + 2)[:, None]).reshape(-1)
+    order = np.lexsort((*lifted_leaves.T[::-1], lifted_types.reshape(-1),
+                        owner))
+    types, leaves = lifted_types.reshape(-1)[order], lifted_leaves[order]
+    coeffs = np.tile(coeffs, n + 2)[order]
+    out = []
+    stop = 0
+    for size in np.repeat(sizes, n + 2).tolist():
+        start, stop = stop, stop + size
+        out.append(Identity._of_split(
+            n + 1, types[start:stop], leaves[start:stop],
+            coeff_array(n + 1, types[start:stop].tolist(),
+                        coeffs[start:stop].tolist()), "lifted"))
+    return out
 
 
 def lift(ident: Identity) -> list[Identity]:
@@ -210,19 +354,7 @@ def lift(ident: Identity) -> list[Identity]:
     Each lifting keeps the term count of the original because every
     substitution sends distinct monomials to distinct monomials.
     """
-    n = ident.degree
-    new = n + 1
-    out = []
-    for var in range(1, n + 1):
-        poly: dict = {}
-        for c, w in ident.terms:
-            _padd(poly, {_substitute(w, var, mul(var, new)): c})
-        out.append(Identity.from_poly(poly, "lifted", check=False))
-    out.append(Identity.from_poly(
-        {mul(w, new): c for c, w in ident.terms}, "lifted", check=False))
-    out.append(Identity.from_poly(
-        {mul(new, w): c for c, w in ident.terms}, "lifted", check=False))
-    return out
+    return _liftings([ident])
 
 
 def liftings_to_degree(n: int, retained: dict[int, list[int]] | None = None,
@@ -237,7 +369,7 @@ def liftings_to_degree(n: int, retained: dict[int, list[int]] | None = None,
     for k in range(4, n):
         if retained and k in retained:
             current = [current[i] for i in retained[k]]
-        current = [g for f in current for g in lift(f)]
+        current = _liftings(current)
     if verify:
         for f in current:
             f.check_kernel_membership()
@@ -255,9 +387,22 @@ def identity_block(ident: Identity, lam, rho: RhoCache, t: int) -> np.ndarray:
     multiplies the whole block row by an invertible matrix on the left
     and so changes neither its row space nor any rank computed from it.
     They are unreduced integer arrays over either field, from
-    RhoCache.raw_of_elements; the echelon state reduces them.
+    RhoCache.raw_blocks; the echelon state reduces them.
     """
-    return rho.raw_of_elements(ident.group_algebra(t))
+    return _block_rows([ident], rho, t)
+
+
+def _block_rows(idents, rho: RhoCache, t: int) -> np.ndarray:
+    """The block rows of idents stacked, shape (len(idents)*d, t*d), from
+    one RhoCache.raw_blocks call on their splits: type i of identity b is
+    element b*t + i."""
+    d = rho.dim
+    raw = rho.raw_blocks(
+        np.concatenate([f.types + b * t for b, f in enumerate(idents)]),
+        len(idents) * t, np.concatenate([f.leaves for f in idents]),
+        np.concatenate([f.coeffs for f in idents]))
+    return raw.reshape(d, len(idents), t * d).transpose(1, 0, 2) \
+        .reshape(-1, t * d)
 
 
 #: most entries (rows x columns) per add_rows call when identity blocks
@@ -272,7 +417,7 @@ def identity_block(ident: Identity, lam, rho: RhoCache, t: int) -> np.ndarray:
 BLOCK_BATCH_ENTRIES = 200_000
 
 
-def _feed_identities(state, n: int, lam, rho: RhoCache, idents) -> list[bool]:
+def _feed_identities(state, n: int, rho: RhoCache, idents) -> list[bool]:
     """Feed the blocks of idents into state, whole blocks batched into few
     add_rows calls; returns per identity whether its block raised the rank.
 
@@ -283,14 +428,12 @@ def _feed_identities(state, n: int, lam, rho: RhoCache, idents) -> list[bool]:
     d = rho.dim
     per_call = max(1, BLOCK_BATCH_ENTRIES // (d * state.ncols))
     idents = list(idents)
+    if any(ident.degree != n for ident in idents):
+        raise ValueError("identity of the wrong degree")
     grew: list[bool] = []
     for start in range(0, len(idents), per_call):
-        blocks = []
-        for ident in idents[start:start + per_call]:
-            if ident.degree != n:
-                raise ValueError("identity of the wrong degree")
-            blocks.append(identity_block(ident, lam, rho, t))
-        flags = state.add_rows(np.concatenate(blocks))
+        flags = state.add_rows(
+            _block_rows(idents[start:start + per_call], rho, t))
         grew.extend(any(flags[k:k + d]) for k in range(0, len(flags), d))
     return grew
 
@@ -306,7 +449,7 @@ def lifted_rank(n: int, lam, liftings, field='Q',
     if rho is None:
         rho = RhoCache(lam, field)
     state = echelon_state(len(assoc_types(n, 1)) * rho.dim, field)
-    grew = _feed_identities(state, n, lam, rho, liftings)
+    grew = _feed_identities(state, n, rho, liftings)
     return state.rank, grew
 
 
@@ -348,7 +491,7 @@ def new_identity_vectors(n: int, lam, liftings, field='Q', chunk: int = 50,
     t = len(assoc_types(n, 1))
     d = rho.dim
     state = echelon_state(t * d, field)
-    _feed_identities(state, n, lam, rho, liftings)
+    _feed_identities(state, n, rho, liftings)
     lifted_pivots = set(state.rcf()[1].tolist())
 
     _, _, xstate = kernel_rank(n, lam, field, chunk, table, rho,
@@ -626,9 +769,9 @@ def compare_modules(a, b, n: int, method: str = "monomial",
         ranks = {}
         for first, second, key in ((a, b, "a"), (b, a, "b")):
             state = echelon_state(t * rho.dim, field)
-            _feed_identities(state, n, lam, rho, first)
+            _feed_identities(state, n, rho, first)
             ranks[f"rank_{key}"] = state.rank
-            _feed_identities(state, n, lam, rho, second)
+            _feed_identities(state, n, rho, second)
             ranks[f"rank_{key}_then_other"] = state.rank
         ok = (ranks["rank_a_then_other"] == ranks["rank_a"]
               and ranks["rank_b_then_other"] == ranks["rank_b"])
@@ -710,8 +853,9 @@ def identities_to_json(idents) -> dict:
     for f in idents:
         items.append({
             "provenance": f.provenance,
-            "terms": [[int(c), classify(w, 1)[0], list(leaves(w))]
-                      for c, w in f.terms]})
+            "terms": [[c, i, perm] for c, i, perm in zip(
+                f.coeffs.tolist(), f.types.tolist(),
+                (f.leaves + 1).tolist())]})
     return {"format": IDENTITY_FORMAT, "version": IDENTITY_VERSION,
             "degree": degs.pop(), "identities": items}
 

@@ -25,7 +25,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ResourceLimit
 from .linalg import RationalEchelon, express_in_rowspace, residues
 
 Partition = tuple
@@ -309,27 +309,50 @@ def _invert_mod(M: np.ndarray, p: int) -> np.ndarray:
     return aug[:, d:]
 
 
+#: largest n a RhoCache takes: its A-matrix store is indexed through a
+#: dense table of n! int32 slots (14.5 MB at n = 10)
+RHO_MAX_N = 10
+
+
+def _lex_ranks(perms: np.ndarray) -> np.ndarray:
+    """Lexicographic rank in S_n of each row of perms (m x n), a
+    permutation in one-line notation (0- or 1-based): its Lehmer code,
+    the count of smaller later entries at each position, read in the
+    factorial base."""
+    m, n = perms.shape
+    ranks = np.zeros(m, dtype=np.int64)
+    for i in range(n - 1):  # Horner's rule in the factorial base
+        ranks = ranks * (n - i) + (perms[:, i + 1:] < perms[:, i, None]).sum(1)
+    return ranks
+
+
 class RhoCache:
     """Representation matrices for one partition over one field.
 
     Raw blocks, sums of A-matrices without the change of basis, are
-    integer matrices whatever the field and are built once for both:
-    int64 arrays under the bound stated in raw_of_elements, object
-    arrays of exact Python numbers past it.  Only of_element applies
-    A(id)^-1: over 'Q' as an integer matrix and one denominator, over a
-    prime as a modular inverse.  The A-matrices met so far are kept in
-    one int8 store; a call builds the ones new to it by one batched
-    clifton_a call and gathers its stack from the store.
+    integer matrices whatever the field and are built once for both, by
+    raw_blocks: int64 arrays under the bound stated there, object arrays
+    of exact Python numbers past it.  Only of_element applies A(id)^-1:
+    over 'Q' as an integer matrix and one denominator, over a prime as a
+    modular inverse.  The A-matrices met so far are kept in one int8
+    store, found through a table of n! slots indexed by the lexicographic
+    rank of the permutation; a call builds the ones new to it by one
+    batched clifton_a call and gathers its stack from the store.
     """
 
     def __init__(self, lam: Partition, field='Q'):
+        n = sum(lam)
+        if n > RHO_MAX_N:
+            raise ResourceLimit(f"representation matrices are kept for "
+                                f"n <= {RHO_MAX_N}, got {n}")
         self.lam = lam
         self.field = field
         self.dim = dimension(lam)
-        identity = tuple(range(1, sum(lam) + 1))
-        # A-matrices stacked in order of first use; perm -> its index
-        self._store = clifton_a(lam, [identity])
-        self._index = {identity: 0}
+        # store slot of each permutation by lexicographic rank, -1 if unbuilt
+        self._slot = np.full(math.factorial(n), -1, dtype=np.int32)
+        self._slot[0] = 0
+        self._size = 1
+        self._store = clifton_a(lam, [tuple(range(n))])
         self.a_id = self._store[0]
         if field == 'Q':
             inv = _invert_fraction([[Fraction(int(e)) for e in row]
@@ -342,35 +365,38 @@ class RhoCache:
         else:
             self._a_id_inv = _invert_mod(self.a_id, int(field))
 
-    def _stacked(self, perms) -> np.ndarray:
-        """A(perm) for each of perms, shape (len(perms), d, d), as one
-        gather from the store; the permutations not met before are built
-        first, by one clifton_a call."""
-        index = self._index
-        new = [p for p in dict.fromkeys(perms) if p not in index]
-        if new:
-            size = len(index) + len(new)
+    def _stacked(self, perms: np.ndarray) -> np.ndarray:
+        """A(perm) for each row of perms (m x n, one-line notation), shape
+        (m, d, d), as one gather from the store; the permutations not met
+        before are built first, by one clifton_a call."""
+        ranks = _lex_ranks(perms)
+        slots = self._slot[ranks]
+        new = slots < 0
+        if new.any():
+            fresh, first = np.unique(ranks[new], return_index=True)
+            size = self._size + len(fresh)
             if size > len(self._store):
                 # double the store, but never past all n! matrices
-                cap = min(max(size, 2 * len(self._store)),
-                          math.factorial(sum(self.lam)))
+                cap = min(max(size, 2 * len(self._store)), len(self._slot))
                 grown = np.empty((cap, self.dim, self.dim), dtype=np.int8)
-                grown[:len(index)] = self._store[:len(index)]
+                grown[:self._size] = self._store[:self._size]
                 self._store = grown
-            self._store[len(index):size] = clifton_a(self.lam, new)
-            index.update(zip(new, range(len(index), size)))
-        return self._store[[index[p] for p in perms]]
+            self._store[self._size:size] = clifton_a(self.lam,
+                                                     perms[new][first])
+            self._slot[fresh] = np.arange(self._size, size)
+            self._size = size
+            slots = self._slot[ranks]
+        return self._store[slots]
 
     def of_perm(self, perm: tuple[int, ...]):
         return self.of_element({perm: 1})
 
-    def raw_of_element(self, terms: dict) -> np.ndarray:
-        """The raw d x d block of one element; see raw_of_elements."""
-        return self.raw_of_elements([terms])
-
-    def raw_of_elements(self, elems) -> np.ndarray:
-        """Raw blocks sum c * A(perm) of several elements side by side,
-        shape (d, k*d), unreduced whatever the field.
+    def raw_blocks(self, owner: np.ndarray, k: int, perms: np.ndarray,
+                   coeffs: np.ndarray) -> np.ndarray:
+        """Raw blocks of k group algebra elements side by side, shape
+        (d, k*d): element i is the sum of coeffs[j] * A(perms[j]) over the
+        terms j with owner[j] == i, perms holding one permutation of
+        1..n (or 0..n-1) per row.
 
         The raw block is A(id) times the representation matrix of the
         element.  Since A(id) is invertible and multiplies every block of a
@@ -378,32 +404,49 @@ class RhoCache:
         ranks of the whole matrix are the same as with genuine
         representation blocks, so rank pipelines use these directly.
 
-        The blocks are one contraction of the k x m coefficient matrix
-        against the m stacked A-matrices, taken over its nonzero entries.
-        Entries are int64 only when every coefficient is an int and each
-        element has sum |c| < 2**63, which bounds every partial sum since
-        |A| <= 1; otherwise they are exact Python numbers in an object
-        array.
+        The blocks are one sum over the stacked A-matrices of the terms,
+        grouped by owner.  Entries keep the dtype of coeffs: int64 is exact
+        when each element has sum |c| < 2**63, which bounds every partial
+        sum since |A| <= 1; an object array of exact Python numbers is
+        summed exactly whatever its size.
         """
         d = self.dim
-        k = len(elems)
-        owners, starts, perms, coeffs = [], [], [], []
+        out = np.zeros((d, k, d), dtype=coeffs.dtype)
+        if len(coeffs):
+            order = np.argsort(owner, kind="stable")
+            owner = owner[order]
+            starts = np.flatnonzero(np.concatenate(([True],
+                                                    owner[1:] != owner[:-1])))
+            stacked = self._stacked(perms[order]).astype(coeffs.dtype)
+            products = coeffs[order][:, None, None] * stacked
+            out[:, owner[starts]] = \
+                np.add.reduceat(products, starts).transpose(1, 0, 2)
+        return out.reshape(d, k * d)
+
+    def raw_of_element(self, terms: dict) -> np.ndarray:
+        """The raw d x d block of one element; see raw_of_elements."""
+        return self.raw_of_elements([terms])
+
+    def raw_of_elements(self, elems) -> np.ndarray:
+        """Raw blocks of elements given as dicts {perm: coeff} side by
+        side, shape (d, k*d): raw_blocks over their terms, int64 when every
+        coefficient is an int and each element has sum |c| < 2**63.
+        ValueError unless every perm is a permutation of 1..n."""
+        n = sum(self.lam)
+        owner, perms, coeffs = [], [], []
         fits = True
         for i, terms in enumerate(elems):
-            if terms:
-                owners.append(i)
-                starts.append(len(perms))
-                perms.extend(terms)
-                coeffs.extend(terms.values())
-                fits = fits and sum(map(abs, terms.values())) < 2 ** 63
+            owner.extend([i] * len(terms))
+            perms.extend(terms)
+            coeffs.extend(terms.values())
+            fits = fits and sum(map(abs, terms.values())) < 2 ** 63
         fits = fits and all(isinstance(c, int) for c in coeffs)
-        dtype = np.int64 if fits else object
-        out = np.zeros((d, k, d), dtype=dtype)
-        if coeffs:
-            stacked = self._stacked(perms).astype(dtype)
-            products = np.array(coeffs, dtype=dtype)[:, None, None] * stacked
-            out[:, owners] = np.add.reduceat(products, starts).transpose(1, 0, 2)
-        return out.reshape(d, k * d)
+        perms = np.array(perms, dtype=np.intp).reshape(len(owner), n)
+        if (np.sort(perms, axis=1) != np.arange(1, n + 1)).any():
+            raise ValueError(f"not a permutation of 1..{n}")
+        return self.raw_blocks(np.array(owner, dtype=np.intp), len(elems),
+                               perms, np.array(coeffs, dtype=np.int64
+                                               if fits else object))
 
     def of_element(self, terms: dict):
         """rho applied to a group algebra element {perm: coeff}: A(id)^-1

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from prejordan.monomials import inverse_perm
+from prejordan.pipeline import Identity
 from prejordan.symrep import conjugate, standard_tableaux
 
 
@@ -64,3 +65,24 @@ def clifton_a_reference(lam, perm):
     for k in range(n - 1):
         inv += (q[:, :, k, None] > q[:, :, k + 1:]).sum(axis=2)
     return np.where(ok, 1 - 2 * (inv & 1), 0).astype(np.int8)
+
+
+def _substitute(word, var, replacement):
+    if isinstance(word, int):
+        return replacement if word == var else word
+    return (word[0], _substitute(word[1], var, replacement),
+            _substitute(word[2], var, replacement))
+
+
+def lift_reference(ident):
+    """The n+2 liftings of a degree-n identity by rewriting its words: the
+    reference for the array lifting of pipeline.lift.  Order: x_v <- x_v *
+    x_{n+1} for v = 1..n, then the identity times x_{n+1}, then x_{n+1}
+    times the identity."""
+    n = ident.degree
+    new = n + 1
+    polys = [{_substitute(w, var, ('*', var, new)): c for c, w in ident.terms}
+             for var in range(1, n + 1)]
+    polys.append({('*', w, new): c for c, w in ident.terms})
+    polys.append({('*', new, w): c for c, w in ident.terms})
+    return [Identity.from_poly(poly, "lifted", check=False) for poly in polys]

@@ -6,17 +6,23 @@ gate, liftings, per-partition ranks, new-identity extraction, module
 comparison and the serialization formats.
 """
 
+import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from helpers import lift_reference
+from prejordan import expansion, monomials
 from prejordan.errors import InvariantViolation
-from prejordan.expansion import xblock_matrix
+from prejordan.expansion import (pj_normal_form, poly_normal_form,
+                                 xblock_matrix)
 from prejordan.linalg import echelon_state
-from prejordan.monomials import (assoc_types, format_word, multilinear_basis,
-                                 parse_word)
+from prejordan.monomials import (assoc_types, classify, format_word,
+                                 multilinear_basis, parse_word, relabel)
 from prejordan.pipeline import (BLOCK_BATCH_ENTRIES, DegreeReport, Identity,
                                 ReportConfig, compare_modules,
                                 defining_identities, degree_report,
@@ -140,6 +146,119 @@ class TestLiftings:
     def test_multiplication_helper(self):
         w = mul(1, mul(2, 3))
         assert format_word(w) == "(x1*(x2*x3))"
+
+
+def liftings_reference(n, retained=None):
+    """liftings_to_degree by rewriting words (helpers.lift_reference)."""
+    current = list(defining_identities())
+    for k in range(4, n):
+        if retained and k in retained:
+            current = [current[i] for i in retained[k]]
+        current = [g for f in current for g in lift_reference(f)]
+    return current
+
+
+def assert_split_matches_words(f):
+    split = [classify(w, 1) for _, w in f.terms]
+    assert f.types.tolist() == [i for i, _ in split]
+    assert (f.leaves + 1).tolist() == [list(perm) for _, perm in split]
+    assert f.coeffs.tolist() == [c for c, _ in f.terms]
+
+
+class TestSplit:
+    """Every identity holds the (types, leaves, coeffs) split of its
+    terms; lifting, relabeling, the gate and block rows use only it."""
+
+    @pytest.mark.parametrize("n, retained", [(5, None), (6, None), (7, None),
+                                             (6, {5: [0, 1, 2]})])
+    def test_liftings_match_word_reference(self, n, retained):
+        got = liftings_to_degree(n, retained)
+        want = liftings_reference(n, retained)
+        assert len(got) == len(want)
+        assert [(f.degree, f.provenance, f.terms) for f in got] == \
+            [(f.degree, f.provenance, f.terms) for f in want]
+        for f in got:
+            assert_split_matches_words(f)
+            assert f.leaves.dtype == np.int8 and f.coeffs.dtype == np.int64
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_relabeled_matches_word_relabeling(self, n):
+        rng = random.Random(n)
+        for f in rng.sample(liftings_to_degree(n), 4):
+            big = Identity(n, tuple((c * 2 ** 70, w) for c, w in f.terms),
+                           f.provenance)
+            assert big.coeffs.dtype == object
+            for g in (f, big):
+                for _ in range(3):
+                    sigma = tuple(rng.sample(range(1, n + 1), n))
+                    got = g.relabeled(sigma)
+                    want = Identity.from_poly(
+                        {relabel(w, sigma): c for c, w in g.terms},
+                        g.provenance, check=False)
+                    assert got.terms == want.terms
+                    assert got.provenance == g.provenance
+                    assert got.coeffs.dtype == g.coeffs.dtype
+                    assert_split_matches_words(got)
+
+    def test_non_multilinear_input_is_refused(self):
+        f, _ = defining_identities()
+        with pytest.raises(ValueError):
+            f.relabeled((1, 1, 3, 4))
+        with pytest.raises(ValueError):
+            f.relabeled((1, 2, 3))
+        square = parse_word("((x1*x1)*x2)")
+        with pytest.raises(ValueError):
+            Identity.from_poly({square: 1, parse_word("(x1*(x1*x2))"): -1},
+                               "defining", check=False)
+        with pytest.raises(ValueError):
+            Identity(3, ((1, square),))
+        rho = RhoCache((3, 1), 101)
+        with pytest.raises(ValueError):
+            rho.raw_of_elements([{(1, 1, 3, 4): 1}])
+        # the normal form itself still takes repeated labels
+        assert poly_normal_form({square: 2}) == {
+            u: 2 * c for u, c in pj_normal_form(square).items()}
+
+    def test_replace_recomputes_the_split(self):
+        # dataclasses.replace builds a new identity from its words; a split
+        # carried over from the original would pass the gate and leave the
+        # block row unchanged
+        f = liftings_to_degree(6)[40]
+        c, w = f.terms[0]
+        broken = dataclasses.replace(f, terms=((c + 1, w),) + f.terms[1:])
+        assert broken.coeffs[0] == c + 1
+        with pytest.raises(InvariantViolation):
+            broken.check_kernel_membership()
+        lam = (4, 2)
+        rho = RhoCache(lam, 101)
+        t = len(assoc_types(6, 1))
+        assert (identity_block(broken, lam, rho, t)
+                != identity_block(f, lam, rho, t)).any()
+
+    def test_hot_path_walks_no_words(self, monkeypatch):
+        # after the degree-7 type images are built, lifting to degree 7,
+        # one lifted rank and the gate of relabeled liftings split no word
+        # beyond the 24 terms of the two defining identities
+        for t in assoc_types(7, 1):
+            expansion.type_image(t)
+        calls = []
+        real = monomials.split
+
+        def counted(word):
+            calls.append(word)
+            return real(word)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("prejordan") and \
+                    getattr(module, "split", None) is real:
+                monkeypatch.setattr(module, "split", counted)
+        liftings = liftings_to_degree(7)
+        lifted_rank(7, (6, 1), liftings, 101)
+        rng = random.Random(7)
+        sigma = tuple(rng.sample(range(1, 8), 7))
+        for f in rng.sample(liftings, 10):
+            f.relabeled(sigma).check_kernel_membership()
+        assert len(calls) == 24
 
 
 class TestDegree4:
@@ -405,6 +524,29 @@ def test_degree6_table_at_wider_primes(p):
             for row in rep.rows} == DEGREE6_ROWS
     assert all(row.nullity == row.lifted_rank and row.new == 0
                for row in rep.rows)
+
+
+def test_rank_mod_p_never_exceeds_rank_over_q():
+    # an integer block with determinant 101: invertible over Q, singular
+    # mod 101.  A rank mod p is at most the rank over Q, for the lifted
+    # rows as for X^T, so nullity_p >= nullity_Q and lifted_p <= lifted_Q:
+    # new_p >= new_Q, and new = 0 mod p proves new = 0 over Q
+    block = np.array([[1, 2], [3, 107]])
+    zero = np.zeros_like(block)
+    xt = np.block([block, zero])      # rows of X^T, 4 columns
+    lifted = np.block([zero, block])  # identities: lifted @ xt.T == 0
+    assert not (lifted @ xt.T).any()
+    ranks = {}
+    for field in ('Q', 101):
+        ranks[field] = []
+        for rows in (xt, lifted):
+            state = echelon_state(4, field)
+            state.add_rows(rows)
+            ranks[field].append(state.rank)
+    assert ranks == {'Q': [2, 2], 101: [1, 1]}
+    new = {field: (4 - xrank) - lrank for field, (xrank, lrank)
+           in ranks.items()}
+    assert new == {'Q': 0, 101: 2}
 
 
 @pytest.fixture(scope="module")

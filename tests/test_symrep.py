@@ -15,7 +15,7 @@ import pytest
 
 from helpers import clifton_a_reference
 from prejordan import symrep
-from prejordan.errors import InvariantViolation
+from prejordan.errors import InvariantViolation, ResourceLimit
 from prejordan.monomials import all_perms, compose
 from prejordan.symrep import (RhoCache, character, character_table,
                               class_representative, class_size, class_types,
@@ -223,6 +223,29 @@ class TestCliftonMatrices:
         for lam in ((n + 1,), (1,) * (n + 1)):
             with pytest.raises(ValueError, match="n <= 127"):
                 clifton_a(lam, [tuple(range(1, n + 2))])
+
+    def test_store_is_indexed_by_lexicographic_rank(self):
+        # the A-matrix store is found through the lexicographic rank of a
+        # permutation, 0- or 1-based, which must be its all_perms index
+        for n in range(1, 7):
+            perms = np.array(all_perms(n))
+            assert symrep._lex_ranks(perms).tolist() == list(range(len(perms)))
+            assert (symrep._lex_ranks(perms - 1)
+                    == symrep._lex_ranks(perms)).all()
+        rng = random.Random(83)
+        lam = (3, 2, 1)
+        perms = all_perms(6)
+        sample = [rng.choice(perms) for _ in range(40)]
+        rho = RhoCache(lam, 101)
+        got = rho._stacked(np.array(sample))
+        assert (got == clifton_a(lam, sample)).all()
+        assert rho._size == 1 + len(set(sample) - {perms[0]})
+
+    def test_rank_table_width_guard(self):
+        # n! int32 slots: 14.5 MB at n = 10, refused past it
+        assert RhoCache((10,), 101).dim == 1
+        with pytest.raises(ResourceLimit):
+            RhoCache((11,), 101)
 
     def test_of_element_linear(self):
         n = 4
