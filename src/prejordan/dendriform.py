@@ -20,6 +20,22 @@ The system is terminating and confluent, so the normal form does not depend
 on the order rules are applied in; ``rewrite_random_strategy`` applies them
 at randomly chosen positions and exists so tests can witness that claim.
 
+Applied at the root of a product of two normal words, the rules leave
+products of smaller normal words, with N the normal form:
+
+    x op v                   normal
+    (x < u1) < v           = x < N(u1 < v) + x < N(u1 > v)
+    (x > u1) < v           = x > N(u1 < v)
+    ((x > u1) > u2) < v    = (x > u1) > N(u2 < v)
+    (x < u1) > v           = -(x > u1) > v + x > N(u1 > v)
+    (x > u1) > v           normal
+    ((x > u1) > u2) > v    = (x > u1) > N(u2 > v)
+                             - sum over terms s of N(u1 < u2) of (x > s) > v
+
+The expansion gate and tables get every normal form they need from this
+recursion on normal shapes (``expansion._product``), which rewrites no
+word; ``dnormalize`` stays the definition that the tests compare it with.
+
 A DPolynomial is a plain dict mapping words to nonzero Fraction
 coefficients; the empty dict is zero.
 """

@@ -13,10 +13,25 @@ respects products, so the image of an association type t = A*B is
     img(t) = img(A) > img(B) + img(B) < img(A),
 
 and each term pair (u, v) of the two images contributes c_u c_v times
-N(u op v), the normal form of one product of two normal shapes.  Those
-products are memoized on (op, u, v), so each is rewritten once per
-process, and every type image is composed from the cached images of its
-two factors, down to the leaves.
+N(u op v), the normal form of one product of two normal shapes.  No word
+is rewritten for it.  A normal shape is x, x < w, x > w or (x > u1) > w
+with x a leaf and u1, w normal, and the rewrite rules of dendriform turn
+a product of two normal words into products of smaller ones:
+
+    x op v                   normal
+    (x < u1) < v           = x < N(u1 < v) + x < N(u1 > v)
+    (x > u1) < v           = x > N(u1 < v)
+    ((x > u1) > u2) < v    = (x > u1) > N(u2 < v)
+    (x < u1) > v           = -(x > u1) > v + x > N(u1 > v)
+    (x > u1) > v           normal
+    ((x > u1) > u2) > v    = (x > u1) > N(u2 > v)
+                             - sum over terms s of N(u1 < u2) of (x > s) > v
+
+so N is a recursion on shape ids, each term taking its sub-product's
+leaf order shifted past the leaves in front of it.  Shapes are registered
+by their constructor (kind, child ids); the products are memoized on
+(op, u, v), so each is computed once per process, and every type image is
+composed from the cached images of its two factors, down to the leaves.
 
 Expansion and the rewrite rules never look at leaf labels, so the image
 of a monomial is the image of its type with the labels moved: if the
@@ -100,55 +115,105 @@ class TypeImage(NamedTuple):
     weight: int          # sum of |coeffs|
 
 
-# normal shapes (leaves 1..n) met in any image, numbered on first sight;
-# ids are shared by all degrees so the registry needs no degree limit
+# Normal shapes (leaves 1..n) met in any image, numbered on first sight and
+# shared by all degrees, so the registry needs no degree limit.  Shape k is
+# built by _shape_parts[k] = (kind, child ids, degree): kind 'x' is the leaf,
+# '<' and '>' are x < w and x > w for one child w, and '>>' is (x > u1) > w
+# for children (u1, w).  Its word _normal_shapes[k] is built once, at
+# registration, for printing results and finding D-types.
 _normal_shapes: list[Word] = []
-_normal_shape_id: dict[Word, int] = {}
+_shape_parts: list[tuple] = []
+_shape_ids: dict[tuple, int] = {}
 
 
-def _image(poly) -> TypeImage:
-    """The arrays of a normal form whose words carry leaves 1..n."""
-    ids, perms, coeffs = [], [], []
-    for word, c in poly.items():
-        s, lv = split(word)
-        sid = _normal_shape_id.get(s)
-        if sid is None:
-            sid = _normal_shape_id[s] = len(_normal_shapes)
-            _normal_shapes.append(s)
-        ids.append(sid)
-        perms.append([v - 1 for v in lv])
-        coeffs.append(c)
-    # the int64 conversion raises rather than wraps a coefficient too big
-    return TypeImage(np.array(ids, dtype=np.int32),
-                     np.array(perms, dtype=np.int8),
-                     np.array(coeffs, dtype=np.int64),
-                     sum(abs(c) for c in coeffs))
+def _shape(kind: str, *kids: int) -> int:
+    """Id of the normal shape built by kind from the shapes kids."""
+    sid = _shape_ids.get((kind, *kids))
+    if sid is None:
+        sid = _shape_ids[(kind, *kids)] = len(_normal_shapes)
+        words, n = [], 1
+        for k in kids:
+            d = _shape_parts[k][2]
+            words.append(with_leaves(_normal_shapes[k], range(n + 1, n + d + 1)))
+            n += d
+        _normal_shapes.append(1 if kind == 'x' else
+                              ('>', ('>', 1, words[0]), words[1])
+                              if kind == '>>' else (kind, 1, words[0]))
+        _shape_parts.append((kind, kids, n))
+    return sid
+
+
+def _image(terms) -> TypeImage:
+    """The image of a list of (shape id, labels, coeff) terms on leaves
+    1..n, equal terms summed exactly; the int64 conversion raises
+    OverflowError rather than wrap a coefficient past 2**63."""
+    sums: dict = {}
+    for s, labels, c in terms:
+        key = (s, tuple(labels))
+        sums[key] = sums.get(key, 0) + c
+    sums = {key: c for key, c in sums.items() if c}
+    return TypeImage(np.array([s for s, _ in sums], dtype=np.int32),
+                     np.array([labels for _, labels in sums], dtype=np.int8),
+                     np.array(list(sums.values()), dtype=np.int64),
+                     sum(abs(c) for c in sums.values()))
+
+
+def _moved(img: TypeImage, make, head: int, tail=(), sign: int = 1):
+    """The terms of img as (make(s), labels, sign c): the labels of s
+    moved up by head, after 0..head-1 and before tail."""
+    front, tail = list(range(head)), list(tail)
+    return [(make(s), front + [k + head for k in labels] + tail, sign * c)
+            for s, labels, c in zip(img.shapes.tolist(), img.perms.tolist(),
+                                    img.coeffs.tolist())]
 
 
 @cache
 def _product(op: str, u: int, v: int) -> TypeImage:
-    """N(u op v) for normal shapes u on leaves 1..a and v on a+1..n,
-    normalized once per process."""
-    left, right = _normal_shapes[u], _normal_shapes[v]
-    a = degree(left)
-    word = (op, left, with_leaves(right, range(a + 1, a + degree(right) + 1)))
-    return _image(dnormalize({word: 1}))
+    """N(u op v) for normal shapes u on leaves 1..a and v on a+1..n, by
+    the recursion on shape ids of the module docstring: each term keeps
+    the leaf order of its sub-product, shifted past the leaves in front
+    of it."""
+    kind, kids, a = _shape_parts[u]
+    n = a + _shape_parts[v][2]
+    if kind == 'x':
+        return _image([(_shape(op, v), range(n), 1)])
+    if kind == '>>':
+        u1, u2 = kids
+        terms = _moved(_product(op, u2, v), lambda s: _shape('>>', u1, s),
+                       _shape_parts[u1][2] + 1)
+        if op == '>':
+            terms += _moved(_product('<', u1, u2),
+                            lambda s: _shape('>>', s, v), 1, range(a, n), -1)
+        return _image(terms)
+    (u1,) = kids
+    if op == '>':
+        terms = [(_shape('>>', u1, v), range(n), 1 if kind == '>' else -1)]
+        if kind == '<':
+            terms += _moved(_product('>', u1, v), lambda s: _shape('>', s), 1)
+        return _image(terms)
+    terms = _moved(_product('<', u1, v), lambda s: _shape(kind, s), 1)
+    if kind == '<':
+        terms += _moved(_product('>', u1, v), lambda s: _shape('<', s), 1)
+    return _image(terms)
 
 
 @cache
 def type_image(t: Word) -> TypeImage:
-    """Normal form of the association type t with leaves 1..n.
+    """Normal form of the association type t with leaves 1..n, which
+    must be in reading order (ValueError otherwise).
 
     The image of a leaf is the leaf; the image of t = A*B is composed from
-    the cached images of shape(A) and shape(B) (see _compose), so the only
-    rewriting is one normalization per product of two normal shapes.
+    the cached images of shape(A) and shape(B) (see _compose) and the
+    memoized products of two normal shapes (_product); no word is
+    rewritten.
     """
-    if isinstance(t, int):
-        return _image({1: 1})
-    op, left, right = t
-    if op != '*':
-        raise ValueError(f"expected a one-product word, found {op!r}")
-    return _compose(type_image(shape(left)), type_image(shape(right)))
+    if t not in assoc_type_index(degree(t), 1):
+        raise ValueError(f"expected an association type with leaves 1..n "
+                         f"in reading order, found {t!r}")
+    if t == 1:
+        return _image([(_shape('x'), [0], 1)])
+    _, left, right = t
+    return _compose(type_image(left), type_image(shape(right)))
 
 
 def _compose(left: TypeImage, right: TypeImage) -> TypeImage:
@@ -184,18 +249,22 @@ def _compose(left: TypeImage, right: TypeImage) -> TypeImage:
     return TypeImage(shapes, perms, coeffs, int(np.abs(coeffs).sum()))
 
 
-def _row_keys(shapes: np.ndarray, codes: np.ndarray, radix: int):
-    """One int64 per row of (shape id, label codes < radix), equal exactly
-    when the rows are; keys are renumbered densely before they could
-    overflow."""
+def _row_keys(shapes: np.ndarray, columns: list, radix: int):
+    """One int64 per row of (shape id, label codes < radix), given the
+    label columns in reading order; keys are equal exactly when the rows
+    are.  They are formed in place, one column at a time; only when they
+    could pass 2**63 are they renumbered densely before a column that
+    would overflow them."""
     key = shapes.astype(np.int64)
     bound = len(_normal_shapes)
-    for col in codes.T:
-        if bound * radix >= 2 ** 63:
+    renumber = bound * radix ** len(columns) >= 2 ** 63
+    for col in columns:
+        if renumber and bound * radix >= 2 ** 63:
             _, key = np.unique(key, return_inverse=True)
             key = key.reshape(-1).astype(np.int64)
             bound = int(key.max()) + 1
-        key = key * radix + col
+        key *= radix
+        key += col
         bound *= radix
     return key
 
@@ -209,22 +278,25 @@ def _relabel_sum(images: list[TypeImage], codes: np.ndarray,
     terms with equal (shape, labels) are summed.  Coefficients keep the
     dtype of coeffs (int64 or object), so int64 callers bound the sums.
     """
-    owner = np.repeat(np.arange(len(images)),
-                      [len(img.coeffs) for img in images])
+    counts = [len(img.coeffs) for img in images]
+    # codes[k][pi] is read from the flat codes at start + pi: one label
+    # column at a time for the keys, whole rows only for the result
+    start = np.repeat(np.arange(0, codes.size, codes.shape[1]), counts)
+    flat = codes.ravel()
     shapes = np.concatenate([img.shapes for img in images])
-    # codes[owner, perms] as one flat gather, much faster than two indices
-    labels = codes.ravel()[(owner * codes.shape[1])[:, None]
-                           + np.concatenate([img.perms for img in images])]
-    vals = coeffs[owner] * np.concatenate(
+    perms = np.concatenate([img.perms for img in images])
+    vals = np.repeat(coeffs, counts) * np.concatenate(
         [img.coeffs for img in images]).astype(coeffs.dtype, copy=False)
-    key = _row_keys(shapes, labels, radix)
-    order = np.argsort(key, kind="stable")
+    key = _row_keys(shapes, [flat[start + col] for col in perms.T], radix)
+    # rows with equal keys are equal terms, so their order does not matter
+    order = np.argsort(key)
     key = key[order]
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     sums = np.add.reduceat(vals[order], starts)
     nonzero = np.flatnonzero(sums != 0)
     rows = order[starts[nonzero]]
-    return shapes[rows], labels[rows], sums[nonzero]
+    return (shapes[rows], flat[start[rows, None] + perms[rows]],
+            sums[nonzero])
 
 
 @cache

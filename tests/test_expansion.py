@@ -181,7 +181,7 @@ def test_row_keys_renumber_instead_of_wrapping():
     from prejordan.expansion import _row_keys, type_image
     type_image(parse_word("(x1*x2)"))  # registers the shapes x<y and x>y
     # shape id * radix^2 is 2^64 here, which int64 arithmetic wraps to 0
-    keys = _row_keys(np.array([0, 1]), np.zeros((2, 2), dtype=np.int64),
+    keys = _row_keys(np.array([0, 1]), [np.zeros(2, dtype=np.int64)] * 2,
                      2 ** 32)
     assert keys[0] != keys[1]
 
@@ -193,8 +193,9 @@ def image_dict(img):
 
 def reference_image(t):
     """The definition: the rewrite of all 2^(n-1) words of t's expansion."""
-    from prejordan.expansion import _normal_shape_id
-    return {(_normal_shape_id[shape(w)], tuple(v - 1 for v in leaves(w))): c
+    from prejordan.expansion import _normal_shapes
+    ids = {s: k for k, s in enumerate(_normal_shapes)}
+    return {(ids[shape(w)], tuple(v - 1 for v in leaves(w))): c
             for w, c in pj_normal_form(t).items()}
 
 
@@ -238,33 +239,117 @@ def test_composed_image_int64_bound():
         {key: -3 * 2 ** 40 * c for key, c in image_dict(type_image(t)).items()}
 
 
-def test_type_images_normalized_once(monkeypatch):
-    # every type image is composed from products of two normal shapes;
-    # each product is normalized once per process, and a second table and
-    # gate pass over fresh type images normalizes nothing
+def shape_id(word):
+    """Registry id of a normal word with leaves 1..n in reading order."""
+    from prejordan.expansion import _shape
+    if isinstance(word, int):
+        return _shape('x')
+    op, left, right = word
+    if isinstance(left, int):
+        return _shape(op, shape_id(shape(right)))
+    return _shape('>>', shape_id(shape(left[2])), shape_id(shape(right)))
+
+
+def check_products(sizes):
+    """N(u op v) of the recursion equals the rewriting of u op v, for
+    every pair of normal shapes with the given (deg u, deg v)."""
+    from prejordan.expansion import _normal_shapes, _product
+    for a, b in sizes:
+        for u in normal_dtypes(a):
+            for v in normal_dtypes(b):
+                su, sv = shape_id(u), shape_id(v)
+                assert (_normal_shapes[su], _normal_shapes[sv]) == (u, v)
+                moved = with_leaves(v, range(a + 1, a + b + 1))
+                for op in '<>':
+                    img = _product(op, su, sv)
+                    got = {with_leaves(_normal_shapes[s], [k + 1 for k in p]): c
+                           for s, p, c in zip(img.shapes.tolist(),
+                                              img.perms.tolist(),
+                                              img.coeffs.tolist())}
+                    assert len(got) == len(img.coeffs)
+                    assert img.weight == sum(abs(c) for c in got.values())
+                    assert got == dnormalize({(op, u, moved): 1}), (op, u, v)
+
+
+def test_products_match_rewriting():
+    check_products([(a, b) for a in range(1, 7) for b in range(1, 8 - a)])
+
+
+@pytest.mark.release
+def test_products_match_rewriting_degree8():
+    check_products([(a, 8 - a) for a in range(1, 8)])
+
+
+def test_product_terms_int64_bound():
+    # a product's equal terms are summed in Python ints; its int64 array
+    # holds every coefficient up to 2**63 - 1 and refuses 2**63
+    from prejordan.expansion import _image, _shape
+    s = _shape('<', _shape('x'))
+    img = _image([(s, [0, 1], 2 ** 62), (s, (0, 1), 2 ** 62 - 1),
+                  (s, [1, 0], 5), (s, [1, 0], -5)])
+    assert image_dict(img) == {(s, (0, 1)): 2 ** 63 - 1}
+    assert img.weight == 2 ** 63 - 1
+    with pytest.raises(OverflowError):
+        _image([(s, [0, 1], 2 ** 62), (s, [0, 1], 2 ** 62)])
+
+
+def test_type_image_requires_leaves_in_reading_order():
+    from prejordan.expansion import type_image
+    for bad in ("(x2*x1)", "(x1*(x3*x2))", "((x1*x2)*x4)", "(x1>x2)", "x2"):
+        with pytest.raises(ValueError):
+            type_image(parse_word(bad))
+
+
+def count_rewriting(monkeypatch):
+    """Calls into the dendriform rewriting from here on, recorded."""
+    import prejordan.dendriform as dendriform
     import prejordan.expansion as expansion
-    from prejordan.dendriform import is_normal
     calls = []
-    real = expansion.dnormalize
-    monkeypatch.setattr(expansion, "dnormalize",
-                        lambda poly: calls.append(poly) or real(poly))
+    for module, name in ((expansion, "dnormalize"),
+                         (dendriform, "dnormalize"),
+                         (dendriform, "normalize_word")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real:
+                            calls.append(args) or real(*args))
+    return calls
 
-    def table_and_gate():
-        expansion.type_image.cache_clear()
-        expansion.expansion_table.cache_clear()
-        expansion_table(5)
-        for f in liftings_to_degree(5):  # gates the degree-4 pair on the way
-            poly_normal_form(f.poly())
 
+def table_and_gate(n):
+    """Build expansion_table(n) and gate the degree-n liftings, over fresh
+    type images; the memoized products stay."""
+    import prejordan.expansion as expansion
+    for f in (expansion.type_image, expansion._type_image_at,
+              expansion.expansion_table):
+        f.cache_clear()
+    expansion_table(n)
+    liftings = liftings_to_degree(n)
+    for f in liftings:
+        f.check_kernel_membership()
+    return liftings
+
+
+def test_type_images_normalized_once(monkeypatch):
+    # type images are composed from products of two normal shapes, which
+    # the recursion on shape ids computes without rewriting a word, once
+    # per process: a second pass over fresh type images computes none
+    import prejordan.expansion as expansion
+    calls = count_rewriting(monkeypatch)
     expansion._product.cache_clear()
-    table_and_gate()
-    assert all(len(poly) == 1 for poly in calls)
-    words = [next(iter(poly)) for poly in calls]
-    assert len(set(words)) == len(words) == \
-        expansion._product.cache_info().currsize
-    assert all(is_normal(u) and is_normal(v) for _, u, v in words)
-    table_and_gate()
-    assert len(calls) == len(words)
+    table_and_gate(5)
+    first = expansion._product.cache_info()
+    assert first.currsize == first.misses > 0
+    table_and_gate(5)
+    assert expansion._product.cache_info().misses == first.misses
+    assert calls == []
+
+
+def test_degree7_table_and_gate_rewrite_no_word(monkeypatch):
+    import prejordan.expansion as expansion
+    calls = count_rewriting(monkeypatch)
+    expansion._product.cache_clear()
+    assert len(table_and_gate(7)) == 672
+    assert expansion._product.cache_info().currsize == 1608
+    assert calls == []
 
 
 def test_identity_vector_positions():

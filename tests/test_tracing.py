@@ -40,10 +40,12 @@ def traced(call: str) -> dict:
 
 
 def test_traced_table_records_spans():
+    # type images are built by the recursion on normal shapes, so the
+    # table rewrites no word: no dendriform.dnormalize span
     out = traced("expansion.expansion_table(5)")
-    assert {"expansion.table", "dendriform.dnormalize"} <= set(out["spans"])
+    assert "expansion.table" in out["spans"]
+    assert "dendriform.dnormalize" not in out["spans"]
     assert out["counts"]["expansion.table_entries"] == 504
-    assert out["counts"]["dendriform.terms_in"] > 0
 
 
 @functools.cache
