@@ -95,17 +95,15 @@ def _summary(values) -> str:
 
 
 def cmd_expand(args) -> int:
-    from .dendriform import normal_dtypes
     from .expansion import cached_expansion_table, expansion_matrix
     from .linalg import write_matrix
     from .monomials import assoc_types
 
     table = cached_expansion_table(args.degree, args.cache)
     t = len(assoc_types(args.degree, 1))
-    s = len(normal_dtypes(args.degree))
-    entries = sum(len(col) for row in table for col in row.values())
+    s = len(table.offsets) - 1
     print(f"degree {args.degree}: {t} association types, {s} normal "
-          f"D-types, {entries} table entries"
+          f"D-types, {len(table.coeffs)} table entries"
           + (f", cached under {args.cache}" if args.cache else ""))
     if args.dump_matrix:
         mat = expansion_matrix(args.degree, allow_large=args.allow_large)

@@ -45,8 +45,9 @@ integer arithmetic.  In the group algebra picture the table cell (i, j)
 is an element of Z[S_n] and a tuple of one element of QS_n per type is
 an identity iff sum_i g_i * cell(i, j) = 0 for every j.
 
-Tables are expensive at degree 7 and 8, so they can be cached to disk as
-versioned JSON.
+The expansion table is those images split by normal D-type, held as
+arrays sorted by D-type, so each batch of X^T rows is one slice of it.
+Tables can be cached to disk as versioned JSON.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .linalg import ExactMatrix
 from .monomials import (Word, all_perms, assoc_type_index, assoc_types,
                         compose, degree, format_word, perm_index, shape,
                         split, with_leaves)
-from .symrep import RhoCache, dimension
+from .symrep import RhoCache
 
 TABLE_FORMAT = "expansion-table"
 TABLE_VERSION = 1
@@ -375,56 +376,112 @@ def poly_normal_form(poly) -> dict:
 # --------------------------------------------------------------- the table
 
 
+#: the table keeps int64 coefficients while every type image has weight
+#: (sum of |coeff|) below this, which bounds every entry and partial sum of
+#: a raw block built from one cell, since |A(perm)| <= 1 entrywise
+TABLE_INT64_WEIGHT = 2 ** 63
+
+
+class ExpansionTable(NamedTuple):
+    """The degree-n expansion table as arrays, one entry per image term,
+    sorted by (D-type, type, permutation): entry k is coeffs[k] times the
+    permutation perms[k] in the cell (type types[k], normal D-type
+    dtypes[k]), and D-type j holds the entries offsets[j]:offsets[j+1].
+    Coefficients are int64 under TABLE_INT64_WEIGHT, exact Python ints in
+    an object array past it."""
+
+    types: np.ndarray    # intp
+    dtypes: np.ndarray   # intp
+    perms: np.ndarray    # int8, entries x n, 0-based
+    coeffs: np.ndarray   # int64 or object
+    offsets: np.ndarray  # intp, one per D-type and one past the end
+
+
+def _table(n: int, types, dtypes, perms, coeffs, weight: int) -> ExpansionTable:
+    """The ExpansionTable of the given entries, in any order, whose
+    largest type image weight is weight."""
+    types, dtypes = np.asarray(types, np.intp), np.asarray(dtypes, np.intp)
+    perms = np.asarray(perms, np.int8).reshape(len(types), n)
+    coeffs = np.asarray(coeffs, dtype=np.int64 if weight < TABLE_INT64_WEIGHT
+                        else object)
+    order = np.lexsort((*perms.T[::-1], types, dtypes))
+    dtypes = dtypes[order]
+    return ExpansionTable(types[order], dtypes, perms[order], coeffs[order],
+                          np.searchsorted(dtypes, np.arange(
+                              len(normal_dtypes(n)) + 1)))
+
+
+@cache
+def expansion_arrays(n: int) -> ExpansionTable:
+    """The degree-n table read off the cached type images: the image of
+    type i, split by normal D-type, is row i.  Each distinct normal shape
+    is looked up once for its D-type."""
+    images = [type_image(t) for t in assoc_types(n, 1)]
+    shapes, inverse = np.unique(np.concatenate([img.shapes for img in images]),
+                                return_inverse=True)
+    index = normal_dtype_index(n)
+    dtype_of = np.array([index[_normal_shapes[sid]] for sid in shapes.tolist()],
+                        dtype=np.intp)
+    return _table(n, np.repeat(np.arange(len(images)),
+                               [len(img.coeffs) for img in images]),
+                  dtype_of[inverse.reshape(-1)],
+                  np.concatenate([img.perms for img in images]),
+                  np.concatenate([img.coeffs for img in images]),
+                  max(img.weight for img in images))
+
+
 @cache
 def expansion_table(n: int):
-    """Tuple over association types of {dtype index: {perm: coeff}}.
-
-    Row i is the normal form of the type-i monomial with leaves 1..n in
-    reading order, split by normal D-type; it is read off the type's
-    cached image.
-    """
-    index = normal_dtype_index(n)
-    rows = []
-    for t in assoc_types(n, 1):
-        img = type_image(t)
-        cells: dict[int, dict] = {}
-        for sid, perm, c in zip(img.shapes.tolist(), (img.perms + 1).tolist(),
-                                img.coeffs.tolist()):
-            cells.setdefault(index[_normal_shapes[sid]], {})[tuple(perm)] = c
-        rows.append({j: c for j, c in sorted(cells.items())})
+    """Tuple over association types of {dtype index: {perm: coeff}}, perms
+    1-based: a view of expansion_arrays(n) for the dense references
+    (expansion_matrix, xblock_matrix)."""
+    table = expansion_arrays(n)
+    rows: list[dict] = [{} for _ in assoc_types(n, 1)]
+    for i, j, perm, c in zip(table.types.tolist(), table.dtypes.tolist(),
+                             (table.perms + 1).tolist(), table.coeffs.tolist()):
+        rows[i].setdefault(j, {})[tuple(perm)] = c
     return tuple(rows)
 
 
-def table_to_json(n: int, table) -> dict:
-    rows = [[[j, list(perm), c] for j, cell in row.items()
-             for perm, c in sorted(cell.items())] for row in table]
+def table_to_json(n: int, table: ExpansionTable) -> dict:
+    """JSON of the table: one row per type of [dtype, perm, coeff] entries
+    ordered by D-type and permutation, perms 1-based."""
+    rows: list[list] = [[] for _ in assoc_types(n, 1)]
+    order = np.argsort(table.types, kind="stable")
+    for i, j, perm, c in zip(table.types[order].tolist(),
+                             table.dtypes[order].tolist(),
+                             (table.perms[order] + 1).tolist(),
+                             table.coeffs[order].tolist()):
+        rows[i].append([j, perm, c])
     return {"format": TABLE_FORMAT, "version": TABLE_VERSION,
             "degree": n, "rows": rows}
 
 
-def table_from_json(data):
+def table_from_json(data) -> tuple[int, ExpansionTable]:
     if data.get("format") != TABLE_FORMAT or data.get("version") != TABLE_VERSION:
         raise ValueError("not an expansion table file this version reads")
-    table = []
-    for row in data["rows"]:
-        cells: dict[int, dict] = {}
-        for j, perm, c in row:
-            cells.setdefault(j, {})[tuple(perm)] = c
-        table.append(cells)
-    return data["degree"], tuple(table)
+    n, rows = data["degree"], data["rows"]
+    entries = [(i, j, perm, c) for i, row in enumerate(rows)
+               for j, perm, c in row]
+    return n, _table(n, [e[0] for e in entries], [e[1] for e in entries],
+                     [[v - 1 for v in e[2]] for e in entries],
+                     [e[3] for e in entries],
+                     max((sum(abs(c) for _, _, c in row) for row in rows),
+                         default=0))
 
 
-def cached_expansion_table(n: int, cache_dir: str | None = None):
-    """expansion_table with a JSON disk cache when cache_dir is given."""
+def cached_expansion_table(n: int, cache_dir: str | None = None
+                           ) -> ExpansionTable:
+    """expansion_arrays with a JSON disk cache when cache_dir is given."""
     if cache_dir is None:
-        return expansion_table(n)
+        return expansion_arrays(n)
     path = os.path.join(cache_dir, f"expansion-{n}.json")
     if os.path.exists(path):
         with open(path) as fh:
             deg, table = table_from_json(json.load(fh))
         if deg == n:
             return table
-    table = expansion_table(n)
+    table = expansion_arrays(n)
     os.makedirs(cache_dir, exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -436,8 +493,8 @@ def cached_expansion_table(n: int, cache_dir: str | None = None):
 # ------------------------------------------------- monomial-level matrices
 
 
-def expansion_matrix(n: int, field='Q', allow_large: bool = False,
-                     table=None) -> ExactMatrix:
+def expansion_matrix(n: int, field='Q', allow_large: bool = False
+                     ) -> ExactMatrix:
     """The full monomial-level expansion matrix.
 
     Rows run over degree-n one-product monomials (types outer, labelings
@@ -449,8 +506,7 @@ def expansion_matrix(n: int, field='Q', allow_large: bool = False,
         raise ResourceLimit(
             f"dense expansion matrix at degree {n} "
             f"(limit {MAX_DENSE_DEGREE}); pass allow_large to force it")
-    if table is None:
-        table = expansion_table(n)
+    table = expansion_table(n)
     perms = all_perms(n)
     pidx = perm_index(n)
     fact = len(perms)
@@ -493,7 +549,8 @@ XBLOCK_CALL_ENTRIES = 2 ** 20
 
 
 def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
-                          table=None, rho: RhoCache | None = None):
+                          table: ExpansionTable | None = None,
+                          rho: RhoCache | None = None):
     """Rows of the transposed representation block matrix, in batches.
 
     The block matrix X has one d x d block per (type i, D-type j) cell,
@@ -501,46 +558,48 @@ def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
     is (t*d) x (s*d).  A tuple of group algebra elements (g_1..g_t) is an
     identity component iff the corresponding row vector lies in the left
     nullspace of X, so ranks and nullspaces of identities come from the
-    transpose.  Rows of X^T arrive in batches of roughly chunk*d, grouped
-    by D-type, as one unreduced integer array per batch over either field
-    (int64, or object past the bound of RhoCache.raw_of_elements).
+    transpose.  Rows of X^T arrive in batches of chunk D-types (chunk*d
+    rows), as one unreduced integer array per batch over either field, in
+    the dtype of the table's coefficients.
 
     The blocks skip the change of basis by A(id)^-1; that factor
     multiplies each block on the left, so the rank and nullity are
     unchanged while the assembly drops from cubic to quadratic in the
     block size.
+
+    A batch is one slice of the table.  Its cells are summed by
+    RhoCache.raw_of_elements in calls of whole cells and at most
+    XBLOCK_CALL_ENTRIES // (d*d) entries (a larger cell takes a call of
+    its own), and each call's blocks are written straight into the batch.
     """
     if table is None:
-        table = expansion_table(n)
+        table = expansion_arrays(n)
     if rho is None:
         rho = RhoCache(lam, field)
     d = rho.dim
-    t = len(table)
-    s = len(normal_dtypes(n))
-    cols: list[list] = [[] for _ in range(s)]
-    for i, row in enumerate(table):
-        for j, cell in row.items():
-            cols[j].append((i, cell))
+    t = len(assoc_types(n, 1))
+    s = len(table.offsets) - 1
+    # cell k, one (D-type, type) pair, holds the entries cuts[k]:cuts[k+1]
+    cuts = np.flatnonzero(np.diff(table.dtypes * t + table.types,
+                                  prepend=-1, append=-1))
+    owner = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
     per_call = max(1, XBLOCK_CALL_ENTRIES // (d * d))
     for start in range(0, s, chunk):
-        js = range(start, min(start + chunk, s))
-        # (D-type in batch, type, cell), split into calls of <= per_call terms
-        parts, size = [[]], 0
-        for b, j in enumerate(js):
-            for i, cell in cols[j]:
-                if parts[-1] and size + len(cell) > per_call:
-                    parts.append([])
-                    size = 0
-                parts[-1].append((b, i, cell))
-                size += len(cell)
-        rows = np.zeros((len(js), d, t, d), dtype=np.int64)
-        for part in parts:
-            wide = rho.raw_of_elements([cell for _, _, cell in part])
-            if wide.dtype == object:
-                rows = rows.astype(object)
+        stop = min(start + chunk, s)
+        rows = np.zeros((stop - start, d, t, d), dtype=table.coeffs.dtype)
+        lo, end = np.searchsorted(cuts, table.offsets[[start, stop]])
+        while lo < end:
+            # the most whole cells from lo within per_call entries, at least one
+            hi = np.searchsorted(cuts, cuts[lo] + per_call, side='right') - 1
+            hi = min(max(hi, lo + 1), end)
+            e0, e1 = cuts[lo], cuts[hi]
+            raw = rho.raw_of_elements(owner[e0:e1] - lo, hi - lo,
+                                      table.perms[e0:e1], table.coeffs[e0:e1])
             # row a of D-type j holds M_i[b, a] at column i*d + b
-            rows[[b for b, _, _ in part], :, [i for _, i, _ in part]] = \
-                wide.reshape(d, len(part), d).transpose(1, 2, 0)
+            first = cuts[lo:hi]
+            rows[table.dtypes[first] - start, :, table.types[first]] = \
+                raw.reshape(d, hi - lo, d).transpose(1, 2, 0)
+            lo = hi
         yield rows.reshape(-1, t * d)
 
 

@@ -240,7 +240,7 @@ class ModularEchelon:
         M = residues(M, self.p)
         grew = np.zeros(M.shape[0], dtype=bool)
         for s in range(0, M.shape[0], self.block_rows):
-            block = M[s:s + self.block_rows].astype(np.float64)
+            block = M[s:s + self.block_rows].astype(np.float64, order='C')
             self._add_block(block, grew[s:s + self.block_rows])
         return grew.tolist()
 

@@ -387,17 +387,17 @@ def identity_block(ident: Identity, lam, rho: RhoCache, t: int) -> np.ndarray:
     multiplies the whole block row by an invertible matrix on the left
     and so changes neither its row space nor any rank computed from it.
     They are unreduced integer arrays over either field, from
-    RhoCache.raw_blocks; the echelon state reduces them.
+    RhoCache.raw_of_elements; the echelon state reduces them.
     """
     return _block_rows([ident], rho, t)
 
 
 def _block_rows(idents, rho: RhoCache, t: int) -> np.ndarray:
     """The block rows of idents stacked, shape (len(idents)*d, t*d), from
-    one RhoCache.raw_blocks call on their splits: type i of identity b is
-    element b*t + i."""
+    one RhoCache.raw_of_elements call on their splits: type i of identity
+    b is element b*t + i."""
     d = rho.dim
-    raw = rho.raw_blocks(
+    raw = rho.raw_of_elements(
         np.concatenate([f.types + b * t for b, f in enumerate(idents)]),
         len(idents) * t, np.concatenate([f.leaves for f in idents]),
         np.concatenate([f.coeffs for f in idents]))

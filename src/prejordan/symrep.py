@@ -331,13 +331,14 @@ class RhoCache:
 
     Raw blocks, sums of A-matrices without the change of basis, are
     integer matrices whatever the field and are built once for both, by
-    raw_blocks: int64 arrays under the bound stated there, object arrays
-    of exact Python numbers past it.  Only of_element applies A(id)^-1:
-    over 'Q' as an integer matrix and one denominator, over a prime as a
-    modular inverse.  The A-matrices met so far are kept in one int8
-    store, found through a table of n! slots indexed by the lexicographic
-    rank of the permutation; a call builds the ones new to it by one
-    batched clifton_a call and gathers its stack from the store.
+    raw_of_elements, in the dtype of the coefficients: int64 under the
+    bound stated there, object arrays of exact Python numbers past it.
+    Only of_element applies A(id)^-1: over 'Q' as an integer matrix and
+    one denominator, over a prime as a modular inverse.  The A-matrices
+    met so far are kept in one int8 store, found through a table of n!
+    slots indexed by the lexicographic rank of the permutation; a call
+    builds the ones new to it by one batched clifton_a call and gathers
+    its stack from the store.
     """
 
     def __init__(self, lam: Partition, field='Q'):
@@ -391,12 +392,12 @@ class RhoCache:
     def of_perm(self, perm: tuple[int, ...]):
         return self.of_element({perm: 1})
 
-    def raw_blocks(self, owner: np.ndarray, k: int, perms: np.ndarray,
-                   coeffs: np.ndarray) -> np.ndarray:
+    def raw_of_elements(self, owner: np.ndarray, k: int, perms: np.ndarray,
+                        coeffs: np.ndarray) -> np.ndarray:
         """Raw blocks of k group algebra elements side by side, shape
         (d, k*d): element i is the sum of coeffs[j] * A(perms[j]) over the
         terms j with owner[j] == i, perms holding one permutation of
-        1..n (or 0..n-1) per row.
+        0..n-1 per row (ValueError otherwise).
 
         The raw block is A(id) times the representation matrix of the
         element.  Since A(id) is invertible and multiplies every block of a
@@ -407,10 +408,13 @@ class RhoCache:
         The blocks are one sum over the stacked A-matrices of the terms,
         grouped by owner.  Entries keep the dtype of coeffs: int64 is exact
         when each element has sum |c| < 2**63, which bounds every partial
-        sum since |A| <= 1; an object array of exact Python numbers is
-        summed exactly whatever its size.
+        sum since |A| <= 1, and the caller must keep to that bound; an
+        object array of exact Python numbers is summed exactly whatever
+        its size.
         """
-        d = self.dim
+        n, d = sum(self.lam), self.dim
+        if (np.sort(perms, axis=1) != np.arange(n)).any():
+            raise ValueError(f"not a permutation of {n} leaves")
         out = np.zeros((d, k, d), dtype=coeffs.dtype)
         if len(coeffs):
             order = np.argsort(owner, kind="stable")
@@ -424,29 +428,18 @@ class RhoCache:
         return out.reshape(d, k * d)
 
     def raw_of_element(self, terms: dict) -> np.ndarray:
-        """The raw d x d block of one element; see raw_of_elements."""
-        return self.raw_of_elements([terms])
-
-    def raw_of_elements(self, elems) -> np.ndarray:
-        """Raw blocks of elements given as dicts {perm: coeff} side by
-        side, shape (d, k*d): raw_blocks over their terms, int64 when every
-        coefficient is an int and each element has sum |c| < 2**63.
-        ValueError unless every perm is a permutation of 1..n."""
+        """The raw d x d block of one element {perm: coeff}, perms
+        permutations of 1..n (ValueError otherwise): raw_of_elements over
+        its terms, int64 when every coefficient is an int and
+        sum |c| < 2**63, an object array of exact numbers otherwise."""
         n = sum(self.lam)
-        owner, perms, coeffs = [], [], []
-        fits = True
-        for i, terms in enumerate(elems):
-            owner.extend([i] * len(terms))
-            perms.extend(terms)
-            coeffs.extend(terms.values())
-            fits = fits and sum(map(abs, terms.values())) < 2 ** 63
-        fits = fits and all(isinstance(c, int) for c in coeffs)
-        perms = np.array(perms, dtype=np.intp).reshape(len(owner), n)
-        if (np.sort(perms, axis=1) != np.arange(1, n + 1)).any():
-            raise ValueError(f"not a permutation of 1..{n}")
-        return self.raw_blocks(np.array(owner, dtype=np.intp), len(elems),
-                               perms, np.array(coeffs, dtype=np.int64
-                                               if fits else object))
+        coeffs = list(terms.values())
+        fits = all(isinstance(c, int) for c in coeffs) \
+            and sum(map(abs, coeffs)) < 2 ** 63
+        return self.raw_of_elements(
+            np.zeros(len(coeffs), dtype=np.intp), 1,
+            np.array(list(terms), dtype=np.intp).reshape(len(coeffs), n) - 1,
+            np.array(coeffs, dtype=np.int64 if fits else object))
 
     def of_element(self, terms: dict):
         """rho applied to a group algebra element {perm: coeff}: A(id)^-1

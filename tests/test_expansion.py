@@ -1,5 +1,6 @@
 """The expansion map from one-product words to normal two-product words."""
 
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -10,8 +11,9 @@ import pytest
 from helpers import random_word
 from prejordan.dendriform import dnormalize, normal_dtypes
 from prejordan.errors import ResourceLimit
-from prejordan.expansion import (cached_expansion_table, expansion_matrix,
-                                 expansion_table, identity_vector,
+from prejordan.expansion import (cached_expansion_table, expansion_arrays,
+                                 expansion_matrix, expansion_table,
+                                 identity_vector,
                                  pj_expand, pj_normal_form,
                                  poly_normal_form, xblock_matrix,
                                  xblock_transpose_rows)
@@ -103,13 +105,45 @@ def test_table_matches_direct_expansion():
             assert rebuilt == direct
 
 
+def same_table(a, b):
+    return all(x.dtype == y.dtype and x.shape == y.shape and (x == y).all()
+               for x, y in zip(a, b))
+
+
 def test_cache_roundtrip(tmp_path):
-    fresh = expansion_table(4)
+    fresh = expansion_arrays(4)
     first = cached_expansion_table(4, str(tmp_path))
     again = cached_expansion_table(4, str(tmp_path))
     assert (tmp_path / "expansion-4.json").exists()
-    assert first == fresh
-    assert again == fresh
+    assert same_table(first, fresh)
+    assert same_table(again, fresh)
+
+
+# SHA-1 and size of json.dumps(table_to_json(n, ...)), the bytes of a cache
+# file, as written before the table was held as arrays
+TABLE_JSON_SHA1 = {5: ("b05f19f750570f29a58879f043ff7b17535569dc", 13198),
+                   6: ("8155a4bc37a63a00b6b337e2eeed2faeee7552b2", 123901)}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_JSON_SHA1))
+def test_table_json_bytes_pinned(n):
+    import hashlib
+    from prejordan.expansion import table_from_json, table_to_json
+    text = json.dumps(table_to_json(n, expansion_arrays(n)))
+    assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == \
+        TABLE_JSON_SHA1[n]
+    deg, back = table_from_json(json.loads(text))
+    assert deg == n and same_table(back, expansion_arrays(n))
+
+
+def test_cache_refuses_other_formats(tmp_path):
+    from prejordan.expansion import table_to_json
+    good = table_to_json(4, expansion_arrays(4))
+    for bad in ({**good, "version": good["version"] + 1},
+                {**good, "format": "something-else"}, {"rows": []}):
+        (tmp_path / "expansion-4.json").write_text(json.dumps(bad))
+        with pytest.raises(ValueError):
+            cached_expansion_table(4, str(tmp_path))
 
 
 def test_dense_matrix_degree_gate():
@@ -162,9 +196,12 @@ def test_poly_normal_form_exact():
     combos += [{word(rng.randrange(1, 7)): coeff() for _ in range(6)}
                for _ in range(10)]
     combos.append({word(10): 2 ** 70 + 1, word(5): Fraction(1, 3)})
-    # so many distinct labels that row keys must be renumbered mid-way
-    combos.append({with_leaves(word(8), rng.sample(range(1, 10 ** 9), 8)):
-                   coeff() for _ in range(25)})
+    # 256 distinct labels: a key of shape id and 8 label codes then needs
+    # id * 256**8 = id * 2**64, so it must be renumbered mid-way; keys
+    # wrapped in int64 would drop the shape id and merge different shapes
+    labels = rng.sample(range(1, 10 ** 9), 256)
+    combos.append({with_leaves(word(8), labels[k:k + 8]): coeff()
+                   for k in range(0, 256, 8)})
     combos += [{}, {1: 3}, {1: 2 ** 63}, {1: 2 ** 63 - 1},
                {word(4): 0.5, word(4): 1.25, word(3): 0}]
     for f in random.Random(13).sample(liftings_to_degree(6), 6):
@@ -319,7 +356,7 @@ def table_and_gate(n):
     type images; the memoized products stay."""
     import prejordan.expansion as expansion
     for f in (expansion.type_image, expansion._type_image_at,
-              expansion.expansion_table):
+              expansion.expansion_arrays, expansion.expansion_table):
         f.cache_clear()
     expansion_table(n)
     liftings = liftings_to_degree(n)
@@ -376,9 +413,8 @@ class TestBlockMatrices:
                 t = len(assoc_types(n, 1))
                 s = len(normal_dtypes(n))
                 assert X.shape == (t * d, s * d)
-                raw_rows = [row for batch in
-                            xblock_transpose_rows(n, lam, table=table)
-                            for row in batch]
+                raw_rows = [row for batch in xblock_transpose_rows(
+                    n, lam, table=expansion_arrays(n)) for row in batch]
                 from prejordan.linalg import ExactMatrix
                 assert ExactMatrix(raw_rows).rank() == X.rank()
 
@@ -389,7 +425,7 @@ class TestBlockMatrices:
 
     def test_block_ranks_same_mod_p(self):
         from prejordan.linalg import echelon_state
-        table = expansion_table(4)
+        table = expansion_arrays(4)
         for lam in partitions(4):
             d = dimension(lam)
             st = echelon_state(len(assoc_types(4, 1)) * d, 101)
@@ -398,7 +434,7 @@ class TestBlockMatrices:
             assert st.rank == DEGREE4_X_RANKS[lam]
 
     def test_chunk_size_irrelevant(self):
-        table = expansion_table(4)
+        table = expansion_arrays(4)
         lam = (2, 1, 1)
         whole = [row for batch in
                  xblock_transpose_rows(4, lam, 101, chunk=999, table=table)
@@ -408,6 +444,53 @@ class TestBlockMatrices:
                   for row in batch]
         assert [list(map(int, r)) for r in whole] == \
             [list(map(int, r)) for r in pieces]
+
+    @pytest.mark.parametrize("field", ['Q', 101])
+    def test_batches_match_dense_reference(self, field, monkeypatch):
+        # X^T in batches of one D-type, also with raw-block calls cut
+        # inside a batch (3 or 1 entries per call), against the dense X:
+        # the raw blocks are A(id) times the genuine ones
+        import prejordan.expansion as expansion
+        for n in range(1, 6):
+            for lam in partitions(n):
+                rho = RhoCache(lam, field)
+                d = rho.dim
+                X = np.array(xblock_matrix(n, lam, field).rows, dtype=object)
+                t = len(assoc_types(n, 1))
+                want = (rho.a_id.astype(object) @ X.reshape(t, d, -1)) \
+                    .reshape(t * d, -1).T
+                if field != 'Q':
+                    want %= field
+                for entries in (expansion.XBLOCK_CALL_ENTRIES, 3 * d * d, 1):
+                    monkeypatch.setattr(expansion, "XBLOCK_CALL_ENTRIES",
+                                        entries)
+                    batches = list(xblock_transpose_rows(n, lam, field,
+                                                         chunk=1))
+                    assert len(batches) == len(normal_dtypes(n))
+                    assert all(b.dtype == np.int64 and b.shape == (d, t * d)
+                               for b in batches)
+                    got = np.concatenate(batches).astype(object)
+                    if field != 'Q':
+                        got %= field
+                    assert (got == want).all(), (lam, entries)
+
+    def test_object_table_gives_same_rows(self, monkeypatch):
+        # past the weight bound the table keeps exact Python ints, and the
+        # batches come out as object arrays of the same numbers
+        import prejordan.expansion as expansion
+        narrow = expansion_arrays(5)
+        monkeypatch.setattr(expansion, "TABLE_INT64_WEIGHT", 1)
+        wide = expansion.expansion_arrays.__wrapped__(5)
+        assert narrow.coeffs.dtype == np.int64
+        assert wide.coeffs.dtype == object
+        for lam in partitions(5):
+            for field in ('Q', 101):
+                for a, b in zip(
+                        xblock_transpose_rows(5, lam, field, table=narrow),
+                        xblock_transpose_rows(5, lam, field, table=wide),
+                        strict=True):
+                    assert b.dtype == object and a.shape == b.shape
+                    assert (a.astype(object) == b).all()
 
     def test_block_sizes_against_type_counts(self):
         # one block column per normal D-type, one block row per type

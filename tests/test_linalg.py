@@ -155,6 +155,22 @@ class TestModularEchelon:
             st.add_rows(rows)
             assert st.rank == naive_rank_mod(rows, P)
 
+    def test_non_c_ordered_rows(self):
+        # a Fortran-ordered batch and a column slice, as a restriction to
+        # some columns gives, take the same flags and RCF as C-ordered rows
+        rng = np.random.default_rng(30)
+        M = rng.integers(-50, 50, size=(7, 9))
+        for sub in (np.asfortranarray(M), M[:, [0, 2, 4, 5, 8]]):
+            assert not sub.flags.c_contiguous
+            want = echelon_state(sub.shape[1], P)
+            want_flags = want.add_rows(np.ascontiguousarray(sub))
+            st = echelon_state(sub.shape[1], P)
+            assert st.add_rows(sub) == want_flags
+            assert st.rank == want.rank == naive_rank_mod(sub.tolist(), P)
+            got, want_rcf = st.rcf(), want.rcf()
+            assert (got[0] == want_rcf[0]).all()
+            assert list(got[1]) == list(want_rcf[1])
+
     def test_rcf_matches_rational_when_ranks_agree(self):
         rng = random.Random(32)
         for _ in range(40):

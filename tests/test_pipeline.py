@@ -214,7 +214,11 @@ class TestSplit:
             Identity(3, ((1, square),))
         rho = RhoCache((3, 1), 101)
         with pytest.raises(ValueError):
-            rho.raw_of_elements([{(1, 1, 3, 4): 1}])
+            rho.raw_of_element({(1, 1, 3, 4): 1})
+        with pytest.raises(ValueError):
+            rho.raw_of_elements(np.zeros(1, dtype=np.intp), 1,
+                                np.array([[0, 0, 2, 3]]),
+                                np.ones(1, dtype=np.int64))
         # the normal form itself still takes repeated labels
         assert poly_normal_form({square: 2}) == {
             u: 2 * c for u, c in pj_normal_form(square).items()}

@@ -138,6 +138,17 @@ class TestCharacters:
         assert decompose(trivial, n) == (1, 0, 0, 0, 0)
 
 
+def elements(elems, dtype, owners=None):
+    """The arguments (owner, k, perms, coeffs) of RhoCache.raw_of_elements
+    for dicts {perm: coeff}, perms 1-based; dict b is element owners[b]."""
+    owners = range(len(elems)) if owners is None else owners
+    terms = [(i, perm, c) for i, elem in zip(owners, elems)
+             for perm, c in elem.items()]
+    return (np.array([i for i, _, _ in terms], dtype=np.intp), len(elems),
+            np.array([perm for _, perm, _ in terms]) - 1,
+            np.array([c for _, _, c in terms], dtype=dtype))
+
+
 class TestCliftonMatrices:
     def test_identity_maps_to_identity(self):
         for n in range(2, 6):
@@ -280,7 +291,7 @@ class TestCliftonMatrices:
         perms = all_perms(4)
         e1 = {perms[0]: 1, perms[5]: 4}
         e2 = {perms[7]: 2}
-        stacked = rho.raw_of_elements([e1, e2])
+        stacked = rho.raw_of_elements(*elements([e2, e1], np.int64, [1, 0]))
         d = rho.dim
         assert stacked.shape == (d, 2 * d)
         assert (stacked[:, :d] == rho.raw_of_element(e1)).all()
@@ -306,16 +317,18 @@ class TestCliftonMatrices:
 
         edge = {p: 2 ** 62, q: 2 ** 62 - 1}
         over = {p: 2 ** 62, q: 2 ** 62}
-        stacked = rho.raw_of_elements([edge, edge, {p: -3}])
+        stacked = rho.raw_of_elements(*elements([edge, edge, {p: -3}],
+                                                np.int64))
         assert stacked.dtype == np.int64
         assert (stacked[:, :d] == reference(edge)).all()
         assert (stacked[:, d:2 * d] == reference(edge)).all()
         assert np.abs(stacked).max() == 2 ** 63 - 1
+        assert rho.raw_of_element(edge).dtype == np.int64
         raw = rho.raw_of_element(over)
         assert raw.dtype == object
         assert (raw == reference(over)).all()
         assert max(abs(e) for e in raw.flat) == 2 ** 63
-        mixed = rho.raw_of_elements([edge, over])
+        mixed = rho.raw_of_elements(*elements([edge, over], object))
         assert mixed.dtype == object
         assert (mixed[:, :d] == reference(edge)).all()
         assert (mixed[:, d:] == reference(over)).all()

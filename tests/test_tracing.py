@@ -70,3 +70,12 @@ def test_traced_report_records_symrep_spans():
     assert {"symrep.clifton_a", "symrep.raw_blocks"} <= set(out["spans"])
     assert out["calls"].get("symrep.clifton_a", 0) > 0
     assert out["nested"].get("symrep.raw_blocks > symrep.clifton_a", 0) > 0
+
+
+def test_traced_report_records_lifted_raw_blocks():
+    # the lifted rows are built by RhoCache.raw_of_elements, the one array
+    # entry point for raw blocks, so the lifted rank's raw blocks are timed
+    out = traced_report()
+    assert out["nested"].get("pipeline.lifted_rank > symrep.raw_blocks",
+                             0) > 0
+    assert out["nested"].get("pipeline.kernel_rank > expansion.xblock", 0) > 0
