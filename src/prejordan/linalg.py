@@ -2,9 +2,11 @@
 
 Everything here is exact.  Rational computations use fractions.Fraction;
 modular computations keep integer residues, and the numpy fast paths only
-ever hold integer values in float64, where every intermediate sum stays at
-most 2**53 - p in magnitude (guarded by ModularEchelon) and is therefore
-computed and reduced exactly.
+ever hold integer values in floats: float32 where the prime is small
+enough (p <= 509 with the default 64-row mini block), float64 otherwise.
+Every intermediate sum stays at most 2**m - p in magnitude, m = 24 or 53
+the significand of the compute type (_inner_bound, guarded by
+ModularEchelon), and is therefore computed and reduced exactly.
 
 Conventions fixed across the package:
 
@@ -152,27 +154,53 @@ class RationalEchelon:
         return canon.rcf_rows()
 
 
-_MOD_CHUNK = 2 ** 13  # entries per pass of _mod_inplace: a 64 KiB scratch
+_MOD_CHUNK = 2 ** 13  # entries per pass of _mod_inplace: a 32-64 KiB scratch
+
+#: significand bits m of each compute dtype; it holds every integer of
+#: magnitude at most 2**m exactly
+_SIGNIFICAND = {np.dtype(np.float32): 24, np.dtype(np.float64): 53}
+#: default mini block of ModularEchelon; float32 is used where its inner
+#: bound covers one (p <= 509).  Near that edge the bound also clamps the
+#: segments and outer blocks (to 65 rows at p = 509), and float32 was
+#: timed no slower than float64 there (README, "Runtime and memory")
+_MINI_ROWS = 64
+
+
+def _inner_bound(p: int, dtype) -> int:
+    """Longest inner dimension k of a product mod p that dtype computes
+    exactly: the largest k with k*(p-1)**2 + p <= 2**m.
+
+    Both factors of every product hold residues in [0, p), so every partial
+    sum of k terms, in any order and any blocking, is an integer in
+    [0, k*(p-1)**2] and is held exactly.  Subtracting the sum from a
+    residue leaves an integer x with -(2**m - p) <= x < p, which
+    _mod_inplace reduces exactly.  This is the bound of finite-field BLAS
+    (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008); for p = 101 it gives
+    k = 1,677 in float32.
+    """
+    return (2 ** _SIGNIFICAND[np.dtype(dtype)] - p) // (p - 1) ** 2
 
 
 def _mod_inplace(A: np.ndarray, p: int) -> None:
     """Reduce the integer values of A into [0, p), in place.
 
-    A must be a C-contiguous float64 array whose every entry is an integer
-    x with |x| <= 2**53 - p.  Then q = floor(x / p), with one correctly
+    A must be a C-contiguous float32 or float64 array whose every entry is
+    an integer x with |x| <= 2**m - p, where m = 24 or 53 is the
+    significand of its dtype.  Then q = floor(x / p), with one correctly
     rounded division, is exact.  If p divides x, x / p is an integer below
-    2**53 and is computed exactly.  If not, x / p lies at least 1/p below
-    the next integer k, and |k| < 2**53 / p (from |x| + p <= 2**53); the
+    2**m and is computed exactly.  If not, x / p lies at least 1/p below
+    the next integer k, and |k| < 2**m / p (from |x| + p <= 2**m); the
     division can round x / p up to k only if that gap is at most half an
-    ulp of k, at most |k| * 2**-53 < 1/p.  So q*p is an exact integer and
+    ulp of k, at most |k| * 2**-m < 1/p.  So q*p is an exact integer and
     x - q*p is the residue in [0, p), with no correction pass.  The
     quotients go through a scratch buffer of at most _MOD_CHUNK entries,
     so reducing a large array adds no copy of it.
     """
-    if A.dtype != np.float64 or not A.flags.c_contiguous:
-        raise TypeError("_mod_inplace needs a C-contiguous float64 array")
+    if A.dtype not in _SIGNIFICAND or not A.flags.c_contiguous:
+        raise TypeError("_mod_inplace needs a C-contiguous float32 or "
+                        "float64 array")
     flat = A.reshape(-1)
-    q = np.empty(min(flat.size, _MOD_CHUNK))
+    q = np.empty(min(flat.size, _MOD_CHUNK), dtype=A.dtype)
     for s in range(0, flat.size, _MOD_CHUNK):
         x = flat[s:s + _MOD_CHUNK]
         qs = q[:x.size]
@@ -186,29 +214,37 @@ class ModularEchelon:
     """Running RCF over F_p backed by numpy.
 
     Reduced rows are stored as small integers; new rows are eliminated
-    against them with float64 matrix products.  Every value the
-    elimination forms is an integer of magnitude at most ncols*(p-1)**2:
-    a product sums at most rank <= ncols terms of (p-1)*(p-1) and is
-    subtracted from a residue in [0, p).  __init__ requires
-    ncols*(p-1)**2 + p <= 2**53, so every sum is computed exactly and
-    _mod_inplace reduces it back to [0, p) by exact floor division.  Rows
-    are processed in outer blocks (one conversion sweep of the stored rows
-    per block) and inner mini blocks (one back-substitution product per mini
-    block), so the arithmetic cost is dominated by BLAS calls and the peak
-    memory by the int8 store plus one float64 segment.
+    against them with float matrix products.  The compute dtype follows
+    from p: float32 when _inner_bound(p, float32) is at least the default
+    mini block of _MINI_ROWS rows (p <= 509), float64 otherwise.  Every
+    product is cut to an inner dimension of at most
+    k = _inner_bound(p, dtype): seg_rows, block_rows (which bounds the new
+    pivots of one block) and mini_rows are clamped to k.  So every value
+    the elimination forms is an integer of magnitude at most 2**m - p,
+    m = 24 or 53, computed exactly and reduced back to [0, p) by
+    _mod_inplace's exact floor division.  __init__ also requires
+    ncols*(p-1)**2 + p <= 2**53.  Rows are processed in outer blocks (one
+    conversion sweep of the stored rows per block) and inner mini blocks
+    (one back-substitution product per mini block), so the arithmetic cost
+    is dominated by BLAS calls and the peak memory by the int8 store plus
+    one float segment.
     """
 
     def __init__(self, ncols: int, p: int, block_rows: int = 2048,
-                 mini_rows: int = 64, seg_rows: int = 4096):
+                 mini_rows: int = _MINI_ROWS, seg_rows: int = 4096):
         self.ncols = ncols
         self.p = int(p)
         if self.p < 2:
             raise ValueError("modulus must be at least 2")
         if ncols * (self.p - 1) ** 2 + self.p > 2 ** 53:
             raise ValueError("modulus too large for exact float64 products")
-        self.block_rows = block_rows
-        self.mini_rows = mini_rows
-        self.seg_rows = seg_rows
+        self.compute_dtype = np.dtype(
+            np.float32 if _inner_bound(self.p, np.float32) >= _MINI_ROWS
+            else np.float64)
+        k = _inner_bound(self.p, self.compute_dtype)
+        self.block_rows = min(block_rows, k)
+        self.mini_rows = min(mini_rows, k)
+        self.seg_rows = min(seg_rows, k)
         if self.p < 128:
             self._dtype = np.int8
         elif self.p < 2 ** 15:
@@ -229,6 +265,8 @@ class ModularEchelon:
 
         A row raises the rank exactly when it is independent of every row
         before it, so the flags do not depend on how rows are batched.
+        Integer rows within +-(2**m - p) are converted once, straight to
+        the compute dtype; any other input goes through residues first.
         """
         M = np.asarray(rows)
         if M.size == 0:
@@ -237,11 +275,15 @@ class ModularEchelon:
             M = M.reshape(1, -1)
         if M.shape[1] != self.ncols:
             raise ValueError("row length does not match")
-        M = residues(M, self.p)
+        top = 2 ** _SIGNIFICAND[self.compute_dtype] - self.p
+        if not (M.dtype.kind in 'iu' and -top <= M.min() and M.max() <= top):
+            M = residues(M, self.p)
+        M = M.astype(self.compute_dtype, order='C')
+        _mod_inplace(M, self.p)
         grew = np.zeros(M.shape[0], dtype=bool)
         for s in range(0, M.shape[0], self.block_rows):
-            block = M[s:s + self.block_rows].astype(np.float64, order='C')
-            self._add_block(block, grew[s:s + self.block_rows])
+            self._add_block(M[s:s + self.block_rows],
+                            grew[s:s + self.block_rows])
         return grew.tolist()
 
     def _forward(self, B: np.ndarray) -> None:
@@ -251,7 +293,7 @@ class ModularEchelon:
             b = min(a + self.seg_rows, self._n)
             coef = B[:, self._piv[a:b]]
             if coef.any():
-                B -= coef @ self._R[a:b].astype(np.float64)
+                B -= coef @ self._R[a:b].astype(B.dtype)
                 _mod_inplace(B, p)
 
     def _add_block(self, B: np.ndarray, grew: np.ndarray) -> None:
@@ -269,7 +311,8 @@ class ModularEchelon:
                     Bm -= coef @ nb[:len(npv)]
                     _mod_inplace(Bm, p)
             fresh = len(npv)
-            for i in range(Bm.shape[0]):
+            # a row that is zero now stays zero and cannot raise the rank
+            for i in np.flatnonzero(Bm.any(axis=1)).tolist():
                 row = Bm[i]
                 if fresh != len(npv):
                     arr = np.asarray(npv[fresh:], dtype=np.intp)
@@ -311,7 +354,7 @@ class ModularEchelon:
         arr = np.asarray(npv, dtype=np.intp)
         for a in range(0, self._n, self.seg_rows):
             b = min(a + self.seg_rows, self._n)
-            seg = self._R[a:b].astype(np.float64)
+            seg = self._R[a:b].astype(new.dtype)
             coef = seg[:, arr]
             if coef.any():
                 seg -= coef @ new
@@ -350,13 +393,16 @@ class ModularEchelon:
 
 def residues(M: np.ndarray, p: int) -> np.ndarray:
     """Entries of an integer array mod p, as int64.  Object arrays (exact
-    Python numbers of any size) are reduced before the cast, so no entry
-    overflows; a non-integral entry raises ValueError.  A float array may
-    hold only integers of magnitude below 2**53, where float64 is exact;
-    any other entry, inf and nan included, raises ValueError."""
+    Python numbers of any size) and unsigned arrays are reduced before the
+    cast, so no entry overflows; a non-integral entry raises ValueError.
+    A float array may hold only integers of magnitude below 2**53, where
+    float64 is exact; any other entry, inf and nan included, raises
+    ValueError."""
     if M.dtype == object:
         return np.array([_as_int(e) % p for e in M.flat],
                         dtype=np.int64).reshape(M.shape)
+    if M.dtype.kind == 'u':
+        return (M % p).astype(np.int64)
     if M.dtype.kind == 'f' and not (np.all(np.abs(M) < 2 ** 53)
                                     and np.all(M == np.floor(M))):
         raise ValueError("integer matrix expected")

@@ -33,6 +33,8 @@ import csv
 import io
 import json
 import math
+import sys
+import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
@@ -407,8 +409,9 @@ def _block_rows(idents, rho: RhoCache, t: int) -> np.ndarray:
 
 #: most entries (rows x columns) per add_rows call when identity blocks
 #: are fed to an echelon state; a single block may exceed it.  Each
-#: ModularEchelon call converts the whole stored echelon to float64 twice,
-#: so a few large calls cost much less than one per identity.  The bound
+#: ModularEchelon call converts the whole stored echelon to its compute
+#: dtype (float32 at p = 101, float64 past p = 509) twice, so a few large
+#: calls cost much less than one per identity.  The bound
 #: keeps a batch near the size of a kernel_rank batch (300 x 792 at degree
 #: 7), so it adds no memory: one degree-7 F_101 partition (61) peaked at
 #: 62-63 MiB with it (252-row batches), 87 MiB with 1,032-row batches and
@@ -448,7 +451,8 @@ def lifted_rank(n: int, lam, liftings, field='Q',
     """
     if rho is None:
         rho = RhoCache(lam, field)
-    state = echelon_state(len(assoc_types(n, 1)) * rho.dim, field)
+    state = echelon_state(len(assoc_types(n, 1)) * rho.dim, field,
+                          reduced=False)
     grew = _feed_identities(state, n, rho, liftings)
     return state.rank, grew
 
@@ -466,7 +470,7 @@ def kernel_rank(n: int, lam, field='Q', chunk: int = 50, table=None,
         rho = RhoCache(lam, field)
     t = len(assoc_types(n, 1))
     d = rho.dim
-    state = echelon_state(t * d, field)
+    state = echelon_state(t * d, field, reduced=keep_state)
     for batch in xblock_transpose_rows(n, lam, field=field, chunk=chunk,
                                        table=table, rho=rho):
         state.add_rows(batch)
@@ -689,6 +693,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             continue
         if progress:
             progress(f"partition {format_partition(lam)} (d={d})")
+        start = time.perf_counter()
         rho = RhoCache(lam, field)
         lrank, grew = lifted_rank(n, lam, liftings, field, rho)
         grews.append(grew)
@@ -711,8 +716,26 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             lifted_cols=t * d, lifted_rank=lrank, all_rows=s * d,
             all_cols=t * d, all_rank=xrank, nullity=nullity, new=new,
             new_vectors=vectors))
+        if progress:
+            peak = _peak_rss_mib()
+            progress(f"partition {format_partition(lam)} (d={d}): done in "
+                     f"{time.perf_counter() - start:.2f} s, lifted rank "
+                     f"{lrank}, X^T rank {xrank}"
+                     + ("" if peak is None else f", peak RSS {peak:.0f} MiB"))
     report.retained = tuple(_grew_somewhere(grews))
     return report
+
+
+def _peak_rss_mib() -> float | None:
+    """Peak resident memory of this process so far in MiB, or None where
+    the resource module is missing (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in KiB on Linux and the BSDs
+    return peak / 2 ** (20 if sys.platform == 'darwin' else 10)
 
 
 def _dtypes(n: int):

@@ -14,12 +14,16 @@ import pytest
 
 from helpers import random_int_matrix, random_rational_matrix
 from prejordan.linalg import (ExactMatrix, ModularEchelon, RationalEchelon,
-                              _MOD_CHUNK, _mod_inplace, echelon_state,
+                              _MOD_CHUNK, _inner_bound, _mod_inplace,
+                              echelon_state,
                               express_in_rowspace, gram_det,
                               hermite_with_transform, int_det, int_rows,
                               lll_reduce, read_matrix, residues, write_matrix)
 
 P = 101
+#: both sides of ModularEchelon's dtype switch: 509 is the largest prime
+#: computed in float32, 521 the smallest in float64
+CROSS_PRIMES = [2, 3, 101, 509, 521, 32003]
 
 
 # ------------------------------------------------------------- oracles
@@ -148,12 +152,13 @@ class TestRationalEchelon:
 class TestModularEchelon:
     def test_rank_matches_naive_mod_p(self):
         rng = random.Random(31)
-        for _ in range(60):
-            m, n = rng.randrange(1, 10), rng.randrange(1, 10)
-            rows = random_int_matrix(rng, m, n, bound=50)
-            st = echelon_state(n, P)
-            st.add_rows(rows)
-            assert st.rank == naive_rank_mod(rows, P)
+        for p in CROSS_PRIMES:
+            for _ in range(60):
+                m, n = rng.randrange(1, 10), rng.randrange(1, 10)
+                rows = random_int_matrix(rng, m, n, bound=50)
+                st = echelon_state(n, p)
+                st.add_rows(rows)
+                assert st.rank == naive_rank_mod(rows, p)
 
     def test_non_c_ordered_rows(self):
         # a Fortran-ordered batch and a column slice, as a restriction to
@@ -173,53 +178,141 @@ class TestModularEchelon:
 
     def test_rcf_matches_rational_when_ranks_agree(self):
         rng = random.Random(32)
-        for _ in range(40):
-            m, n = rng.randrange(1, 8), rng.randrange(1, 8)
-            rows = random_int_matrix(rng, m, n)
-            exact = RationalEchelon(n)
-            exact.add_rows(rows)
-            if exact.rank != naive_rank_mod(rows, P):
-                continue  # unlucky prime, not what this test is about
-            st = echelon_state(n, P)
-            st.add_rows(rows)
-            got, pivs = st.rcf()
-            # compare after clearing denominators row by row
-            for grow, xrow in zip(got, exact.rcf_rows()):
-                den = _common_den(xrow)
-                inv = pow(den % P, -1, P)
-                assert list(grow) == [int(e * den) * inv % P for e in xrow]
-            assert list(pivs) == exact.sorted_pivcols()
+        for p in CROSS_PRIMES:
+            for _ in range(40):
+                m, n = rng.randrange(1, 8), rng.randrange(1, 8)
+                rows = random_int_matrix(rng, m, n)
+                exact = RationalEchelon(n)
+                exact.add_rows(rows)
+                dens = [_common_den(xrow) for xrow in exact.rcf_rows()]
+                if exact.rank != naive_rank_mod(rows, p) \
+                        or any(den % p == 0 for den in dens):
+                    continue  # unlucky prime, not what this test is about
+                st = echelon_state(n, p)
+                st.add_rows(rows)
+                got, pivs = st.rcf()
+                # compare after clearing denominators row by row
+                for grow, xrow, den in zip(got, exact.rcf_rows(), dens):
+                    inv = pow(den, -1, p)
+                    assert list(grow) == [int(e * den) * inv % p
+                                          for e in xrow]
+                assert list(pivs) == exact.sorted_pivcols()
 
     def test_chunked_equals_batch(self):
-        # one hundred random matrices fed whole and in ragged chunks; the
-        # rows reported as raising the rank do not depend on the chunking,
-        # nor on the state's own outer and mini blocks
+        # one hundred random matrices per prime fed whole and in ragged
+        # chunks; the rows reported as raising the rank do not depend on
+        # the chunking, nor on the state's own outer, mini and segment
+        # blocks
         rng = random.Random(33)
-        for _ in range(100):
-            m, n = rng.randrange(1, 12), rng.randrange(1, 10)
-            rows = random_int_matrix(rng, m, n, bound=200)
-            whole = echelon_state(n, P)
-            flags = whole.add_rows(rows)
-            chunked = echelon_state(n, P)
-            chunk_flags = []
-            i = 0
-            while i < m:
-                step = rng.randrange(1, m - i + 1)
-                chunk_flags += chunked.add_rows(rows[i:i + step])
-                i += step
-            single = echelon_state(n, P)
-            increments = []
-            for row in rows:
-                before = single.rank
-                single.add_rows([row])
-                increments.append(single.rank > before)
-            rw, pw = whole.rcf()
-            rc, pc = chunked.rcf()
-            assert whole.rank == chunked.rank
-            assert (rw == rc).all() and (pw == pc).all()
-            tiny = echelon_state(n, P, block_rows=3, mini_rows=2)
-            assert flags == chunk_flags == increments == tiny.add_rows(rows)
-            assert sum(flags) == whole.rank
+        for p in CROSS_PRIMES:
+            for _ in range(100):
+                m, n = rng.randrange(1, 12), rng.randrange(1, 10)
+                rows = random_int_matrix(rng, m, n, bound=200)
+                whole = echelon_state(n, p)
+                flags = whole.add_rows(rows)
+                chunked = echelon_state(n, p)
+                chunk_flags = []
+                i = 0
+                while i < m:
+                    step = rng.randrange(1, m - i + 1)
+                    chunk_flags += chunked.add_rows(rows[i:i + step])
+                    i += step
+                single = echelon_state(n, p)
+                increments = []
+                for row in rows:
+                    before = single.rank
+                    single.add_rows([row])
+                    increments.append(single.rank > before)
+                rw, pw = whole.rcf()
+                rc, pc = chunked.rcf()
+                assert whole.rank == chunked.rank
+                assert (rw == rc).all() and (pw == pc).all()
+                tiny = echelon_state(n, p, block_rows=3, mini_rows=2,
+                                     seg_rows=2)
+                assert tiny.compute_dtype == whole.compute_dtype
+                assert flags == chunk_flags == increments \
+                    == tiny.add_rows(rows)
+                rt, pt = tiny.rcf()
+                assert (rw == rt).all() and (pw == pt).all()
+                assert sum(flags) == whole.rank
+
+    def test_compute_dtype_follows_prime(self):
+        # the degree-7 X^T width at F_101 computes in float32; a prime
+        # whose inner bound cannot cover a mini block computes in float64
+        # and a silent fallback fails here, not only in the benchmark
+        st = ModularEchelon(132 * 6, P)
+        assert st.compute_dtype == np.float32
+        assert st.seg_rows == st.block_rows == _inner_bound(P, np.float32) \
+            == (2 ** 24 - P) // (P - 1) ** 2 == 1677
+        assert ModularEchelon(132 * 6, 509).compute_dtype == np.float32
+        for p in (521, 32003):
+            assert ModularEchelon(132 * 6, p).compute_dtype == np.float64
+
+    def test_float32_bound_edge(self):
+        # n = k + 1 stored rows e_i + c_i*e_n, k = 1,677 the float32 inner
+        # bound, with c_i = 100 except c_0 = c_1 = c_2 = 99.  A new row
+        # with c in its first n columns sums 3*99*99 + 1674*100*100 in the
+        # first forward segment: an odd sum just below 2**24 - p.  One more
+        # row in that segment would take the sum to 16,779,403, odd and
+        # past 2**24, which float32 rounds
+        k = (2 ** 24 - P) // (P - 1) ** 2
+        n = k + 1
+        st = ModularEchelon(n + 2, P)
+        c = np.full(n, 100)
+        c[:3] = 99
+        R = np.zeros((n, n + 2), dtype=np.int64)
+        R[np.arange(n), np.arange(n)] = 1
+        R[:, n] = c
+        assert st.add_rows(R) == [True] * n
+        total = int(c @ c)
+        assert total == 3 * 99 * 99 + (n - 3) * 100 * 100 > 2 ** 24
+        assert 3 * 99 * 99 + (k - 3) * 100 * 100 <= 2 ** 24 - P
+        rows = np.zeros((2, n + 2), dtype=np.int64)
+        rows[:, :n] = c
+        rows[0, n] = total % P  # dependent: reduces to zero
+        rows[1, n + 1] = 1      # reduces to (-total, 1) in the last columns
+        assert st.add_rows(rows) == [False, True]
+        # the new pivot row is e_n + e_{n+1} / (-total), and clearing
+        # column n from the stored rows puts -c_i times that entry in
+        # column n + 1
+        inv = pow(-total, -1, P)
+        want = np.zeros((n + 1, n + 2), dtype=np.int64)
+        want[np.arange(n + 1), np.arange(n + 1)] = 1
+        want[:n, n + 1] = -c * inv % P
+        want[n, n + 1] = inv
+        got, piv = st.rcf()
+        assert piv.tolist() == list(range(n + 1))
+        assert (got == want).all()
+
+    def test_wide_int64_rows_match_object_rows(self):
+        # int64 and uint64 entries past +-(2**m - p) go through residues,
+        # those within are converted straight to the compute dtype; both
+        # give the flags and RCF of the same rows as exact Python ints
+        rng = random.Random(37)
+        for p in CROSS_PRIMES:
+            top = 2 ** (24 if p <= 509 else 53) - p
+            edges = [top, -top, top + 1, -top - 1, 2 ** 24, -2 ** 24,
+                     2 ** 62, -2 ** 62, 2 ** 63 - 1, -2 ** 63]
+            for _ in range(20):
+                m, n = rng.randrange(1, 8), rng.randrange(1, 8)
+                rows = [[rng.choice(edges + [rng.randrange(-2 ** 62, 2 ** 62),
+                                             rng.randrange(-50, 50)])
+                         for _ in range(n)] for _ in range(m)]
+                wide = echelon_state(n, p)
+                exact = echelon_state(n, p)
+                assert wide.add_rows(np.array(rows, dtype=np.int64)) \
+                    == exact.add_rows(np.array(rows, dtype=object))
+                (rw, pw), (rx, px) = wide.rcf(), exact.rcf()
+                assert (rw == rx).all() and (pw == px).all()
+                assert wide.rank == naive_rank_mod(rows, p)
+            # uint64 entries past 2**63 must not wrap to negative int64
+            rows = [[2 ** 64 - 1, 2 ** 63, top + 1, 1], [top, 0, 2 ** 63, 5]]
+            wide = echelon_state(4, p)
+            exact = echelon_state(4, p)
+            assert wide.add_rows(np.array(rows, dtype=np.uint64)) \
+                == exact.add_rows(np.array(rows, dtype=object))
+            (rw, pw), (rx, px) = wide.rcf(), exact.rcf()
+            assert (rw == rx).all() and (pw == px).all()
 
     def test_rows_beyond_int64_reduce_exactly(self):
         # object rows are reduced mod p before any cast to int64, so a
@@ -299,40 +392,44 @@ def _common_den(row):
 
 class TestModularReduction:
     """_mod_inplace against Python's % on the range ModularEchelon
-    guarantees, |x| <= 2**53 - p, the width guard that gives it, and
-    residues on float input."""
+    guarantees, |x| <= 2**m - p with m = 24 (float32) or 53 (float64), the
+    width guard, and residues on float input."""
 
     PRIMES = [2, 101, 32003, 1000003]
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_matches_python_mod(self, p):
-        top = 2 ** 53 - p
-        k = top // p
-        edge = [top, -top, -1, 0, 1, p - 1, p, -p,
-                k * p, k * p - 1, k * p + 1, -k * p, -k * p - 1, -k * p + 1,
-                (k - 1) * p + 1, -(k - 1) * p - 1]
-        rng = random.Random(p)
-        # spread over every scale of the range, and past one scratch chunk
-        rand = [rng.choice((-1, 1)) * rng.randrange(2 ** rng.randrange(1, 54))
-                for _ in range(3 * _MOD_CHUNK + 7)]
-        values = [x for x in edge + rand if abs(x) <= top]
-        A = np.array(values, dtype=np.float64)
-        assert [int(a) for a in A] == values  # every value held exactly
-        _mod_inplace(A, p)
-        assert [int(a) for a in A] == [x % p for x in values]
-        M = np.array(edge, dtype=np.float64).reshape(2, -1)
-        _mod_inplace(M, p)
-        assert M.ravel().tolist() == [x % p for x in edge]
+        for dtype, m in ((np.float32, 24), (np.float64, 53)):
+            top = 2 ** m - p
+            k = top // p
+            edge = [top, -top, -1, 0, 1, p - 1, p, -p,
+                    k * p, k * p - 1, k * p + 1, -k * p, -k * p - 1,
+                    -k * p + 1, (k - 1) * p + 1, -(k - 1) * p - 1]
+            rng = random.Random(p)
+            # spread over every scale of the range, past one scratch chunk
+            rand = [rng.choice((-1, 1))
+                    * rng.randrange(2 ** rng.randrange(1, m + 1))
+                    for _ in range(3 * _MOD_CHUNK + 7)]
+            values = [x for x in edge + rand if abs(x) <= top]
+            A = np.array(values, dtype=dtype)
+            assert [int(a) for a in A] == values  # every value held exactly
+            _mod_inplace(A, p)
+            assert [int(a) for a in A] == [x % p for x in values]
+            M = np.array(edge, dtype=dtype).reshape(2, -1)
+            _mod_inplace(M, p)
+            assert M.ravel().tolist() == [x % p for x in edge]
 
     def test_rejects_what_it_cannot_reduce_in_place(self):
-        A = np.arange(12, dtype=np.float64).reshape(3, 4)
-        with pytest.raises(TypeError):
-            _mod_inplace(A[:, ::2], P)
-        with pytest.raises(TypeError):
-            _mod_inplace(A.T, P)
-        with pytest.raises(TypeError):
-            _mod_inplace(np.arange(12), P)
-        assert A.ravel().tolist() == list(range(12))
+        for dtype in (np.float32, np.float64):
+            A = np.arange(12, dtype=dtype).reshape(3, 4)
+            with pytest.raises(TypeError):
+                _mod_inplace(A[:, ::2], P)
+            with pytest.raises(TypeError):
+                _mod_inplace(A.T, P)
+            assert A.ravel().tolist() == list(range(12))
+        for dtype in (np.int64, np.int32, np.float16):
+            with pytest.raises(TypeError):
+                _mod_inplace(np.arange(12, dtype=dtype), P)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_width_guard(self, p):

@@ -9,6 +9,7 @@ comparison and the serialization formats.
 import dataclasses
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 from helpers import lift_reference
-from prejordan import expansion, monomials
+from prejordan import expansion, monomials, pipeline
+from prejordan.cli import main
 from prejordan.errors import InvariantViolation
 from prejordan.expansion import (pj_normal_form, poly_normal_form,
                                  xblock_matrix)
@@ -319,6 +321,38 @@ class TestDegree5:
                               r.nullity, r.new) for r in rep.rows]
         assert strip(reports["Q"]) == strip(reports["F"])
 
+    def test_rank_only_states_match_reduced(self, monkeypatch):
+        # lifted_rank and kernel_rank keep rank-only Q states, which hold
+        # no RCF; a row raises the rank independently of the basis kept,
+        # so flags and ranks are those of the reduced state
+        built = []
+
+        def recording(ncols, field, reduced=True, **opts):
+            built.append(reduced)
+            return echelon_state(ncols, field, reduced, **opts)
+
+        monkeypatch.setattr(pipeline, "echelon_state", recording)
+        liftings = liftings_to_degree(5)
+        t = len(assoc_types(5, 1))
+        for lam in partitions(5):
+            rho = RhoCache(lam, 'Q')
+            state = echelon_state(t * rho.dim, 'Q')
+            grew = []
+            for ident in liftings:
+                before = state.rank
+                state.add_rows(identity_block(ident, lam, rho, t))
+                grew.append(state.rank > before)
+            assert lifted_rank(5, lam, liftings, 'Q', rho) \
+                == (state.rank, grew)
+            reduced = echelon_state(t * rho.dim, 'Q')
+            fast = echelon_state(t * rho.dim, 'Q', reduced=False)
+            for batch in expansion.xblock_transpose_rows(5, lam, 'Q',
+                                                         rho=rho):
+                assert fast.add_rows(batch) == reduced.add_rows(batch)
+            assert kernel_rank(5, lam, 'Q', rho=rho) \
+                == (reduced.rank, t * rho.dim - reduced.rank)
+        assert built == [False, False] * len(partitions(5))
+
 
 class TestBlockFeed:
     @pytest.mark.parametrize("n, field", [(5, 'Q'), (6, 101)])
@@ -551,6 +585,37 @@ def test_rank_mod_p_never_exceeds_rank_over_q():
     new = {field: (4 - xrank) - lrank for field, (xrank, lrank)
            in ranks.items()}
     assert new == {'Q': 0, 101: 2}
+
+
+def test_report_progress_lines(capsys):
+    # --progress adds one line per finished partition on stderr, with its
+    # time, both ranks and the peak RSS, and leaves stdout as it was
+    assert main(["report", "--degree", "5"]) == 0
+    plain = capsys.readouterr()
+    assert main(["report", "--degree", "5", "--progress"]) == 0
+    got = capsys.readouterr()
+    assert got.out == plain.out and not plain.err
+    done = [line for line in got.err.splitlines() if "done in" in line]
+    assert len(done) == len(partitions(5))
+    assert re.fullmatch(r"partition 41 \(d=4\): done in \d+\.\d\d s, "
+                        r"lifted rank 21, X\^T rank 35, peak RSS \d+ MiB",
+                        done[1])
+
+
+def test_peak_rss_units_and_missing_resource(monkeypatch):
+    # ru_maxrss is KiB on Linux and bytes on macOS; without the resource
+    # module (Windows) the figure is left out rather than failing import
+    import resource
+
+    class Usage:
+        ru_maxrss = 3 * 2 ** 20
+    monkeypatch.setattr(resource, "getrusage", lambda who: Usage)
+    monkeypatch.setattr(sys, "platform", "linux")
+    assert pipeline._peak_rss_mib() == 3 * 2 ** 10
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert pipeline._peak_rss_mib() == 3
+    monkeypatch.setitem(sys.modules, "resource", None)
+    assert pipeline._peak_rss_mib() is None
 
 
 @pytest.fixture(scope="module")
