@@ -122,12 +122,12 @@ def _resolve_field(args, degree):
 
 def cmd_kernel(args) -> int:
     from .monomials import assoc_types
-    from .pipeline import _dtypes, kernel_rank
+    from .pipeline import _dtypes, checked_field, kernel_rank
     from .symrep import (dimension, format_partition, parse_partition,
                          partitions)
 
     n = args.degree
-    field = _resolve_field(args, n)
+    field = checked_field(_resolve_field(args, n), args.chunk)
     lams = [parse_partition(args.partition)] if args.partition \
         else list(partitions(n))
     t = len(assoc_types(n, 1))

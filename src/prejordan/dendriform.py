@@ -33,8 +33,10 @@ products of smaller normal words, with N the normal form:
                              - sum over terms s of N(u1 < u2) of (x > s) > v
 
 The expansion gate and tables get every normal form they need from this
-recursion on normal shapes (``expansion._product``), which rewrites no
-word; ``dnormalize`` stays the definition that the tests compare it with.
+recursion, run on the indices of normal word types (``normal_parts``)
+one level deg u + deg v at a time (``expansion._products``); it rewrites
+no word, and ``dnormalize`` stays the definition the tests compare it
+with.
 
 A DPolynomial is a plain dict mapping words to nonzero Fraction
 coefficients; the empty dict is zero.
@@ -201,33 +203,45 @@ def rewrite_random_strategy(poly: DPoly, rng) -> DPoly:
             poly_add(work, replace_at(w, path, produced), sign * coeff)
 
 
-def _ndshapes(n: int) -> list:
-    # skeletons with 0 placeholder leaves, in the canonical order
+@cache
+def normal_parts(n: int) -> tuple:
+    """How each normal word type of degree n is built, in canonical order.
+
+    Type k is ('x', 0, 0, 0), the leaf, for n = 1; (op, n-1, w, 0) for
+    x op w; and ('>>', d, u1, u2) for (x > u1) > u2 with deg u1 = d.  The
+    children w, u1, u2 are indices into the types of their degree.  The
+    order is x < v, x > v as v runs over the types of degree n-1, then
+    (x > u1) > u2 with d increasing and u1, u2 each in canonical order,
+    so a type's index is arithmetic in its children's.
+    """
     if n == 1:
-        return [0]
-    out = []
-    for v in _ndshapes(n - 1):
-        out.append(('<', 0, v))
-        out.append(('>', 0, v))
-    for a in range(1, n - 1):
-        for u1 in _ndshapes(a):
-            for u2 in _ndshapes(n - 1 - a):
-                out.append(('>', ('>', 0, u1), u2))
-    return out
+        return (('x', 0, 0, 0),)
+    out = [(op, n - 1, w, 0) for w in range(len(normal_parts(n - 1)))
+           for op in '<>']
+    out += [('>>', d, u1, u2) for d in range(1, n - 1)
+            for u1 in range(len(normal_parts(d)))
+            for u2 in range(len(normal_parts(n - 1 - d)))]
+    return tuple(out)
+
+
+@cache
+def normal_skeletons(n: int) -> tuple[Word, ...]:
+    """The normal word types of degree n in canonical order, 0 on every
+    leaf."""
+    low = normal_skeletons
+    return tuple(0 if kind == 'x' else
+                 ('>', ('>', 0, low(d)[u1]), low(n - 1 - d)[u2])
+                 if kind == '>>' else (kind, 0, low(d)[u1])
+                 for kind, d, u1, u2 in normal_parts(n))
 
 
 @cache
 def normal_dtypes(n: int) -> tuple[Word, ...]:
-    """Normal word types of degree n in canonical order, leaves 1..n.
-
-    The order is the recursion above: first x < v then x > v as v runs over
-    the types of degree n-1, then (x > u1) > u2 with deg(u1) increasing and
-    u1, u2 each running in canonical order.
-    """
+    """Normal word types of degree n in canonical order (normal_parts),
+    leaves 1..n."""
     if not 1 <= n <= MAX_BASIS_DEGREE:
         raise ValueError(f"degree {n} out of supported range 1..{MAX_BASIS_DEGREE}")
-    return tuple(with_leaves(s, range(1, n + 1)) if not isinstance(s, int) else 1
-                 for s in _ndshapes(n))
+    return tuple(with_leaves(s, range(1, n + 1)) for s in normal_skeletons(n))
 
 
 @cache

@@ -7,16 +7,19 @@ basis.  A monomial is an identity component iff the image of the whole
 combination vanishes.  pj_expand and pj_normal_form compute images that
 way; they are kept as the reference the tests compare against.
 
-The program builds images by composition instead.  The normal form
-respects products, so the image of an association type t = A*B is
+The program builds images by composition instead, and rewrites no word.
+A normal shape of degree m is numbered by its index in
+dendriform.normal_dtypes(m), whose order (dendriform.normal_parts) is
+x < v, x > v, then (x > u1) > u2, so each constructor is index arithmetic
+on its children's indices.  The normal form respects products, so the
+image of an association type t = A*B is
 
     img(t) = img(A) > img(B) + img(B) < img(A),
 
 and each term pair (u, v) of the two images contributes c_u c_v times
-N(u op v), the normal form of one product of two normal shapes.  No word
-is rewritten for it.  A normal shape is x, x < w, x > w or (x > u1) > w
-with x a leaf and u1, w normal, and the rewrite rules of dendriform turn
-a product of two normal words into products of smaller ones:
+N(u op v), the normal form of one product of two normal shapes.  The
+rewrite rules of dendriform turn such a product into products of smaller
+ones:
 
     x op v                   normal
     (x < u1) < v           = x < N(u1 < v) + x < N(u1 > v)
@@ -27,23 +30,28 @@ a product of two normal words into products of smaller ones:
     ((x > u1) > u2) > v    = (x > u1) > N(u2 > v)
                              - sum over terms s of N(u1 < u2) of (x > s) > v
 
-so N is a recursion on shape ids, each term taking its sub-product's
-leaf order shifted past the leaves in front of it.  Shapes are registered
-by their constructor (kind, child ids); the products are memoized on
-(op, u, v), so each is computed once per process, and every type image is
-composed from the cached images of its two factors, down to the leaves.
+so the products of level m (deg u + deg v = m) are built together, level
+by level: each is a signed copy of one or two products of lower levels,
+their shapes sent through a constructor and their leaf orders shifted
+past the leaves in front, or a single normal word.  N(u < v) and
+N(u > v) never share a shape, by induction on u: their shapes differ in
+kind, or, for u = (x > u1) > u2, come from N(u2 < v) and N(u2 > v) or
+have a left child (x > s) of another degree.  So no two copied terms
+meet, and every product coefficient is +1 or -1.
 
 Expansion and the rewrite rules never look at leaf labels, so the image
 of a monomial is the image of its type with the labels moved: if the
 type-i image has a term (normal shape j, leaf order pi, c), the monomial
-(i, sigma) has the term (j, sigma o pi, c).  Images are kept as compact
-integer arrays and composed with the same relabel-and-sum step that
-gives the normal form of a combination; int64 is used only under a bound
-on every partial sum (the weights w(A) w(B) w(N) for a composition,
-which raises OverflowError past 2**63), so the expansion gate stays exact
-integer arithmetic.  In the group algebra picture the table cell (i, j)
-is an element of Z[S_n] and a tuple of one element of QS_n per type is
-an identity iff sum_i g_i * cell(i, j) = 0 for every j.
+(i, sigma) has the term (j, sigma o pi, c).  The images of all requested
+types of one degree are composed in batches by one relabel-and-sum step,
+the same that gives the normal form of a combination; it reads the
+product terms it needs by offsets.  int64 is used only under a bound on
+every partial sum (w(A) w(B) 2 max w(N) on the weights, sums of |c|,
+for a composition, which raises OverflowError past 2**63), so the
+expansion gate stays exact integer arithmetic.  In the group algebra
+picture the table cell (i, j) is an element of Z[S_n] and a tuple of
+one element of QS_n per type is an identity iff
+sum_i g_i * cell(i, j) = 0 for every j.
 
 The expansion table is those images split by normal D-type, held as
 arrays sorted by D-type, so each batch of X^T rows is one slice of it.
@@ -56,11 +64,13 @@ import json
 import os
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .dendriform import dnormalize, normal_dtype_index, normal_dtypes
+from .dendriform import (dnormalize, normal_dtypes, normal_parts,
+                         normal_skeletons)
 from .errors import ResourceLimit
 from .linalg import ExactMatrix
 from .monomials import (Word, all_perms, assoc_type_index, assoc_types,
@@ -75,6 +85,12 @@ TABLE_VERSION = 1
 # per-partition route is the only sane one and building the full matrix
 # requires an explicit override.
 MAX_DENSE_DEGREE = 5
+
+#: products (two per term pair) read by one batch of a composition, about
+#: twice as many product terms at degrees 7 and 8; a batch holds whole
+#: types, so one large type may pass it.  Bounds its working arrays to a
+#: few MiB
+COMPOSE_PAIRS = 2 ** 11
 
 
 def pj_expand(word: Word):
@@ -102,162 +118,170 @@ def pj_normal_form(word: Word):
     return dnormalize(pj_expand(word))
 
 
-class TypeImage(NamedTuple):
-    """A normal form over normal words with leaves 1..n, as arrays: the
-    image of an association type, or the product of two normal shapes.
+class Images(NamedTuple):
+    """Normal forms on leaves 0..m-1 (images of types, or products of two
+    normal shapes), one item each, in one array of terms.
 
-    Term k is the normal shape with id shapes[k] carrying leaf labels
-    perms[k] + 1 in reading order, times coeffs[k].
+    Item k is the terms start[k]:start[k]+count[k]; term r is the normal
+    shape with index shapes[r] in normal_dtypes(m) carrying leaf labels
+    perms[r] + 1 in reading order, times coeffs[r].
     """
 
-    shapes: np.ndarray   # int32 ids into _normal_shapes
-    perms: np.ndarray    # int8, terms x n, 0-based leaf labels
+    shapes: np.ndarray   # intp
+    perms: np.ndarray    # int8, terms x m, 0-based leaf labels
     coeffs: np.ndarray   # int64
-    weight: int          # sum of |coeffs|
+    start: np.ndarray    # intp per item
+    count: np.ndarray    # intp per item
+    weight: np.ndarray   # int64 per item, sum of |coeffs|; 0 if not built
 
 
-# Normal shapes (leaves 1..n) met in any image, numbered on first sight and
-# shared by all degrees, so the registry needs no degree limit.  Shape k is
-# built by _shape_parts[k] = (kind, child ids, degree): kind 'x' is the leaf,
-# '<' and '>' are x < w and x > w for one child w, and '>>' is (x > u1) > w
-# for children (u1, w).  Its word _normal_shapes[k] is built once, at
-# registration, for printing results and finding D-types.
-_normal_shapes: list[Word] = []
-_shape_parts: list[tuple] = []
-_shape_ids: dict[tuple, int] = {}
-
-
-def _shape(kind: str, *kids: int) -> int:
-    """Id of the normal shape built by kind from the shapes kids."""
-    sid = _shape_ids.get((kind, *kids))
-    if sid is None:
-        sid = _shape_ids[(kind, *kids)] = len(_normal_shapes)
-        words, n = [], 1
-        for k in kids:
-            d = _shape_parts[k][2]
-            words.append(with_leaves(_normal_shapes[k], range(n + 1, n + d + 1)))
-            n += d
-        _normal_shapes.append(1 if kind == 'x' else
-                              ('>', ('>', 1, words[0]), words[1])
-                              if kind == '>>' else (kind, 1, words[0]))
-        _shape_parts.append((kind, kids, n))
-    return sid
-
-
-def _image(terms) -> TypeImage:
-    """The image of a list of (shape id, labels, coeff) terms on leaves
-    1..n, equal terms summed exactly; the int64 conversion raises
-    OverflowError rather than wrap a coefficient past 2**63."""
-    sums: dict = {}
-    for s, labels, c in terms:
-        key = (s, tuple(labels))
-        sums[key] = sums.get(key, 0) + c
-    sums = {key: c for key, c in sums.items() if c}
-    return TypeImage(np.array([s for s, _ in sums], dtype=np.int32),
-                     np.array([labels for _, labels in sums], dtype=np.int8),
-                     np.array(list(sums.values()), dtype=np.int64),
-                     sum(abs(c) for c in sums.values()))
-
-
-def _moved(img: TypeImage, make, head: int, tail=(), sign: int = 1):
-    """The terms of img as (make(s), labels, sign c): the labels of s
-    moved up by head, after 0..head-1 and before tail."""
-    front, tail = list(range(head)), list(tail)
-    return [(make(s), front + [k + head for k in labels] + tail, sign * c)
-            for s, labels, c in zip(img.shapes.tolist(), img.perms.tolist(),
-                                    img.coeffs.tolist())]
+def _count(m: int) -> int:
+    """Number of normal shapes of degree m."""
+    return len(normal_parts(m))
 
 
 @cache
-def _product(op: str, u: int, v: int) -> TypeImage:
-    """N(u op v) for normal shapes u on leaves 1..a and v on a+1..n, by
-    the recursion on shape ids of the module docstring: each term keeps
-    the leaf order of its sub-product, shifted past the leaves in front
-    of it."""
-    kind, kids, a = _shape_parts[u]
-    n = a + _shape_parts[v][2]
-    if kind == 'x':
-        return _image([(_shape(op, v), range(n), 1)])
-    if kind == '>>':
-        u1, u2 = kids
-        terms = _moved(_product(op, u2, v), lambda s: _shape('>>', u1, s),
-                       _shape_parts[u1][2] + 1)
-        if op == '>':
-            terms += _moved(_product('<', u1, u2),
-                            lambda s: _shape('>>', s, v), 1, range(a, n), -1)
-        return _image(terms)
-    (u1,) = kids
-    if op == '>':
-        terms = [(_shape('>>', u1, v), range(n), 1 if kind == '>' else -1)]
-        if kind == '<':
-            terms += _moved(_product('>', u1, v), lambda s: _shape('>', s), 1)
-        return _image(terms)
-    terms = _moved(_product('<', u1, v), lambda s: _shape(kind, s), 1)
-    if kind == '<':
-        terms += _moved(_product('>', u1, v), lambda s: _shape('<', s), 1)
-    return _image(terms)
+def _pairs(m: int) -> list[int]:
+    """Where the pairs (u, v) of normal shapes with deg u + deg v = m
+    start, by deg u = 1..m-1, and their number at index m: pair (u, v)
+    has index _pairs(m)[deg u] + u * _count(deg v) + v."""
+    return [0, *accumulate([0] + [_count(d) * _count(m - d)
+                                  for d in range(1, m)])]
+
+
+def _product_id(m: int, op: int, d: int, u: int, v: int = 0) -> int:
+    """Index among the products of level m of N(u < v), op = 0, or
+    N(u > v), op = 1, for deg u = d."""
+    return op * _pairs(m)[m] + _pairs(m)[d] + u * _count(m - d) + v
+
+
+def _nested(m: int, d: int, u1: int, u2: int = 0) -> int:
+    """Index of (x > u1) > u2 of degree m, deg u1 = d."""
+    return 2 * _count(m - 1) + _pairs(m - 1)[d] + u1 * _count(m - 1 - d) + u2
+
+
+def _ragged(count: np.ndarray, start=0):
+    """For items of count[k] entries each: every entry's item, and its
+    position within the item plus start[k]."""
+    item = np.repeat(np.arange(len(count)), count)
+    return item, np.arange(len(item)) + np.repeat(
+        start - (np.cumsum(count) - count), count)
+
+
+def _gather(src: Images, items: np.ndarray):
+    """The term rows of the given items of src, and which item each is."""
+    k, rows = _ragged(src.count[items], src.start[items])
+    return rows, k
 
 
 @cache
-def type_image(t: Word) -> TypeImage:
-    """Normal form of the association type t with leaves 1..n, which
-    must be in reading order (ValueError otherwise).
+def _products(m: int) -> Images:
+    """The products of level m, N(u op v) as item _product_id(m, op,
+    deg u, u, v), built from the levels below by the cases of the module
+    docstring.
 
-    The image of a leaf is the leaf; the image of t = A*B is composed from
-    the cached images of shape(A) and shape(B) (see _compose) and the
-    memoized products of two normal shapes (_product); no word is
-    rewritten.
+    Each product is one or two parts (product, level, lower product, head,
+    alpha, beta, sign): a signed copy of a lower product whose terms'
+    shapes s become alpha * s + beta and whose leaf orders come after head
+    leaves, or a single normal word with shape beta, a copy of level 0
+    (one term on no leaves).  Every coefficient is +1 or -1.
     """
-    if t not in assoc_type_index(degree(t), 1):
-        raise ValueError(f"expected an association type with leaves 1..n "
-                         f"in reading order, found {t!r}")
-    if t == 1:
-        return _image([(_shape('x'), [0], 1)])
-    _, left, right = t
-    return _compose(type_image(left), type_image(shape(right)))
+    if m == 0:
+        one = np.ones(1, dtype=np.intp)
+        return Images(0 * one, np.zeros((1, 0), np.int8), one, 0 * one, one,
+                      one)
+    parts = []
+    for a in range(1, m):
+        for u, (kind, d, u1, u2) in enumerate(normal_parts(a)):
+            for v in range(_count(m - a)):
+                lo, hi = (_product_id(m, op, a, u, v) for op in (0, 1))
+                if kind == 'x':  # x < v and x > v
+                    parts += [(lo, 0, 0, 0, 0, 2 * v, 1),
+                              (hi, 0, 0, 0, 0, 2 * v + 1, 1)]
+                elif kind == '>>':
+                    sub, nest = m - 1 - d, _nested(m, d, u1)
+                    parts += [
+                        (lo, sub, _product_id(sub, 0, a - 1 - d, u2, v),
+                         d + 1, 1, nest, 1),
+                        (hi, sub, _product_id(sub, 1, a - 1 - d, u2, v),
+                         d + 1, 1, nest, 1),
+                        (hi, a - 1, _product_id(a - 1, 0, d, u1, u2), 1,
+                         _count(m - a), _nested(m, a - 1, 0, v), -1)]
+                else:  # x op u1 with '<'(s) = 2s and '>'(s) = 2s + 1
+                    gt = _product_id(m - 1, 1, d, u1, v)
+                    parts += [(lo, m - 1, _product_id(m - 1, 0, d, u1, v), 1,
+                               2, kind == '>', 1),
+                              (hi, 0, 0, 0, 0, _nested(m, d, u1, v),
+                               1 if kind == '>' else -1)]
+                    if kind == '<':
+                        parts += [(lo, m - 1, gt, 1, 2, 0, 1),
+                                  (hi, m - 1, gt, 1, 2, 1, 1)]
+    own, level, item, head, alpha, beta, sign = np.array(parts, np.intp).T
+    blocks = []
+    for sub in sorted(set(level.tolist())):
+        src, at = _products(sub), np.flatnonzero(level == sub)
+        rows, j = _gather(src, item[at])
+        j = at[j]
+        perms = np.tile(np.arange(m, dtype=np.int8), (len(rows), 1))
+        perms[np.arange(len(rows))[:, None], head[j, None] + np.arange(sub)] \
+            = np.take(src.perms, rows, axis=0) + head[j, None].astype(np.int8)
+        blocks.append((own[j], alpha[j] * src.shapes[rows] + beta[j], perms,
+                       sign[j] * src.coeffs[rows]))
+    own, shapes, perms, coeffs = (np.concatenate(x) for x in zip(*blocks))
+    order = np.argsort(own, kind='stable')
+    count = np.bincount(own, minlength=2 * _pairs(m)[m])
+    return Images(shapes[order], perms[order], coeffs[order],
+                  np.cumsum(count) - count, count, count)
 
 
-def _compose(left: TypeImage, right: TypeImage) -> TypeImage:
-    """img(A*B) = img(A) > img(B) + img(B) < img(A) from img(A), img(B).
+def _compose(n: int, a: int, left: Images, li, right: Images, ri):
+    """img(A*B) = img(A) > img(B) + img(B) < img(A) for each k, with
+    img(A) item li[k] of left (degree a) and img(B) item ri[k] of right,
+    as a list of _relabel_sum results with k in front, one per batch.
 
-    With a = deg A, each term pair (u, v) contributes c_u c_v N(u > v)
-    with labels concat(pi_u, pi_v + a)[pi_N] and c_u c_v N(v < u) with
-    labels concat(pi_v + a, pi_u)[pi_N].  The products run in int64, so
-    w(A) * w(B) * (largest w(N) of each operation, summed), which bounds
+    Each term pair (u, v) contributes c_u c_v N(u > v) with labels
+    concat(pi_u, pi_v + a)[pi_N] and c_u c_v N(v < u) with labels
+    concat(pi_v + a, pi_u)[pi_N].  The products run in int64, so
+    w(A) * w(B) * 2 * (largest product weight of level n), which bounds
     every product and partial sum, must stay below 2**63; past it this
-    raises OverflowError instead of wrapping.
+    raises OverflowError instead of wrapping.  The pairs are summed in
+    batches of whole types, a new one after COMPOSE_PAIRS products.
     """
-    a = left.perms.shape[1]
-    ushapes, ugroup = np.unique(left.shapes, return_inverse=True)
-    vshapes, vgroup = np.unique(right.shapes, return_inverse=True)
-    pairs = [(u, v) for u in ushapes.tolist() for v in vshapes.tolist()]
-    over = [_product('>', u, v) for u, v in pairs]
-    under = [_product('<', v, u) for u, v in pairs]
-    bound = left.weight * right.weight * (max(p.weight for p in over)
-                                          + max(p.weight for p in under))
-    if bound >= 2 ** 63:
+    prods = _products(n)
+    most = 2 * int(prods.weight.max())
+    if any(x * y * most >= 2 ** 63 for x, y in zip(left.weight[li].tolist(),
+                                                  right.weight[ri].tolist())):
         raise OverflowError("composed image coefficients may exceed int64")
-    i = np.repeat(np.arange(len(left.coeffs)), len(right.coeffs))
-    j = np.tile(np.arange(len(right.coeffs)), len(left.coeffs))
-    group = (ugroup[i] * len(vshapes) + vgroup[j]).tolist()
-    pu, pv = left.perms[i], right.perms[j] + a
-    c = left.coeffs[i] * right.coeffs[j]
-    shapes, perms, coeffs = _relabel_sum(
-        [over[g] for g in group] + [under[g] for g in group],
-        np.concatenate([np.concatenate([pu, pv], axis=1),
-                        np.concatenate([pv, pu], axis=1)]),
-        np.concatenate([c, c]), a + right.perms.shape[1])
-    return TypeImage(shapes, perms, coeffs, int(np.abs(coeffs).sum()))
+    cr = right.count[ri]
+    pairs = 2 * left.count[li] * cr
+    batch = (np.cumsum(pairs) - pairs) // COMPOSE_PAIRS
+    out = []
+    for t in np.split(np.arange(len(li)), np.flatnonzero(np.diff(batch)) + 1):
+        # each term pair twice: N(u > v) at even entries, N(v < u) at odd
+        k, pos = _ragged(pairs[t])
+        k, under, pos = t[k], pos % 2 == 1, pos // 2
+        i = left.start[li][k] + pos // cr[k]
+        j = right.start[ri][k] + pos % cr[k]
+        u, v = left.shapes[i], right.shapes[j]
+        pu = np.take(left.perms, i, axis=0)
+        pv = np.take(right.perms, j, axis=0) + np.int8(a)
+        which, *terms = _relabel_sum(
+            prods, np.where(under, _product_id(n, 0, n - a, v, u),
+                            _product_id(n, 1, a, u, v)),
+            np.where(under[:, None], np.concatenate([pv, pu], axis=1),
+                     np.concatenate([pu, pv], axis=1)),
+            left.coeffs[i] * right.coeffs[j], n, k, len(li))
+        out.append((k[which], *terms))
+    return out
 
 
-def _row_keys(shapes: np.ndarray, columns: list, radix: int):
-    """One int64 per row of (shape id, label codes < radix), given the
-    label columns in reading order; keys are equal exactly when the rows
-    are.  They are formed in place, one column at a time; only when they
-    could pass 2**63 are they renumbered densely before a column that
-    would overflow them."""
-    key = shapes.astype(np.int64)
-    bound = len(_normal_shapes)
+def _row_keys(head: np.ndarray, bound: int, columns: list, radix: int):
+    """One int64 per row of (head < bound, label codes < radix), given
+    the label columns in reading order; keys are equal exactly when the
+    rows are, and ordered as the rows.  They are formed in place, one
+    column at a time; only when they could pass 2**63 are they renumbered
+    densely before a column that would overflow them."""
+    key = head.astype(np.int64)
     renumber = bound * radix ** len(columns) >= 2 ** 63
     for col in columns:
         if renumber and bound * radix >= 2 ** 63:
@@ -270,40 +294,97 @@ def _row_keys(shapes: np.ndarray, columns: list, radix: int):
     return key
 
 
-def _relabel_sum(images: list[TypeImage], codes: np.ndarray,
-                 coeffs: np.ndarray, radix: int):
-    """The sum over k of coeffs[k] times images[k] relabeled by codes[k],
-    as (shapes, labels, coeffs) arrays of its nonzero terms.
+def _relabel_sum(src: Images, items: np.ndarray, codes: np.ndarray,
+                 coeffs: np.ndarray, radix: int, owner=None, owners: int = 1):
+    """The sum over k of coeffs[k] times item items[k] of src relabeled by
+    codes[k] (< radix), kept apart by owner[k] (< owners) when given.
 
-    Term (s, pi, c) of images[k] becomes (s, codes[k][pi], coeffs[k] * c);
-    terms with equal (shape, labels) are summed.  Coefficients keep the
-    dtype of coeffs (int64 or object), so int64 callers bound the sums.
+    Term (s, pi, c) of the item becomes (s, codes[k][pi], coeffs[k] * c);
+    terms with equal (owner, shape, labels) are summed.  Returns the
+    nonzero terms sorted by (owner, shape, labels) as (k of a term that
+    made it, shapes, labels, coeffs) arrays.  Coefficients keep the dtype
+    of coeffs (int64 or object), so int64 callers bound the sums.
     """
-    counts = [len(img.coeffs) for img in images]
+    rows, k = _gather(src, items)
     # codes[k][pi] is read from the flat codes at start + pi: one label
     # column at a time for the keys, whole rows only for the result
-    start = np.repeat(np.arange(0, codes.size, codes.shape[1]), counts)
+    start = k * codes.shape[1]
     flat = codes.ravel()
-    shapes = np.concatenate([img.shapes for img in images])
-    perms = np.concatenate([img.perms for img in images])
-    vals = np.repeat(coeffs, counts) * np.concatenate(
-        [img.coeffs for img in images]).astype(coeffs.dtype, copy=False)
-    key = _row_keys(shapes, [flat[start + col] for col in perms.T], radix)
+    shapes, perms = src.shapes[rows], np.take(src.perms, rows, axis=0)
+    many = _count(codes.shape[1])
+    key = _row_keys(shapes if owner is None else owner[k] * many + shapes,
+                    owners * many, [flat[start + col] for col in perms.T],
+                    radix)
+    vals = coeffs[k] * src.coeffs[rows].astype(coeffs.dtype, copy=False)
     # rows with equal keys are equal terms, so their order does not matter
     order = np.argsort(key)
     key = key[order]
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     sums = np.add.reduceat(vals[order], starts)
     nonzero = np.flatnonzero(sums != 0)
-    rows = order[starts[nonzero]]
-    return (shapes[rows], flat[start[rows, None] + perms[rows]],
+    first = order[starts[nonzero]]
+    return (k[first], shapes[first], flat[start[first, None] + perms[first]],
             sums[nonzero])
 
 
+#: type images built so far, by degree: item i is association type i of
+#: assoc_types(n, 1), with weight 0 until it is built
+_TYPE_IMAGES: dict[int, Images] = {}
+
+
 @cache
-def _type_image_at(n: int, i: int) -> TypeImage:
-    """type_image of the association type with index i of degree n."""
-    return type_image(assoc_types(n, 1)[i])
+def _factors(n: int) -> np.ndarray:
+    """For each association type A*B of degree n: deg A, the type index
+    of A and that of shape(B)."""
+    return np.array([(degree(A), assoc_type_index(degree(A), 1)[A],
+                      assoc_type_index(n - degree(A), 1)[shape(B)])
+                     for _, A, B in assoc_types(n, 1)], dtype=np.intp).T
+
+
+def type_images(n: int, types) -> Images:
+    """The degree-n type images, item i for type i, with at least the
+    types given built.
+
+    Missing images are composed from their factors' images (built first,
+    the same way, down to the leaf), one _compose per degree of the left
+    factor, so a lone type builds only its own chain of factors.
+    """
+    store = _TYPE_IMAGES.get(n)
+    if store is None:
+        t, leaf = len(assoc_types(n, 1)), int(n == 1)  # the leaf's image
+        store = Images(np.zeros(leaf, np.intp), np.zeros((leaf, n), np.int8),
+                       np.ones(leaf, np.int64), np.zeros(t, np.intp),
+                       np.full(t, leaf, np.intp), np.full(t, leaf, np.int64))
+    types = np.asarray(types, dtype=np.intp)
+    missing = types[store.weight[types] == 0]
+    if len(missing):
+        # sorted without np.unique, whose plain form imports numpy.ma
+        missing = np.flatnonzero(np.bincount(missing,
+                                             minlength=len(store.weight)))
+        degrees, lefts, rights = _factors(n)
+        start, count, weight = (x.copy() for x in store[3:])
+        parts, size = [store[:3]], len(store.coeffs)
+        for a in sorted(set(degrees[missing].tolist())):
+            new = missing[degrees[missing] == a]
+            li, ri = lefts[new], rights[new]
+            batches = _compose(n, a, type_images(a, li), li,
+                               type_images(n - a, ri), ri)
+            own = np.concatenate([b[0] for b in batches])
+            count[new] = np.bincount(own, minlength=len(new))
+            start[new] = np.cumsum(count[new]) - count[new]
+            weight[new] = np.add.reduceat(
+                np.abs(np.concatenate([b[3] for b in batches])), start[new])
+            start[new] += size
+            parts += [b[1:] for b in batches]
+            size += len(own)
+        # each field is copied once and its parts freed before the next:
+        # a freed copy of a store of degree 7 or more stays resident memory
+        fields = [list(x) for x in zip(*parts)]
+        del parts
+        store = Images(*(np.concatenate(fields.pop(0)) for _ in range(3)),
+                       start, count, weight)
+    _TYPE_IMAGES[n] = store
+    return store
 
 
 def coeff_array(n: int, types, coeffs) -> np.ndarray:
@@ -315,8 +396,8 @@ def coeff_array(n: int, types, coeffs) -> np.ndarray:
     object array of the exact numbers."""
     coeffs = list(coeffs)
     if all(isinstance(c, int) for c in coeffs) and sum(
-            abs(c) * _type_image_at(n, i).weight
-            for c, i in zip(coeffs, types)) < 2 ** 63:
+            abs(c) * w for c, w in zip(
+                coeffs, type_images(n, types).weight[types].tolist())) < 2 ** 63:
         return np.array(coeffs, dtype=np.int64)
     return np.array(coeffs, dtype=object)
 
@@ -328,14 +409,14 @@ def split_normal_form(n: int, types: np.ndarray, codes: np.ndarray,
     leaf codes codes[k] (< radix) in reading order.  Returns its nonzero
     terms as (normal shape ids, label codes, coeffs) arrays.
 
-    Each term is its type's cached image relabeled by its codes, summed by
-    _relabel_sum; int64 coefficients must come from coeff_array, whose
-    bound covers every partial sum.
+    Each term is its type's image (type_images) relabeled by its codes,
+    summed by _relabel_sum; int64 coefficients must come from
+    coeff_array, whose bound covers every partial sum.
     """
     if not len(types):  # the empty combination is its own normal form
         return types, codes, coeffs
-    return _relabel_sum([_type_image_at(n, i) for i in types.tolist()],
-                        codes, coeffs, radix)
+    return _relabel_sum(type_images(n, types), types, codes, coeffs,
+                        radix)[1:]
 
 
 def poly_normal_form(poly) -> dict:
@@ -369,7 +450,8 @@ def poly_normal_form(poly) -> dict:
         labels = labels.tolist()
         for sid, row, c in zip(shapes.tolist(), relabeled.tolist(),
                                sums.tolist()):
-            out[with_leaves(_normal_shapes[sid], [labels[v] for v in row])] = c
+            out[with_leaves(normal_skeletons(n)[sid],
+                            [labels[v] for v in row])] = c
     return out
 
 
@@ -413,21 +495,13 @@ def _table(n: int, types, dtypes, perms, coeffs, weight: int) -> ExpansionTable:
 
 @cache
 def expansion_arrays(n: int) -> ExpansionTable:
-    """The degree-n table read off the cached type images: the image of
-    type i, split by normal D-type, is row i.  Each distinct normal shape
-    is looked up once for its D-type."""
-    images = [type_image(t) for t in assoc_types(n, 1)]
-    shapes, inverse = np.unique(np.concatenate([img.shapes for img in images]),
-                                return_inverse=True)
-    index = normal_dtype_index(n)
-    dtype_of = np.array([index[_normal_shapes[sid]] for sid in shapes.tolist()],
-                        dtype=np.intp)
-    return _table(n, np.repeat(np.arange(len(images)),
-                               [len(img.coeffs) for img in images]),
-                  dtype_of[inverse.reshape(-1)],
-                  np.concatenate([img.perms for img in images]),
-                  np.concatenate([img.coeffs for img in images]),
-                  max(img.weight for img in images))
+    """The degree-n table read off the type images: the image of type i,
+    split by normal D-type (a term's shape index), is row i."""
+    types = np.arange(len(assoc_types(n, 1)))
+    store = type_images(n, types)
+    rows, types = _gather(store, types)
+    return _table(n, types, store.shapes[rows], store.perms[rows],
+                  store.coeffs[rows], int(store.weight.max()))
 
 
 @cache

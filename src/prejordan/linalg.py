@@ -39,11 +39,14 @@ import numpy as np
 Field = Union[str, int]  # 'Q' or a prime
 
 
-def _check_field(field: Field) -> Field:
+def check_field(field: Field) -> Field:
+    """'Q', or the modulus as an int; ValueError unless it is a prime below
+    2**32 (checked by trial division)."""
     if field == 'Q':
         return field
     p = int(field)
-    if p < 2:
+    if not 2 <= p < 2 ** 32 or any(p % k == 0
+                                   for k in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"not a usable prime: {field!r}")
     return p
 
@@ -351,13 +354,15 @@ class ModularEchelon:
         self._append(new, npv)
 
     def _back_eliminate(self, new: np.ndarray, npv: list[int]) -> None:
+        # only the segments with an entry in a new pivot column change, so
+        # only those are converted to the compute dtype
         arr = np.asarray(npv, dtype=np.intp)
         for a in range(0, self._n, self.seg_rows):
             b = min(a + self.seg_rows, self._n)
-            seg = self._R[a:b].astype(new.dtype)
-            coef = seg[:, arr]
+            coef = self._R[a:b, arr]
             if coef.any():
-                seg -= coef @ new
+                seg = self._R[a:b].astype(new.dtype)
+                seg -= coef.astype(new.dtype) @ new
                 _mod_inplace(seg, self.p)
                 self._R[a:b] = seg.astype(self._dtype)
 
@@ -412,7 +417,7 @@ def residues(M: np.ndarray, p: int) -> np.ndarray:
 def echelon_state(ncols: int, field: Field, reduced: bool = True,
                   **modular_opts):
     """Fresh chunked-RCF state for the given field; feed it add_rows calls."""
-    field = _check_field(field)
+    field = check_field(field)
     if field == 'Q':
         return RationalEchelon(ncols, reduced=reduced)
     return ModularEchelon(ncols, field, **modular_opts)
@@ -425,7 +430,7 @@ class ExactMatrix:
     ValueError rather than being truncated."""
 
     def __init__(self, rows, field: Field = 'Q'):
-        self.field = _check_field(field)
+        self.field = check_field(field)
         rows = [r.tolist() if isinstance(r, np.ndarray) else r for r in rows]
         if self.field == 'Q':
             self.rows = [[Fraction(e) for e in row] for row in rows]
@@ -684,7 +689,7 @@ def write_matrix(f, rows, field: Field) -> None:
     from .monomials import coeff_str
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
-    field = _check_field(field)
+    field = check_field(field)
     f.write(f"{len(rows)} {ncols} {field}\n")
     for row in rows:
         if field == 'Q':
@@ -698,7 +703,7 @@ def read_matrix(f) -> tuple[list[list], Field]:
     if len(tokens) < 3:
         raise ValueError("truncated matrix file")
     nrows, ncols = int(tokens[0]), int(tokens[1])
-    field = _check_field(tokens[2] if tokens[2] == 'Q' else int(tokens[2]))
+    field = check_field(tokens[2] if tokens[2] == 'Q' else int(tokens[2]))
     body = tokens[3:]
     if len(body) != nrows * ncols:
         raise ValueError("matrix body does not match header")

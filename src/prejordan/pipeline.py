@@ -44,8 +44,9 @@ import numpy as np
 from .errors import InvariantViolation
 from .expansion import (cached_expansion_table, coeff_array,
                         expansion_matrix, poly_normal_form, split_normal_form,
-                        xblock_transpose_rows)
-from .linalg import echelon_state, hermite_with_transform, lll_reduce
+                        type_images, xblock_transpose_rows)
+from .linalg import (check_field, echelon_state, hermite_with_transform,
+                     lll_reduce)
 from .monomials import (Word, all_perms, assoc_type_index, assoc_types,
                         classify, coeff_str, degree, format_word, relabel,
                         with_leaves)
@@ -337,6 +338,7 @@ def _liftings(idents: list[Identity]) -> list[Identity]:
                         owner))
     types, leaves = lifted_types.reshape(-1)[order], lifted_leaves[order]
     coeffs = np.tile(coeffs, n + 2)[order]
+    type_images(n + 1, types)  # one batch for every coeff_array below
     out = []
     stop = 0
     for size in np.repeat(sizes, n + 2).tolist():
@@ -457,6 +459,14 @@ def lifted_rank(n: int, lam, liftings, field='Q',
     return state.rank, grew
 
 
+def checked_field(field, chunk: int):
+    """field as linalg.check_field returns it ('Q' or a prime), after
+    refusing a chunk of fewer than one D-type; ValueError for either."""
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
+    return check_field(field)
+
+
 def kernel_rank(n: int, lam, field='Q', chunk: int = 50, table=None,
                 rho: RhoCache | None = None, keep_state: bool = False):
     """(rank, nullity) of the transposed block matrix for one partition.
@@ -466,6 +476,7 @@ def kernel_rank(n: int, lam, field='Q', chunk: int = 50, table=None,
     With keep_state the echelon state comes back as a third element so
     the nullspace can be extracted.
     """
+    field = checked_field(field, chunk)
     if rho is None:
         rho = RhoCache(lam, field)
     t = len(assoc_types(n, 1))
@@ -650,7 +661,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
     n = config.degree
     if not 4 <= n <= 8:
         raise ValueError("reports cover degrees 4 through 8")
-    field = config.resolved_field()
+    field = checked_field(config.resolved_field(), config.chunk)
     table = cached_expansion_table(n, config.cache_dir)
     t = len(assoc_types(n, 1))
     s = len(_dtypes(n))

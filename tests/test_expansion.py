@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import random_word
-from prejordan.dendriform import dnormalize, normal_dtypes
+from prejordan.dendriform import dnormalize, normal_dtype_index, normal_dtypes
 from prejordan.errors import ResourceLimit
 from prejordan.expansion import (cached_expansion_table, expansion_arrays,
                                  expansion_matrix, expansion_table,
@@ -18,7 +18,8 @@ from prejordan.expansion import (cached_expansion_table, expansion_arrays,
                                  poly_normal_form, xblock_matrix,
                                  xblock_transpose_rows)
 from prejordan.linalg import int_rows, read_matrix
-from prejordan.monomials import (assoc_types, classify, leaves,
+from prejordan.monomials import (assoc_type_index, assoc_types, classify,
+                                 degree, leaves,
                                  multilinear_basis, parse_word, relabel,
                                  shape, with_leaves)
 from prejordan.pipeline import liftings_to_degree
@@ -120,12 +121,16 @@ def test_cache_roundtrip(tmp_path):
 
 
 # SHA-1 and size of json.dumps(table_to_json(n, ...)), the bytes of a cache
-# file, as written before the table was held as arrays
+# file, as written before the table was held as arrays (5, 6) and before the
+# images were built level by level (7, 8)
 TABLE_JSON_SHA1 = {5: ("b05f19f750570f29a58879f043ff7b17535569dc", 13198),
-                   6: ("8155a4bc37a63a00b6b337e2eeed2faeee7552b2", 123901)}
+                   6: ("8155a4bc37a63a00b6b337e2eeed2faeee7552b2", 123901),
+                   7: ("8a3208cfabbfc52cbe2a3cfbd38b4d9c2fca80bc", 1224556),
+                   8: ("21d4e6aa431f26cc57c053ad1af25d53fe14dae3", 12462336)}
 
 
-@pytest.mark.parametrize("n", sorted(TABLE_JSON_SHA1))
+@pytest.mark.parametrize(
+    "n", [5, 6, 7, pytest.param(8, marks=pytest.mark.release)])
 def test_table_json_bytes_pinned(n):
     import hashlib
     from prejordan.expansion import table_from_json, table_to_json
@@ -215,97 +220,112 @@ def test_poly_normal_form_exact():
 
 
 def test_row_keys_renumber_instead_of_wrapping():
-    from prejordan.expansion import _row_keys, type_image
-    type_image(parse_word("(x1*x2)"))  # registers the shapes x<y and x>y
-    # shape id * radix^2 is 2^64 here, which int64 arithmetic wraps to 0
-    keys = _row_keys(np.array([0, 1]), [np.zeros(2, dtype=np.int64)] * 2,
+    from prejordan.expansion import _row_keys
+    # head * radix^2 is 2^64 here, which int64 arithmetic wraps to 0
+    keys = _row_keys(np.array([0, 1]), 2, [np.zeros(2, dtype=np.int64)] * 2,
                      2 ** 32)
     assert keys[0] != keys[1]
 
 
-def image_dict(img):
-    return {(sid, tuple(perm)): c for sid, perm, c in
-            zip(img.shapes.tolist(), img.perms.tolist(), img.coeffs.tolist())}
+def image_dict(t):
+    """The image of the association type t (leaves 1..n in reading order)
+    as {(normal D-type index, 0-based leaves): coeff}."""
+    from prejordan.expansion import type_images
+    n = degree(t)
+    i = assoc_type_index(n, 1)[t]
+    store = type_images(n, [i])
+    rows = slice(store.start[i], store.start[i] + store.count[i])
+    assert store.weight[i] == np.abs(store.coeffs[rows]).sum()
+    return terms_dict(store.shapes[rows], store.perms[rows],
+                      store.coeffs[rows])
+
+
+def terms_dict(shapes, perms, coeffs):
+    return {(s, tuple(p)): c for s, p, c in
+            zip(shapes.tolist(), perms.tolist(), coeffs.tolist())}
 
 
 def reference_image(t):
-    """The definition: the rewrite of all 2^(n-1) words of t's expansion."""
-    from prejordan.expansion import _normal_shapes
-    ids = {s: k for k, s in enumerate(_normal_shapes)}
-    return {(ids[shape(w)], tuple(v - 1 for v in leaves(w))): c
+    """The definition: the rewrite of all 2^(n-1) words of t's expansion,
+    keyed by (normal D-type index, 0-based leaves)."""
+    index = normal_dtype_index(degree(t))
+    return {(index[shape(w)], tuple(v - 1 for v in leaves(w))): c
             for w, c in pj_normal_form(t).items()}
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize(
+    "n", [*range(1, 8), pytest.param(8, marks=pytest.mark.release)])
 def test_type_images_match_reference(n):
-    from prejordan.expansion import type_image
+    from prejordan.expansion import type_images
+    type_images(n, range(len(assoc_types(n, 1))))
     for t in assoc_types(n, 1):
-        assert image_dict(type_image(t)) == reference_image(t), t
+        assert image_dict(t) == reference_image(t), t
 
 
-@pytest.mark.release
-def test_type_images_match_reference_degree8():
-    from prejordan.expansion import type_image
-    for t in assoc_types(8, 1):
-        assert image_dict(type_image(t)) == reference_image(t), t
+def test_lone_type_builds_its_chain_only(monkeypatch):
+    # a lone degree-10 word composes its own chain of factors, never every
+    # type of its degree
+    import prejordan.expansion as expansion
+    monkeypatch.setattr(expansion, "_TYPE_IMAGES", {})
+    w = parse_word("(((x1*x2)*(x3*x4))*(((x5*x6)*x7)*(x8*(x9*x10))))")
+    assert poly_normal_form({w: 1}) == reference_normal_form({w: 1})
+    assert {n: int((img.weight > 0).sum()) for n, img in
+            expansion._TYPE_IMAGES.items()} == \
+        {10: 1, 6: 1, 4: 1, 3: 2, 2: 1, 1: 1}
 
 
 def test_composed_image_int64_bound():
     # leaves: N(1 > 2) and N(2 < 1) have weight 1, so composing leaf images
     # scaled by k and m is bounded by k * m * (1 + 1)
-    from prejordan.expansion import _compose, type_image
-    leaf = type_image(1)
+    from prejordan.expansion import _compose, type_images
 
-    def scaled(img, k):
+    def scaled(n, k):
+        img = type_images(n, range(len(assoc_types(n, 1))))
         return img._replace(coeffs=img.coeffs * k,
                             weight=img.weight * abs(k))
 
-    xy = type_image(parse_word("(x1*x2)"))
+    def composed(a, i, x, j, y):
+        (batch,) = _compose(a + a, a, x, [i], y, [j])
+        return terms_dict(*batch[1:])
+
+    xy = parse_word("(x1*x2)")
     for k, m in ((2 ** 62 - 1, 1), (2 ** 31 - 1, -(2 ** 31))):
-        assert image_dict(_compose(scaled(leaf, k), scaled(leaf, m))) == \
+        assert composed(1, 0, scaled(1, k), 0, scaled(1, m)) == \
             {key: k * m * c for key, c in image_dict(xy).items()}
     with pytest.raises(OverflowError):
-        _compose(scaled(leaf, 2 ** 31), scaled(leaf, 2 ** 31))
+        composed(1, 0, scaled(1, 2 ** 31), 0, scaled(1, 2 ** 31))
     with pytest.raises(OverflowError):
-        _compose(scaled(leaf, 2 ** 62), scaled(leaf, -1))
+        composed(1, 0, scaled(1, 2 ** 62), 0, scaled(1, -1))
     # a real pair far below the bound composes exactly after scaling
-    a = type_image(parse_word("((x1*x2)*x3)"))
-    b = type_image(parse_word("(x1*(x2*x3))"))
+    index = assoc_type_index(3, 1)
+    a, b = index[parse_word("((x1*x2)*x3)")], index[parse_word("(x1*(x2*x3))")]
     t = parse_word("(((x1*x2)*x3)*(x4*(x5*x6)))")
-    assert image_dict(_compose(scaled(a, 2 ** 40), scaled(b, -3))) == \
-        {key: -3 * 2 ** 40 * c for key, c in image_dict(type_image(t)).items()}
-
-
-def shape_id(word):
-    """Registry id of a normal word with leaves 1..n in reading order."""
-    from prejordan.expansion import _shape
-    if isinstance(word, int):
-        return _shape('x')
-    op, left, right = word
-    if isinstance(left, int):
-        return _shape(op, shape_id(shape(right)))
-    return _shape('>>', shape_id(shape(left[2])), shape_id(shape(right)))
+    assert composed(3, a, scaled(3, 2 ** 40), b, scaled(3, -3)) == \
+        {key: -3 * 2 ** 40 * c for key, c in image_dict(t).items()}
 
 
 def check_products(sizes):
-    """N(u op v) of the recursion equals the rewriting of u op v, for
-    every pair of normal shapes with the given (deg u, deg v)."""
-    from prejordan.expansion import _normal_shapes, _product
+    """N(u op v) of the level-wise recursion equals the rewriting of
+    u op v, for every pair of normal shapes with the given (deg u, deg v);
+    its terms are distinct and its weight is the sum of |coeff|."""
+    from prejordan.expansion import _product_id, _products
     for a, b in sizes:
-        for u in normal_dtypes(a):
-            for v in normal_dtypes(b):
-                su, sv = shape_id(u), shape_id(v)
-                assert (_normal_shapes[su], _normal_shapes[sv]) == (u, v)
+        prods = _products(a + b)
+        words = normal_dtypes(a + b)
+        for iu, u in enumerate(normal_dtypes(a)):
+            for iv, v in enumerate(normal_dtypes(b)):
                 moved = with_leaves(v, range(a + 1, a + b + 1))
-                for op in '<>':
-                    img = _product(op, su, sv)
-                    got = {with_leaves(_normal_shapes[s], [k + 1 for k in p]): c
-                           for s, p, c in zip(img.shapes.tolist(),
-                                              img.perms.tolist(),
-                                              img.coeffs.tolist())}
-                    assert len(got) == len(img.coeffs)
-                    assert img.weight == sum(abs(c) for c in got.values())
-                    assert got == dnormalize({(op, u, moved): 1}), (op, u, v)
+                for op, sym in enumerate('<>'):
+                    k = _product_id(a + b, op, a, iu) + iv
+                    rows = slice(prods.start[k],
+                                 prods.start[k] + prods.count[k])
+                    got = {with_leaves(words[s], [x + 1 for x in p]): c
+                           for s, p, c in zip(prods.shapes[rows].tolist(),
+                                              prods.perms[rows].tolist(),
+                                              prods.coeffs[rows].tolist())}
+                    assert len(got) == prods.count[k]
+                    assert prods.weight[k] == sum(abs(c) for c in got.values())
+                    assert got == dnormalize({(sym, u, moved): 1}), (sym, u, v)
 
 
 def test_products_match_rewriting():
@@ -317,24 +337,19 @@ def test_products_match_rewriting_degree8():
     check_products([(a, 8 - a) for a in range(1, 8)])
 
 
-def test_product_terms_int64_bound():
-    # a product's equal terms are summed in Python ints; its int64 array
-    # holds every coefficient up to 2**63 - 1 and refuses 2**63
-    from prejordan.expansion import _image, _shape
-    s = _shape('<', _shape('x'))
-    img = _image([(s, [0, 1], 2 ** 62), (s, (0, 1), 2 ** 62 - 1),
-                  (s, [1, 0], 5), (s, [1, 0], -5)])
-    assert image_dict(img) == {(s, (0, 1)): 2 ** 63 - 1}
-    assert img.weight == 2 ** 63 - 1
-    with pytest.raises(OverflowError):
-        _image([(s, [0, 1], 2 ** 62), (s, [0, 1], 2 ** 62)])
-
-
-def test_type_image_requires_leaves_in_reading_order():
-    from prejordan.expansion import type_image
-    for bad in ("(x2*x1)", "(x1*(x3*x2))", "((x1*x2)*x4)", "(x1>x2)", "x2"):
-        with pytest.raises(ValueError):
-            type_image(parse_word(bad))
+def test_product_coefficients_are_units():
+    # N(u < v) and N(u > v) share no shape, so a level copies the terms of
+    # lower products without summing any: every product coefficient is +1
+    # or -1 and within a product no (shape, leaves) repeats.  This is why
+    # the products need no int64 bound; checked through degree 9
+    from prejordan.expansion import _products
+    for m in range(2, 10):
+        prods = _products(m)
+        assert set(np.unique(prods.coeffs).tolist()) <= {-1, 1}
+        assert (prods.weight == prods.count).all()
+        owner = np.repeat(np.arange(len(prods.count)), prods.count)
+        terms = np.column_stack([owner, prods.shapes, prods.perms])
+        assert len(np.unique(terms, axis=0)) == len(terms)
 
 
 def count_rewriting(monkeypatch):
@@ -353,10 +368,10 @@ def count_rewriting(monkeypatch):
 
 def table_and_gate(n):
     """Build expansion_table(n) and gate the degree-n liftings, over fresh
-    type images; the memoized products stay."""
+    type images; the product levels stay."""
     import prejordan.expansion as expansion
-    for f in (expansion.type_image, expansion._type_image_at,
-              expansion.expansion_arrays, expansion.expansion_table):
+    expansion._TYPE_IMAGES.clear()
+    for f in (expansion.expansion_arrays, expansion.expansion_table):
         f.cache_clear()
     expansion_table(n)
     liftings = liftings_to_degree(n)
@@ -367,25 +382,28 @@ def table_and_gate(n):
 
 def test_type_images_normalized_once(monkeypatch):
     # type images are composed from products of two normal shapes, which
-    # the recursion on shape ids computes without rewriting a word, once
-    # per process: a second pass over fresh type images computes none
+    # the level-wise recursion builds without rewriting a word, each level
+    # once per process: a second pass over fresh type images builds none
     import prejordan.expansion as expansion
     calls = count_rewriting(monkeypatch)
-    expansion._product.cache_clear()
+    expansion._products.cache_clear()
     table_and_gate(5)
-    first = expansion._product.cache_info()
+    first = expansion._products.cache_info()
     assert first.currsize == first.misses > 0
     table_and_gate(5)
-    assert expansion._product.cache_info().misses == first.misses
+    assert expansion._products.cache_info().misses == first.misses
     assert calls == []
 
 
 def test_degree7_table_and_gate_rewrite_no_word(monkeypatch):
     import prejordan.expansion as expansion
     calls = count_rewriting(monkeypatch)
-    expansion._product.cache_clear()
+    expansion._products.cache_clear()
     assert len(table_and_gate(7)) == 672
-    assert expansion._product.cache_info().currsize == 1608
+    # levels 0 (the unit) and 2..7, each built once: 1,608 products
+    info = expansion._products.cache_info()
+    assert info.currsize == info.misses == 7
+    assert sum(len(expansion._products(m).count) for m in range(2, 8)) == 1608
     assert calls == []
 
 

@@ -15,7 +15,7 @@ import pytest
 from helpers import random_int_matrix, random_rational_matrix
 from prejordan.linalg import (ExactMatrix, ModularEchelon, RationalEchelon,
                               _MOD_CHUNK, _inner_bound, _mod_inplace,
-                              echelon_state,
+                              check_field, echelon_state,
                               express_in_rowspace, gram_det,
                               hermite_with_transform, int_det, int_rows,
                               lll_reduce, read_matrix, residues, write_matrix)
@@ -47,6 +47,25 @@ def naive_rref(rows):
         pivot = [e / pivot[c] for e in pivot]
         rows = [[a - r[c] * b for a, b in zip(r, pivot)] for r in rows]
         out = [[a - r[c] * b for a, b in zip(r, pivot)] for r in out]
+        out.append(pivot)
+        pivcols.append(c)
+    return out, pivcols
+
+
+def naive_rcf_mod(rows, p):
+    """Reduced row echelon form mod p and its pivot columns, the obvious
+    way."""
+    rows = [[e % p for e in r] for r in rows]
+    out, pivcols = [], []
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[c]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = pow(pivot[c], -1, p)
+        pivot = [e * inv % p for e in pivot]
+        rows = [[(a - r[c] * b) % p for a, b in zip(r, pivot)] for r in rows]
+        out = [[(a - r[c] * b) % p for a, b in zip(r, pivot)] for r in out]
         out.append(pivot)
         pivcols.append(c)
     return out, pivcols
@@ -235,6 +254,28 @@ class TestModularEchelon:
                 rt, pt = tiny.rcf()
                 assert (rw == rt).all() and (pw == pt).all()
                 assert sum(flags) == whole.rank
+
+    def test_back_elimination_skips_untouched_segments(self):
+        # sparse rows in batches against a store cut into segments of 3
+        # rows: a later batch's pivots leave some stored segments without
+        # an entry, and those are skipped; RCF, pivots and the rank flags
+        # match the naive elimination mod p
+        rng = random.Random(71)
+        for p in (101, 521):
+            for _ in range(20):
+                n = 30
+                rows = [[rng.randint(1, p - 1) if rng.random() < 0.2 else 0
+                         for _ in range(n)] for _ in range(40)]
+                st = echelon_state(n, p, block_rows=4, mini_rows=2,
+                                   seg_rows=3)
+                flags = []
+                for k in range(0, 40, 10):
+                    flags += st.add_rows(rows[k:k + 10])
+                ranks = [naive_rank_mod(rows[:k], p) for k in range(41)]
+                assert flags == [b > a for a, b in zip(ranks, ranks[1:])]
+                want, pivots = naive_rcf_mod(rows, p)
+                got, got_pivots = st.rcf()
+                assert got.tolist() == want and got_pivots.tolist() == pivots
 
     def test_compute_dtype_follows_prime(self):
         # the degree-7 X^T width at F_101 computes in float32; a prime
@@ -653,3 +694,12 @@ def test_read_matrix_rejects_bad_body():
 def test_int_rows_rejects_true_fractions():
     with pytest.raises(ValueError):
         int_rows([[Fraction(1, 2)]])
+
+
+def test_check_field_refuses_non_primes():
+    primes = [2, 3, 101, 509, 32003, 2 ** 32 - 5]
+    assert [check_field(p) for p in primes] == primes
+    assert check_field('Q') == 'Q'
+    for bad in (-7, 0, 1, 4, 49, 121, 561, 2 ** 32 - 1, 2 ** 32 + 15):
+        with pytest.raises(ValueError):
+            check_field(bad)

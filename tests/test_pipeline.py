@@ -245,8 +245,7 @@ class TestSplit:
         # after the degree-7 type images are built, lifting to degree 7,
         # one lifted rank and the gate of relabeled liftings split no word
         # beyond the 24 terms of the two defining identities
-        for t in assoc_types(7, 1):
-            expansion.type_image(t)
+        expansion.type_images(7, range(len(assoc_types(7, 1))))
         calls = []
         real = monomials.split
 
@@ -585,6 +584,27 @@ def test_rank_mod_p_never_exceeds_rank_over_q():
     new = {field: (4 - xrank) - lrank for field, (xrank, lrank)
            in ranks.items()}
     assert new == {'Q': 0, 101: 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--chunk", "-2"], ["report", "--chunk", "0"],
+    ["kernel", "--chunk", "-3"], ["kernel", "--chunk", "0"],
+    ["report", "--prime", "49"], ["report", "--prime", "1"],
+    ["kernel", "--field", "p", "--prime", "121"]])
+def test_bad_chunk_and_prime_refused(argv, capsys, monkeypatch):
+    # a chunk below 1 used to feed no X^T rows (rank 0, a wrong table) and
+    # a composite modulus gave an "F_49" table: both are bad input, exit 1,
+    # refused before any lifting or elimination starts
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(pipeline, "liftings_to_degree", no_work)
+    monkeypatch.setattr(pipeline, "RhoCache", no_work)
+    assert main(argv + ["--degree", "6", "--partition", "51"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: bad input: ")
+    with pytest.raises(ValueError):
+        kernel_rank(6, (5, 1), 101, chunk=0)
 
 
 def test_report_progress_lines(capsys):
