@@ -48,7 +48,10 @@ the same that gives the normal form of a combination; it reads the
 product terms it needs by offsets.  int64 is used only under a bound on
 every partial sum (w(A) w(B) 2 max w(N) on the weights, sums of |c|,
 for a composition, which raises OverflowError past 2**63), so the
-expansion gate stays exact integer arithmetic.  In the group algebra
+expansion gate stays exact integer arithmetic.  The gate keys each term
+by shape and labels with one product of the type's rows of stored
+position weights and its codes, exact in float under _key_dtype's bound
+(split_normal_form).  In the group algebra
 picture the table cell (i, j) is an element of Z[S_n] and a tuple of
 one element of QS_n per type is an identity iff
 sum_i g_i * cell(i, j) = 0 for every j.
@@ -72,7 +75,7 @@ import numpy as np
 from .dendriform import (dnormalize, normal_dtypes, normal_parts,
                          normal_skeletons)
 from .errors import ResourceLimit
-from .linalg import ExactMatrix
+from .linalg import _SIGNIFICAND, ExactMatrix
 from .monomials import (Word, all_perms, assoc_type_index, assoc_types,
                         compose, degree, format_word, perm_index, shape,
                         split, with_leaves)
@@ -275,23 +278,45 @@ def _compose(n: int, a: int, left: Images, li, right: Images, ri):
     return out
 
 
-def _row_keys(head: np.ndarray, bound: int, columns: list, radix: int):
+def _row_keys(head: np.ndarray, bound: int, columns: list, radix: int,
+              bits: int):
     """One int64 per row of (head < bound, label codes < radix), given
-    the label columns in reading order; keys are equal exactly when the
-    rows are, and ordered as the rows.  They are formed in place, one
-    column at a time; only when they could pass 2**63 are they renumbered
-    densely before a column that would overflow them."""
+    the label columns in reading order; keys are below 2**bits, equal
+    exactly when the rows are, and ordered as the rows.  They are formed in
+    place, one column at a time; only when they could reach 2**bits are
+    they renumbered densely before a column that would pass it, and if
+    even that leaves no room this raises OverflowError."""
     key = head.astype(np.int64)
-    renumber = bound * radix ** len(columns) >= 2 ** 63
+    renumber = bound * radix ** len(columns) >= 2 ** bits
     for col in columns:
-        if renumber and bound * radix >= 2 ** 63:
+        if renumber and bound * radix >= 2 ** bits:
             _, key = np.unique(key, return_inverse=True)
             key = key.reshape(-1).astype(np.int64)
             bound = int(key.max()) + 1
+            if bound * radix >= 2 ** bits:
+                raise OverflowError("row keys do not fit below 2**bits")
         key *= radix
         key += col
         bound *= radix
     return key
+
+
+def _sum_equal(key: np.ndarray, vals: np.ndarray, b: int):
+    """Sum vals over rows with equal keys (int64, below 2**(63 - b), where
+    2**b exceeds the number of rows).  Returns, in the order of the keys,
+    the first row of each group whose sum is nonzero and that sum.
+
+    One sort of key << b | row orders the rows by key and then by row, so
+    each group is summed in row order, with no argsort."""
+    packed = key << b
+    packed |= np.arange(len(key))
+    packed.sort()
+    row = packed & ((1 << b) - 1)
+    packed >>= b
+    starts = np.flatnonzero(np.concatenate(([True], packed[1:] != packed[:-1])))
+    sums = np.add.reduceat(vals[row], starts)
+    nonzero = np.flatnonzero(sums != 0)
+    return row[starts[nonzero]], sums[nonzero]
 
 
 def _relabel_sum(src: Images, items: np.ndarray, codes: np.ndarray,
@@ -306,6 +331,7 @@ def _relabel_sum(src: Images, items: np.ndarray, codes: np.ndarray,
     of coeffs (int64 or object), so int64 callers bound the sums.
     """
     rows, k = _gather(src, items)
+    b = len(rows).bit_length()
     # codes[k][pi] is read from the flat codes at start + pi: one label
     # column at a time for the keys, whole rows only for the result
     start = k * codes.shape[1]
@@ -314,17 +340,11 @@ def _relabel_sum(src: Images, items: np.ndarray, codes: np.ndarray,
     many = _count(codes.shape[1])
     key = _row_keys(shapes if owner is None else owner[k] * many + shapes,
                     owners * many, [flat[start + col] for col in perms.T],
-                    radix)
-    vals = coeffs[k] * src.coeffs[rows].astype(coeffs.dtype, copy=False)
-    # rows with equal keys are equal terms, so their order does not matter
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    sums = np.add.reduceat(vals[order], starts)
-    nonzero = np.flatnonzero(sums != 0)
-    first = order[starts[nonzero]]
+                    radix, 63 - b)
+    first, sums = _sum_equal(
+        key, coeffs[k] * src.coeffs[rows].astype(coeffs.dtype, copy=False), b)
     return (k[first], shapes[first], flat[start[first, None] + perms[first]],
-            sums[nonzero])
+            sums)
 
 
 #: type images built so far, by degree: item i is association type i of
@@ -402,21 +422,84 @@ def coeff_array(n: int, types, coeffs) -> np.ndarray:
     return np.array(coeffs, dtype=object)
 
 
+def _key_dtype(n: int):
+    """The float dtype that forms the label parts of degree-n keys exactly,
+    or None past float64.
+
+    A label part P[r] @ c (_position_weights, codes c < n) is a sum of the
+    nonnegative integers c[v] * P[r, v], and every partial sum, in any
+    order, is an integer at most sum_j (n-1) n**(n-1-j) = n**n - 1.  A
+    dtype with an m-bit significand holds every integer up to 2**m, so it
+    is exact while n**n - 1 <= 2**m: float32 for n <= 8, float64 for
+    n <= 13.
+    """
+    for dtype, m in _SIGNIFICAND.items():
+        if n ** n - 1 <= 2 ** m:
+            return dtype
+    return None
+
+
+def _position_weights(n: int, store: Images, dtype) -> np.ndarray:
+    """P[r, v] = n**(n-1-j) for the position j of label v in row r of the
+    store's leaf orders, so that P[r] @ c is sum_j c[perms[r, j]] n**(n-1-j),
+    the labels of row r relabeled by codes c < n as one base-n number."""
+    P = np.empty(store.perms.shape, dtype)
+    weights, rows = n ** np.arange(n - 1, -1, -1), np.arange(2 ** 12)[:, None]
+    # a block of rows at a time: numpy makes intp copies of the index
+    # arrays, which for the whole degree-8 store would be 22 MiB
+    for lo in range(0, len(P), len(rows)):
+        perms = store.perms[lo:lo + len(rows)]
+        P[lo:lo + len(perms)][rows[:len(perms)], perms] = weights
+    return P
+
+
+#: position weights by degree, with the type image store they were built
+#: for; rebuilt once that store has grown
+_WEIGHTS: dict[int, tuple[Images, np.ndarray]] = {}
+
+
 def split_normal_form(n: int, types: np.ndarray, codes: np.ndarray,
                       coeffs: np.ndarray, radix: int):
     """Normal form of a combination of one-product words given by arrays:
     term k is coeffs[k] times the degree-n association type types[k] with
     leaf codes codes[k] (< radix) in reading order.  Returns its nonzero
-    terms as (normal shape ids, label codes, coeffs) arrays.
+    terms as (normal shape ids, label codes, coeffs) arrays, sorted by
+    (shape, labels); int64 coefficients must come from coeff_array, whose
+    bound covers every partial sum.
 
-    Each term is its type's image (type_images) relabeled by its codes,
-    summed by _relabel_sum; int64 coefficients must come from
-    coeff_array, whose bound covers every partial sum.
+    Each term is its type's image (type_images) relabeled by its codes.
+    The image is one slice of rows of the degree's store, so with codes
+    below n the term's keys are shape * n**n + P[rows] @ codes[k] on the
+    store's position weights P, exact in _key_dtype(n), and its values are
+    coeffs[k] times the rows' coefficients; _sum_equal sums equal keys,
+    and the shapes and labels of the result are read back from its keys.
+    Past that bound (n**n - 1 > 2**53, codes up to radix > n, or keys and
+    row numbers together over 63 bits) the terms are summed by
+    _relabel_sum, which gives the same result.
     """
     if not len(types):  # the empty combination is its own normal form
         return types, codes, coeffs
-    return _relabel_sum(type_images(n, types), types, codes, coeffs,
-                        radix)[1:]
+    store = type_images(n, types)
+    count = store.count[types]
+    b = int(count.sum()).bit_length()
+    dtype = _key_dtype(n)
+    if radix > n or dtype is None or \
+            (_count(n) * n ** n - 1).bit_length() + b > 63:
+        return _relabel_sum(store, types, codes, coeffs, radix)[1:]
+    held = _WEIGHTS.get(n)
+    if held is None or held[0] is not store:
+        held = _WEIGHTS[n] = store, _position_weights(n, store, dtype)
+    rows = [slice(s, s + c)
+            for s, c in zip(store.start[types].tolist(), count.tolist())]
+    key = np.concatenate([store.shapes[r] for r in rows]) * n ** n
+    key += np.concatenate([held[1][r] @ c for r, c in
+                           zip(rows, codes.astype(dtype))]).astype(np.int64)
+    vals = np.concatenate([store.coeffs[r] for r in rows]).astype(
+        coeffs.dtype, copy=False)
+    first, sums = _sum_equal(key, np.repeat(coeffs, count) * vals, b)
+    shapes, labels = np.divmod(key[first], n ** n)
+    labels = labels[:, None] // n ** np.arange(n - 1, -1, -1) % n
+    return shapes, labels.astype(codes.dtype), sums
 
 
 def poly_normal_form(poly) -> dict:
@@ -480,13 +563,14 @@ class ExpansionTable(NamedTuple):
 
 
 def _table(n: int, types, dtypes, perms, coeffs, weight: int) -> ExpansionTable:
-    """The ExpansionTable of the given entries, in any order, whose
-    largest type image weight is weight."""
+    """The ExpansionTable of the given entries, which must come in
+    (type, D-type, permutation) order, whose largest type image weight is
+    weight: one stable sort by D-type gives the table's order."""
     types, dtypes = np.asarray(types, np.intp), np.asarray(dtypes, np.intp)
     perms = np.asarray(perms, np.int8).reshape(len(types), n)
     coeffs = np.asarray(coeffs, dtype=np.int64 if weight < TABLE_INT64_WEIGHT
                         else object)
-    order = np.lexsort((*perms.T[::-1], types, dtypes))
+    order = np.argsort(dtypes, kind='stable')
     dtypes = dtypes[order]
     return ExpansionTable(types[order], dtypes, perms[order], coeffs[order],
                           np.searchsorted(dtypes, np.arange(
@@ -532,13 +616,23 @@ def table_to_json(n: int, table: ExpansionTable) -> dict:
 
 
 def table_from_json(data) -> tuple[int, ExpansionTable]:
+    """The degree and table of table_to_json's output; ValueError for
+    another format or version, or entries out of (type, D-type,
+    permutation) order, the order table_to_json writes and _table needs."""
     if data.get("format") != TABLE_FORMAT or data.get("version") != TABLE_VERSION:
         raise ValueError("not an expansion table file this version reads")
     n, rows = data["degree"], data["rows"]
     entries = [(i, j, perm, c) for i, row in enumerate(rows)
                for j, perm, c in row]
-    return n, _table(n, [e[0] for e in entries], [e[1] for e in entries],
-                     [[v - 1 for v in e[2]] for e in entries],
+    keys = np.array([(i, j, *perm) for i, j, perm, _ in entries],
+                    dtype=np.int64).reshape(len(entries), n + 2)
+    # each entry must differ from the one before first in a larger value
+    step = np.diff(keys, axis=0)
+    first = (step != 0).argmax(axis=1)
+    if (step[np.arange(len(step)), first] <= 0).any():
+        raise ValueError("expansion table entries out of (type, D-type, "
+                         "permutation) order")
+    return n, _table(n, keys[:, 0], keys[:, 1], keys[:, 2:] - 1,
                      [e[3] for e in entries],
                      max((sum(abs(c) for _, _, c in row) for row in rows),
                          default=0))

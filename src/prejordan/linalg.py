@@ -197,20 +197,27 @@ def _mod_inplace(A: np.ndarray, p: int) -> None:
     ulp of k, at most |k| * 2**-m < 1/p.  So q*p is an exact integer and
     x - q*p is the residue in [0, p), with no correction pass.  The
     quotients go through a scratch buffer of at most _MOD_CHUNK entries,
-    so reducing a large array adds no copy of it.
+    so reducing a large array adds no copy of it; an array that fits in
+    one, as most rows the elimination reduces do, takes one pass.
     """
     if A.dtype not in _SIGNIFICAND or not A.flags.c_contiguous:
         raise TypeError("_mod_inplace needs a C-contiguous float32 or "
                         "float64 array")
+    if A.size <= _MOD_CHUNK:
+        _sub_multiple(A, np.divide(A, p), p)
+        return
     flat = A.reshape(-1)
-    q = np.empty(min(flat.size, _MOD_CHUNK), dtype=A.dtype)
+    q = np.empty(_MOD_CHUNK, dtype=A.dtype)
     for s in range(0, flat.size, _MOD_CHUNK):
         x = flat[s:s + _MOD_CHUNK]
-        qs = q[:x.size]
-        np.divide(x, p, out=qs)
-        np.floor(qs, out=qs)
-        qs *= p
-        x -= qs
+        _sub_multiple(x, np.divide(x, p, out=q[:x.size]), p)
+
+
+def _sub_multiple(x: np.ndarray, q: np.ndarray, p: int) -> None:
+    """x -= floor(q) * p in place, with q = x / p as scratch."""
+    np.floor(q, out=q)
+    q *= p
+    x -= q
 
 
 class ModularEchelon:

@@ -151,6 +151,29 @@ def test_cache_refuses_other_formats(tmp_path):
             cached_expansion_table(4, str(tmp_path))
 
 
+def test_table_json_refuses_entries_out_of_order():
+    # _table sorts only by D-type, so a file must list each type's entries
+    # by (D-type, permutation), as table_to_json writes them
+    from prejordan.expansion import table_from_json, table_to_json
+    good = table_to_json(4, expansion_arrays(4))
+    assert same_table(table_from_json(good)[1], expansion_arrays(4))
+    rows = good["rows"]
+    i = next(i for i, row in enumerate(rows) if len(row) > 2)
+    same = next(k for k in range(len(rows[i]) - 1)
+                if rows[i][k][0] == rows[i][k + 1][0])
+    other = next(k for k in range(len(rows[i]) - 1)
+                 if rows[i][k][0] != rows[i][k + 1][0])
+    for k in (same, other):  # a swapped pair of permutations, of D-types
+        bad = json.loads(json.dumps(good))
+        bad["rows"][i][k:k + 2] = bad["rows"][i][k + 1], bad["rows"][i][k]
+        with pytest.raises(ValueError, match="order"):
+            table_from_json(bad)
+    bad = json.loads(json.dumps(good))  # a repeated entry
+    bad["rows"][i].insert(0, bad["rows"][i][0])
+    with pytest.raises(ValueError, match="order"):
+        table_from_json(bad)
+
+
 def test_dense_matrix_degree_gate():
     with pytest.raises(ResourceLimit):
         expansion_matrix(6)
@@ -179,9 +202,14 @@ def reference_normal_form(poly):
     return {u: c for u, c in acc.items() if c}
 
 
-def test_poly_normal_form_exact():
+def test_poly_normal_form_exact(monkeypatch):
     # coefficient magnitudes on both sides of the int64 bound, rationals,
     # repeated and out-of-range leaf labels, mixed degrees, cancellation
+    import prejordan.expansion as expansion
+    radices = []
+    real = expansion._relabel_sum
+    monkeypatch.setattr(expansion, "_relabel_sum", lambda *args: radices.append(
+        args[4]) or real(*args))
     rng = random.Random(12)
 
     def coeff():
@@ -217,14 +245,157 @@ def test_poly_normal_form_exact():
         combos.append({**scaled, extra: scaled.get(extra, 0) + 1})
     for poly in combos:
         assert poly_normal_form(poly) == reference_normal_form(poly), poly
+    # the 256 labels are past the position weights, which need codes < n
+    assert 256 in radices
 
 
 def test_row_keys_renumber_instead_of_wrapping():
     from prejordan.expansion import _row_keys
+    zeros = [np.zeros(2, dtype=np.int64)] * 2
     # head * radix^2 is 2^64 here, which int64 arithmetic wraps to 0
-    keys = _row_keys(np.array([0, 1]), 2, [np.zeros(2, dtype=np.int64)] * 2,
-                     2 ** 32)
+    keys = _row_keys(np.array([0, 1]), 2, zeros, 2 ** 32, 63)
     assert keys[0] != keys[1]
+    # 2^41 fits in int64 but not below 2^40, the room left beside 23 bits
+    # of row numbers: renumbered before the second column
+    assert _row_keys(np.array([0, 1]), 2, zeros, 2 ** 20, 40).tolist() == \
+        [0, 2 ** 20]
+    # four distinct rows times 2^62 cannot fit even when renumbered
+    with pytest.raises(OverflowError):
+        _row_keys(np.arange(4), 4, [np.zeros(4, dtype=np.int64)], 2 ** 62, 63)
+
+
+def summed_terms(n, types, codes, coeffs):
+    """The definition of split_normal_form in Python: the sorted nonzero
+    (shape, labels, coeff) of the sum of the relabeled type images."""
+    from prejordan.expansion import type_images
+    store = type_images(n, types)
+    acc = {}
+    for t, row, c in zip(types.tolist(), codes.tolist(), coeffs.tolist()):
+        rows = range(store.start[t], store.start[t] + store.count[t])
+        for s, perm, cc in zip(store.shapes[rows].tolist(),
+                               store.perms[rows].tolist(),
+                               store.coeffs[rows].tolist()):
+            key = (s, tuple(row[v] for v in perm))
+            acc[key] = acc.get(key, 0) + c * cc
+    return sorted((s, labels, c) for (s, labels), c in acc.items() if c)
+
+
+def as_terms(shapes, labels, coeffs):
+    return list(zip(shapes.tolist(), map(tuple, labels.tolist()),
+                    coeffs.tolist()))
+
+
+def assert_same_arrays(got, want):
+    for x, y in zip(got, want, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert (x == y).all()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_split_normal_form_matches_column_keys(n):
+    # the position-weight keys give what the column keys of _relabel_sum
+    # give: the same shapes, labels, coefficients (and dtypes), in the same
+    # order; on multilinear combinations, with some terms repeated so that
+    # sums meet and cancel, and on repeated labels
+    from prejordan.expansion import _relabel_sum, split_normal_form, \
+        type_images
+    rng = np.random.default_rng(n)
+    t = len(assoc_types(n, 1))
+    store = type_images(n, range(t))
+    liftings = liftings_to_degree(n)
+    liftings = random.Random(n).sample(liftings, min(4, len(liftings)))
+    for trial in range(24):
+        k = int(rng.integers(1, 13))
+        types = rng.integers(0, t, k)
+        if trial % 3 == 2:  # labels repeated, all below radix <= n
+            radix = int(rng.integers(1, n + 1))
+            codes = rng.integers(0, radix, (k, n))
+        else:
+            radix = n
+            codes = np.array([rng.permutation(n) for _ in range(k)], np.int8)
+        coeffs = rng.integers(-9, 10, k)
+        if trial % 4 == 3:  # exact numbers past the int64 bound
+            coeffs = np.array([Fraction(int(c), 3) + 2 ** 70 for c in coeffs],
+                              dtype=object)
+        # term 0 again, with its coefficient negated or doubled
+        types, codes = np.append(types, types[0]), np.vstack([codes, codes[:1]])
+        coeffs = np.append(coeffs, -coeffs[0] if trial % 2 else coeffs[0])
+        got = split_normal_form(n, types, codes, coeffs, radix)
+        assert_same_arrays(got, _relabel_sum(store, types, codes, coeffs,
+                                             radix)[1:])
+        if trial < 3:
+            assert as_terms(*got) == summed_terms(n, types, codes, coeffs)
+    for f in liftings:
+        assert_same_arrays(split_normal_form(n, f.types, f.leaves, f.coeffs, n),
+                           (f.types[:0], f.leaves[:0], f.coeffs[:0]))
+        coeffs = f.coeffs.copy()
+        coeffs[0] += 1
+        got = split_normal_form(n, f.types, f.leaves, coeffs, n)
+        assert len(got[2])
+        assert_same_arrays(got, _relabel_sum(store, f.types, f.leaves, coeffs,
+                                             n)[1:])
+
+
+def test_key_dtype_bound(monkeypatch):
+    # every label part is an integer of at most n**n - 1: float32 holds
+    # them through degree 8 (8**8 - 1 < 2**24), float64 through 13
+    import prejordan.expansion as expansion
+    assert [expansion._key_dtype(n) for n in (2, 8, 9, 13, 14)] == \
+        [np.float32, np.float32, np.float64, np.float64, None]
+    store = expansion.type_images(8, range(len(assoc_types(8, 1))))
+    P = expansion._position_weights(8, store, np.float32)
+    assert ((P @ np.full(8, 7, np.float32)) == 8 ** 8 - 1).all()
+    # moved by one degree, float32 keys at degree 9 come out wrong
+    types, codes = np.array([0, 1]), np.array([np.arange(9)[::-1]] * 2)
+    coeffs = np.array([1, 2])
+    want = summed_terms(9, types, codes, coeffs)
+    assert as_terms(*expansion.split_normal_form(9, types, codes, coeffs,
+                                                 9)) == want
+    monkeypatch.setattr(expansion, "_WEIGHTS", {})
+    monkeypatch.setattr(expansion, "_key_dtype",
+                        lambda n: np.dtype(np.float32))
+    assert as_terms(*expansion.split_normal_form(9, types, codes, coeffs,
+                                                 9)) != want
+
+
+def test_keys_leave_room_for_row_numbers(monkeypatch):
+    # a packed sort needs keys below 2**(63 - b), b the bit length of the
+    # row count: keys that fit in int64 but not there are renumbered (column
+    # keys) or summed by _relabel_sum (position weights), exactly
+    import prejordan.expansion as expansion
+    comb = assoc_type_index(10, 1)[parse_word(
+        "(((((((((x1*x2)*x3)*x4)*x5)*x6)*x7)*x8)*x9)*x10)")]
+    expansion.type_images(5, range(len(assoc_types(5, 1))))
+    assert expansion.type_images(10, [comb]).count[comb] == 13749
+    packed, column = [], []
+    real_sum, real_relabel = expansion._sum_equal, expansion._relabel_sum
+    monkeypatch.setattr(expansion, "_sum_equal", lambda key, vals, b: (
+        packed.append(int(key.max()).bit_length() + b) or
+        real_sum(key, vals, b)))
+    monkeypatch.setattr(expansion, "_relabel_sum", lambda *args: (
+        column.append(args[4]) or real_relabel(*args)))
+    # degree 5 with codes below 2**11: 42 * 2**55 < 2**63, but the 6 terms'
+    # rows need b >= 7 bits
+    rng = np.random.default_rng(5)
+    types = np.array([3, 3, 7, 12, 13, 3])
+    codes = rng.choice([0, 1, 2 ** 11 - 1], (6, 5))
+    codes[5] = codes[0]
+    coeffs = np.array([2, -1, 3, 1, -5, 1])
+    got = expansion.split_normal_form(5, types, codes, coeffs, 2 ** 11)
+    assert as_terms(*got) == summed_terms(5, types, codes, coeffs)
+    assert column == [2 ** 11] and max(packed) <= 63
+    # degree-10 keys take 48 bits: two left combs (13,749 rows each) leave
+    # the 15 bits their rows need, a third does not
+    codes = np.array([rng.permutation(10) for _ in range(3)], np.int8)
+    for k in (2, 3):
+        packed.clear(), column.clear()
+        types, coeffs = np.full(k, comb), np.arange(1, k + 1)
+        got = expansion.split_normal_form(10, types, codes[:k], coeffs, 10)
+        assert as_terms(*got) == summed_terms(10, types, codes[:k], coeffs)
+        if k == 2:  # position weights, at the edge of the packed sort
+            assert column == [] and packed == [63]
+        else:  # column keys, renumbered below 2**(63 - b)
+            assert column == [10] and packed[0] <= 63
 
 
 def image_dict(t):
@@ -405,6 +576,24 @@ def test_degree7_table_and_gate_rewrite_no_word(monkeypatch):
     assert info.currsize == info.misses == 7
     assert sum(len(expansion._products(m).count) for m in range(2, 8)) == 1608
     assert calls == []
+
+
+def test_degree7_gate_keys_by_position_weights(monkeypatch):
+    # the gate forms no column keys and builds each degree's weights once,
+    # however often it runs
+    import prejordan.expansion as expansion
+    built, row_keys = [], []
+    weights, keys = expansion._position_weights, expansion._row_keys
+    monkeypatch.setattr(expansion, "_WEIGHTS", {})
+    monkeypatch.setattr(expansion, "_position_weights", lambda n, *args: (
+        built.append(n) or weights(n, *args)))
+    liftings = table_and_gate(7)
+    monkeypatch.setattr(expansion, "_row_keys", lambda *args: (
+        row_keys.append(args) or keys(*args)))
+    for f in liftings + liftings:
+        f.check_kernel_membership()
+    assert len(liftings) == 672 and row_keys == []
+    assert 7 in built and len(built) == len(set(built))
 
 
 def test_identity_vector_positions():

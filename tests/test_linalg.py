@@ -459,6 +459,18 @@ class TestModularReduction:
             M = np.array(edge, dtype=dtype).reshape(2, -1)
             _mod_inplace(M, p)
             assert M.ravel().tolist() == [x % p for x in edge]
+            # one row, reduced in one pass, and a multi-chunk array with
+            # the edge on both sides of every chunk boundary
+            R = np.array([edge], dtype=dtype)
+            _mod_inplace(R, p)
+            assert R.tolist() == [[x % p for x in edge]]
+            B = np.resize(np.array(edge, dtype=dtype),
+                          (2 * _MOD_CHUNK // len(edge) + 3, len(edge)))
+            for at in (0, _MOD_CHUNK, 2 * _MOD_CHUNK, B.size):
+                B.flat[max(at - 1, 0)], B.flat[min(at, B.size - 1)] = top, -top
+            values = [int(x) for x in B.ravel()]
+            _mod_inplace(B, p)
+            assert B.ravel().tolist() == [x % p for x in values]
 
     def test_rejects_what_it_cannot_reduce_in_place(self):
         for dtype in (np.float32, np.float64):

@@ -121,19 +121,21 @@ class TestLiftings:
         for g in liftings_to_degree(5, verify=True):
             pass  # verify=True raises if any lifting fails
 
-    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("n", [6, 7, 8])
     def test_gate_is_exact_on_sampled_liftings(self, n):
+        # one coefficient changed by any amount must fail the gate
         rng = random.Random(n)
-        for f in rng.sample(liftings_to_degree(n), 5):
+        for f in rng.sample(liftings_to_degree(n), 12):
             sigma = tuple(rng.sample(range(1, n + 1), n))
             terms = f.relabeled(sigma).terms
             k = rng.randrange(len(terms))
             dropped = {w: c for i, (c, w) in enumerate(terms) if i != k}
             with pytest.raises(InvariantViolation):
                 Identity.from_poly(dropped, "lifted")
+            delta = rng.choice((-2 ** 40, -3, -1, 1, 2, 7))
             for scale in (1, 2 ** 70):
                 Identity.from_poly({w: scale * c for c, w in terms}, "lifted")
-                bumped = {w: scale * c + (i == k)
+                bumped = {w: scale * c + delta * (i == k)
                           for i, (c, w) in enumerate(terms)}
                 with pytest.raises(InvariantViolation):
                     Identity.from_poly(bumped, "lifted")
