@@ -2,8 +2,8 @@
 
 One subcommand per stage of the workflow: expansion tables, kernel
 ranks, liftings, full per-degree reports, module comparison and the
-degree-4 integer nullspace bases.  Exit codes: 0 success, 2 invariant
-violation, 3 resource limit.
+degree-4 integer nullspace bases.  Exit codes: 0 success, 1 bad input or
+an unreadable file, 2 invariant violation, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -130,6 +130,10 @@ def cmd_kernel(args) -> int:
     field = checked_field(_resolve_field(args, n), args.chunk)
     lams = [parse_partition(args.partition)] if args.partition \
         else list(partitions(n))
+    for lam in lams:
+        if sum(lam) != n:
+            raise ValueError(f"{format_partition(lam)} is not a "
+                             f"partition of {n}")
     t = len(assoc_types(n, 1))
     s = len(_dtypes(n))
     print(f"degree {n}  field "
@@ -137,9 +141,6 @@ def cmd_kernel(args) -> int:
     print(f"{'partition':>10} {'d':>3} {'rows':>6} {'cols':>6} "
           f"{'rank':>6} {'nullity':>7}")
     for lam in lams:
-        if sum(lam) != n:
-            raise InvariantViolation(f"{format_partition(lam)} is not a "
-                                     f"partition of {n}")
         d = dimension(lam)
         rank, nullity = kernel_rank(n, lam, field, args.chunk)
         print(f"{format_partition(lam):>10} {d:>3} {s * d:>6} {t * d:>6} "
@@ -151,7 +152,7 @@ def cmd_lift(args) -> int:
     from .pipeline import liftings_to_degree, save_identities
 
     if not 5 <= args.degree <= 8:
-        raise InvariantViolation("liftings cover degrees 5 through 8")
+        raise ValueError("liftings cover degrees 5 through 8")
     lifted = liftings_to_degree(args.degree, verify=not args.no_verify)
     gate = "skipped" if args.no_verify else "all pass the expansion gate"
     print(f"{len(lifted)} liftings at degree {args.degree}; "
@@ -246,7 +247,7 @@ def cmd_dump_rep(lam_text: str, perm_text: str) -> int:
     lam = parse_partition(lam_text)
     perm = tuple(int(ch) for ch in perm_text)
     if sorted(perm) != list(range(1, sum(lam) + 1)):
-        raise InvariantViolation(
+        raise ValueError(
             f"{perm_text!r} is not a permutation of 1..{sum(lam)}")
     rows = clifton_matrix(lam, perm)
     write_matrix(sys.stdout, rows, 'Q')

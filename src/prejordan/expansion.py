@@ -136,6 +136,9 @@ class Images(NamedTuple):
     start: np.ndarray    # intp per item
     count: np.ndarray    # intp per item
     weight: np.ndarray   # int64 per item, sum of |coeffs|; 0 if not built
+    #: type image stores: a token shared by a store and the stores grown
+    #: from it, which keep its rows at their offsets
+    lineage: object = None
 
 
 def _count(m: int) -> int:
@@ -374,7 +377,8 @@ def type_images(n: int, types) -> Images:
         t, leaf = len(assoc_types(n, 1)), int(n == 1)  # the leaf's image
         store = Images(np.zeros(leaf, np.intp), np.zeros((leaf, n), np.int8),
                        np.ones(leaf, np.int64), np.zeros(t, np.intp),
-                       np.full(t, leaf, np.intp), np.full(t, leaf, np.int64))
+                       np.full(t, leaf, np.intp), np.full(t, leaf, np.int64),
+                       object())
     types = np.asarray(types, dtype=np.intp)
     missing = types[store.weight[types] == 0]
     if len(missing):
@@ -382,7 +386,7 @@ def type_images(n: int, types) -> Images:
         missing = np.flatnonzero(np.bincount(missing,
                                              minlength=len(store.weight)))
         degrees, lefts, rights = _factors(n)
-        start, count, weight = (x.copy() for x in store[3:])
+        start, count, weight = (x.copy() for x in store[3:6])
         parts, size = [store[:3]], len(store.coeffs)
         for a in sorted(set(degrees[missing].tolist())):
             new = missing[degrees[missing] == a]
@@ -402,7 +406,7 @@ def type_images(n: int, types) -> Images:
         fields = [list(x) for x in zip(*parts)]
         del parts
         store = Images(*(np.concatenate(fields.pop(0)) for _ in range(3)),
-                       start, count, weight)
+                       start, count, weight, store.lineage)
     _TYPE_IMAGES[n] = store
     return store
 
@@ -439,23 +443,25 @@ def _key_dtype(n: int):
     return None
 
 
-def _position_weights(n: int, store: Images, dtype) -> np.ndarray:
-    """P[r, v] = n**(n-1-j) for the position j of label v in row r of the
-    store's leaf orders, so that P[r] @ c is sum_j c[perms[r, j]] n**(n-1-j),
-    the labels of row r relabeled by codes c < n as one base-n number."""
-    P = np.empty(store.perms.shape, dtype)
+def _position_weights(n: int, perms: np.ndarray, dtype) -> np.ndarray:
+    """P[r, v] = n**(n-1-j) for the position j of label v in leaf order
+    perms[r], so that P[r] @ c is sum_j c[perms[r, j]] n**(n-1-j), the
+    labels of row r relabeled by codes c < n as one base-n number."""
+    P = np.empty(perms.shape, dtype)
     weights, rows = n ** np.arange(n - 1, -1, -1), np.arange(2 ** 12)[:, None]
     # a block of rows at a time: numpy makes intp copies of the index
     # arrays, which for the whole degree-8 store would be 22 MiB
     for lo in range(0, len(P), len(rows)):
-        perms = store.perms[lo:lo + len(rows)]
-        P[lo:lo + len(perms)][rows[:len(perms)], perms] = weights
+        block = perms[lo:lo + len(rows)]
+        P[lo:lo + len(block)][rows[:len(block)], block] = weights
     return P
 
 
-#: position weights by degree, with the type image store they were built
-#: for; rebuilt once that store has grown
-_WEIGHTS: dict[int, tuple[Images, np.ndarray]] = {}
+#: position weights P by degree for the first len(P) rows of the type
+#: image stores of one lineage, with that lineage's token; type_images
+#: only appends rows to a store, so P is extended by the new rows, and it
+#: holds no reference to a store
+_WEIGHTS: dict[int, tuple[object, np.ndarray]] = {}
 
 
 def split_normal_form(n: int, types: np.ndarray, codes: np.ndarray,
@@ -486,13 +492,17 @@ def split_normal_form(n: int, types: np.ndarray, codes: np.ndarray,
     if radix > n or dtype is None or \
             (_count(n) * n ** n - 1).bit_length() + b > 63:
         return _relabel_sum(store, types, codes, coeffs, radix)[1:]
-    held = _WEIGHTS.get(n)
-    if held is None or held[0] is not store:
-        held = _WEIGHTS[n] = store, _position_weights(n, store, dtype)
+    lineage, P = _WEIGHTS.get(n, (None, None))
+    if lineage is not store.lineage:
+        P = _position_weights(n, store.perms, dtype)
+    elif len(P) < len(store.perms):
+        P = np.concatenate((P, _position_weights(n, store.perms[len(P):],
+                                                 dtype)))
+    _WEIGHTS[n] = store.lineage, P
     rows = [slice(s, s + c)
             for s, c in zip(store.start[types].tolist(), count.tolist())]
     key = np.concatenate([store.shapes[r] for r in rows]) * n ** n
-    key += np.concatenate([held[1][r] @ c for r, c in
+    key += np.concatenate([P[r] @ c for r, c in
                            zip(rows, codes.astype(dtype))]).astype(np.int64)
     vals = np.concatenate([store.coeffs[r] for r in rows]).astype(
         coeffs.dtype, copy=False)

@@ -409,6 +409,91 @@ def _block_rows(idents, rho: RhoCache, t: int) -> np.ndarray:
         .reshape(-1, t * d)
 
 
+def relabeling_classes(idents) -> np.ndarray:
+    """For each identity (all of one degree n), the index of the first
+    identity in input order of its relabeling class: f and g share a
+    class exactly when g = c * sigma f for a relabeling sigma and a
+    number c != 0.  An identity left unkeyed (see below) is a class of
+    its own.
+
+    The class key of f: each term (type, leaves L, coeff) has the code
+    type * n**n + L read as a base-n number.  The candidates are the
+    terms of f's smallest type index.  For a candidate with leaves L_k,
+    f_k is f relabeled by L_k**-1 (the candidate becomes (type,
+    identity)), its terms sorted by code, its coefficients divided by
+    their gcd and multiplied by the sign of the first.  The key is the
+    lexicographically least of the candidates' rows (codes of f_k,
+    coefficients of f_k), and a class is a run of equal keys.
+
+    Proof.  Relabeling by sigma sends (type, L, c) to (type, sigma L, c),
+    so g = c * sigma f has the same types as f, and its candidate for
+    f's candidate k is g's term with leaves sigma L_k; relabeling g by
+    (sigma L_k)**-1 gives c * L_k**-1 f = c * f_k.  Dividing by the gcd
+    and fixing the sign of the first term maps f_k and c * f_k to the
+    same primitive integer row, so g has the same candidate rows as f
+    and the same least one.  Conversely, equal keys mean f_k = c' g_j as
+    sums of terms for some candidates k, j and a rational c' != 0, so
+    g = (1/c') (M_j L_k**-1) f with M_j the leaves of g's candidate j.
+    Only this second direction is needed to skip an identity, and it
+    holds whatever the order of equal codes.
+
+    Every code is below t * n**n (t association types), so keys are
+    formed in int64 only while t * n**n < 2**63, which holds through
+    degree 12.  Past it, and for identities with object coefficients
+    (past the int64 bound of coeff_array), identities are unkeyed.
+    """
+    idents = list(idents)
+    lead = np.arange(len(idents))
+    keyed = np.array([i for i, f in enumerate(idents)
+                      if f.coeffs.dtype != object], dtype=np.intp)
+    if not len(keyed):
+        return lead
+    n = idents[0].degree
+    if any(f.degree != n for f in idents):
+        raise ValueError("identities of mixed degree")
+    # t is the Catalan number C(n-1), without building the types
+    if math.comb(2 * n - 2, n - 1) // n * n ** n >= 2 ** 63:
+        return lead
+    sizes = np.array([len(idents[i].types) for i in keyed])
+    starts = np.cumsum(sizes) - sizes
+    types = np.concatenate([idents[i].types for i in keyed])
+    leaves = np.concatenate([idents[i].leaves for i in keyed])
+    coeffs = np.concatenate([idents[i].coeffs for i in keyed])
+    owner = np.repeat(np.arange(len(keyed)), sizes)
+    cand = np.flatnonzero(types == np.minimum.reduceat(types, starts)[owner])
+    # inv[k] is the inverse of candidate k's leaf order
+    inv = np.empty((len(cand), n), np.int8)
+    inv[np.arange(len(cand))[:, None], leaves[cand]] = np.arange(n)
+    # every term of every candidate's identity, candidate by candidate
+    csize = sizes[owner[cand]]
+    first = np.cumsum(csize) - csize
+    seg = np.repeat(np.arange(len(cand)), csize)
+    term = np.arange(len(seg)) + np.repeat(starts[owner[cand]] - first, csize)
+    codes = types[term] * n ** n + inv[seg[:, None], leaves[term]].astype(
+        np.int64) @ n ** np.arange(n - 1, -1, -1)
+    order = np.lexsort((codes, seg))
+    codes, vals = codes[order], coeffs[term[order]]
+    vals //= np.repeat(np.gcd.reduceat(np.abs(coeffs), starts)[owner[cand]]
+                       * np.sign(vals[first]), csize)
+    for m in sorted(set(sizes.tolist())):
+        # the rows of the candidates of the identities with m terms
+        at = np.flatnonzero(csize == m)
+        own = owner[cand[at]]
+        at = first[at, None] + np.arange(m)
+        rows = np.concatenate((codes[at], vals[at]), axis=1)
+        # the least row of each identity: rows sorted by identity, then row
+        order = np.lexsort((*rows.T[::-1], own))
+        order = order[np.diff(own[order], prepend=-1) != 0]
+        rows, who = rows[order], keyed[own[order]]
+        # equal keys side by side, each run in input order
+        order = np.lexsort((who, *rows.T[::-1]))
+        new = np.concatenate(
+            ([True], (rows[order[1:]] != rows[order[:-1]]).any(axis=1)))
+        run = np.maximum.accumulate(np.where(new, np.arange(len(order)), 0))
+        lead[who[order]] = who[order[run]]
+    return lead
+
+
 #: most entries (rows x columns) per add_rows call when identity blocks
 #: are fed to an echelon state; a single block may exceed it.  Each
 #: ModularEchelon call converts the whole stored echelon to its compute
@@ -417,17 +502,32 @@ def _block_rows(idents, rho: RhoCache, t: int) -> np.ndarray:
 #: keeps a batch near the size of a kernel_rank batch (300 x 792 at degree
 #: 7), so it adds no memory: one degree-7 F_101 partition (61) peaked at
 #: 62-63 MiB with it (252-row batches), 87 MiB with 1,032-row batches and
-#: 161 MiB with all 4,032 rows in one call.  Where two blocks exceed it
-#: (d = 35 at degree 7, d >= 16 at degree 8) a call takes one identity.
+#: 161 MiB with the 4,032 rows of all 672 liftings in one call; the 152
+#: liftings fed there now (_feed_identities) take 912 rows in 4 calls.
+#: Where two blocks exceed it (d = 35 at degree 7, d >= 16 at degree 8)
+#: a call takes one identity.
 BLOCK_BATCH_ENTRIES = 200_000
+
+
+def _fed(idents) -> list[bool]:
+    """Per identity whether it is the first of its relabeling class
+    (relabeling_classes) in input order; unkeyed identities are all
+    fed."""
+    lead = relabeling_classes(idents)
+    return (lead == np.arange(len(lead))).tolist()
 
 
 def _feed_identities(state, n: int, rho: RhoCache, idents) -> list[bool]:
     """Feed the blocks of idents into state, whole blocks batched into few
     add_rows calls; returns per identity whether its block raised the rank.
 
-    A row raises the rank exactly when it is independent of every row fed
-    before it, so batching changes neither the rank nor the flags.
+    Only the first identity of each relabeling class is fed; the flag of
+    every other one is False.  g = c * sigma f has the raw block row of f
+    times the invertible matrix A(id) rho(sigma) A(id)**-1 on the left,
+    so g spans the rows of f and never raises the rank after it: rank
+    and flags are those of feeding every identity.  A row raises the
+    rank exactly when it is independent of every row fed before it, so
+    batching changes neither the rank nor the flags either.
     """
     t = len(assoc_types(n, 1))
     d = rho.dim
@@ -435,20 +535,25 @@ def _feed_identities(state, n: int, rho: RhoCache, idents) -> list[bool]:
     idents = list(idents)
     if any(ident.degree != n for ident in idents):
         raise ValueError("identity of the wrong degree")
-    grew: list[bool] = []
-    for start in range(0, len(idents), per_call):
+    fed = _fed(idents)
+    batch = [f for f, feed in zip(idents, fed) if feed]
+    raised = []
+    for start in range(0, len(batch), per_call):
         flags = state.add_rows(
-            _block_rows(idents[start:start + per_call], rho, t))
-        grew.extend(any(flags[k:k + d]) for k in range(0, len(flags), d))
-    return grew
+            _block_rows(batch[start:start + per_call], rho, t))
+        raised.extend(any(flags[k:k + d]) for k in range(0, len(flags), d))
+    raised = iter(raised)
+    return [feed and next(raised) for feed in fed]
 
 
 def lifted_rank(n: int, lam, liftings, field='Q',
                 rho: RhoCache | None = None) -> tuple[int, list[bool]]:
-    """Rank of the stacked lifted-identity blocks, fed one batch of whole
-    blocks at a time.
+    """Rank of the stacked lifted-identity blocks, fed by
+    _feed_identities: one lifting per relabeling class (152 of the 672
+    at degree 7), one batch of whole blocks at a time.
 
-    Also reports, per identity, whether its block increased the rank; the
+    Also reports, per identity, whether its block increased the rank
+    (False for every lifting not fed, as it would be if it were); the
     union of those flags across partitions drives pruning.
     """
     if rho is None:
@@ -688,6 +793,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
         degree=n, field='Q' if field == 'Q' else 'F',
         prime=None if field == 'Q' else int(field),
         chunk=config.chunk, lifting_count=len(liftings))
+    fed = sum(_fed(liftings)) if progress else None
     grews = []
     for lam in lam_list:
         d = dimension(lam)
@@ -731,7 +837,8 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             peak = _peak_rss_mib()
             progress(f"partition {format_partition(lam)} (d={d}): done in "
                      f"{time.perf_counter() - start:.2f} s, lifted rank "
-                     f"{lrank}, X^T rank {xrank}"
+                     f"{lrank}, fed {fed} of {len(liftings)} liftings, "
+                     f"X^T rank {xrank}"
                      + ("" if peak is None else f", peak RSS {peak:.0f} MiB"))
     report.retained = tuple(_grew_somewhere(grews))
     return report

@@ -343,7 +343,7 @@ def test_key_dtype_bound(monkeypatch):
     assert [expansion._key_dtype(n) for n in (2, 8, 9, 13, 14)] == \
         [np.float32, np.float32, np.float64, np.float64, None]
     store = expansion.type_images(8, range(len(assoc_types(8, 1))))
-    P = expansion._position_weights(8, store, np.float32)
+    P = expansion._position_weights(8, store.perms, np.float32)
     assert ((P @ np.full(8, 7, np.float32)) == 8 ** 8 - 1).all()
     # moved by one degree, float32 keys at degree 9 come out wrong
     types, codes = np.array([0, 1]), np.array([np.arange(9)[::-1]] * 2)
@@ -594,6 +594,46 @@ def test_degree7_gate_keys_by_position_weights(monkeypatch):
         f.check_kernel_membership()
     assert len(liftings) == 672 and row_keys == []
     assert 7 in built and len(built) == len(set(built))
+
+
+def test_position_weights_follow_the_store(monkeypatch):
+    # a store grows by appending rows at new offsets: its weights are
+    # extended by the new rows only, equal the weights of the whole store
+    # built afresh, and keep no superseded store alive.  A store started
+    # afresh, with its rows in another order, gets weights of its own
+    import gc
+    import weakref
+    import prejordan.expansion as expansion
+    from prejordan.expansion import (_position_weights, _relabel_sum,
+                                     split_normal_form, type_images)
+    built = []
+    monkeypatch.setattr(expansion, "_WEIGHTS", {})
+    monkeypatch.setattr(expansion, "_position_weights", lambda n, perms, dtype: (
+        built.append(len(perms)) or _position_weights(n, perms, dtype)))
+    rng = np.random.default_rng(6)
+    t = len(assoc_types(6, 1))
+
+    def check(types):
+        codes = np.array([rng.permutation(6) for _ in types], np.int8)
+        coeffs = rng.integers(-9, 10, len(types))
+        got = split_normal_form(6, types, codes, coeffs, 6)
+        assert_same_arrays(got, _relabel_sum(expansion._TYPE_IMAGES[6], types,
+                                             codes, coeffs, 6)[1:])
+
+    for first in ([0, 3], [t - 1, 5]):
+        monkeypatch.setattr(expansion, "_TYPE_IMAGES", {})
+        check(np.array(first))
+        old = weakref.ref(expansion._TYPE_IMAGES[6].perms)
+        rows = len(old())
+        store = type_images(6, range(t))
+        gc.collect()
+        assert old() is None
+        check(rng.integers(0, t, 9))
+        assert built == [rows, len(store.perms) - rows]
+        lineage, P = expansion._WEIGHTS[6]
+        assert lineage is store.lineage
+        assert (P == _position_weights(6, store.perms, np.float32)).all()
+        built.clear()
 
 
 def test_identity_vector_positions():

@@ -7,7 +7,9 @@ comparison and the serialization formats.
 """
 
 import dataclasses
+import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import lift_reference
 from prejordan import expansion, monomials, pipeline
@@ -33,7 +36,8 @@ from prejordan.pipeline import (BLOCK_BATCH_ENTRIES, DegreeReport, Identity,
                                 lift, lifted_rank, liftings_to_degree,
                                 load_identities, mul, new_identity_vectors,
                                 nullspace_identities, permuted_stack_rank,
-                                save_identities, squared_lengths)
+                                relabeling_classes, save_identities,
+                                squared_lengths)
 from prejordan.symrep import RhoCache, partitions
 from test_acceptance import DEGREE6_ROWS
 
@@ -356,15 +360,28 @@ class TestDegree5:
 
 
 class TestBlockFeed:
-    @pytest.mark.parametrize("n, field", [(5, 'Q'), (6, 101)])
-    def test_batched_flags_match_one_identity_at_a_time(self, n, field):
-        # the reference feeds each identity's block in its own add_rows
-        # call; lifted_rank batches whole blocks, and at degree 6 the
-        # stacks of 321 and 42 span several batches
+    @pytest.mark.parametrize("n, field, lams, crossing", [
+        pytest.param(5, 'Q', None, set(), id="5-Q"),
+        pytest.param(6, 101, None, {(3, 2, 1)}, id="6-101"),
+        pytest.param(7, 101, [(6, 1), (7,)], {(6, 1)}, id="7-101")])
+    def test_batched_flags_match_one_identity_at_a_time(
+            self, n, field, lams, crossing, monkeypatch):
+        # the reference feeds every identity's block in its own add_rows
+        # call; lifted_rank feeds the first identity of each relabeling
+        # class (9, 38 and 152 of 12, 84 and 672), whole blocks batched,
+        # and must give the same rank and flags.  The batches are counted
+        # over the blocks actually fed: they span several add_rows calls
+        # exactly where those blocks pass BLOCK_BATCH_ENTRIES
         liftings = liftings_to_degree(n)
+        fed = sum(pipeline._fed(liftings))
+        assert fed == {5: 9, 6: 38, 7: 152}[n]
         t = len(assoc_types(n, 1))
-        crossing = set()
-        for lam in partitions(n):
+        batches = []
+        block_rows = pipeline._block_rows
+        monkeypatch.setattr(pipeline, "_block_rows", lambda idents, *args: (
+            batches.append(len(idents)) or block_rows(idents, *args)))
+        crossed = set()
+        for lam in lams or partitions(n):
             rho = RhoCache(lam, field)
             state = echelon_state(t * rho.dim, field)
             grew = []
@@ -372,12 +389,15 @@ class TestBlockFeed:
                 before = state.rank
                 state.add_rows(identity_block(ident, lam, rho, t))
                 grew.append(state.rank > before)
+            batches.clear()
             assert lifted_rank(n, lam, liftings, field, rho) \
                 == (state.rank, grew)
-            if len(liftings) * rho.dim * state.ncols > BLOCK_BATCH_ENTRIES:
-                crossing.add(lam)
-        if n == 6:
-            assert {(3, 2, 1), (4, 2)} <= crossing
+            assert sum(batches) == fed
+            if len(batches) > 1:
+                crossed.add(lam)
+            assert (len(batches) > 1) == \
+                (fed * rho.dim * state.ncols > BLOCK_BATCH_ENTRIES)
+        assert crossed == crossing
 
     @pytest.mark.parametrize("n, field", [(5, 'Q'), (6, 101)])
     def test_scaled_liftings_keep_rank_and_flags(self, n, field):
@@ -393,6 +413,99 @@ class TestBlockFeed:
             assert identity_block(scaled[0], lam, rho, t).dtype == object
             assert lifted_rank(n, lam, scaled, field, rho) \
                 == lifted_rank(n, lam, liftings, field, rho)
+
+
+def scaled_relabeling(f, sigma, c):
+    """c * sigma f, an identity with exact coefficients."""
+    return Identity.from_poly({w: c * x for x, w in f.relabeled(sigma).terms},
+                              f.provenance, check=False)
+
+
+class TestRelabelingClasses:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([4, 5, 6]),
+           st.sampled_from([1, -1, 2, -2, 7, 2 ** 40]),
+           st.randoms(use_true_random=False))
+    def test_scaled_relabelings_share_the_class(self, n, c, rng):
+        f = rng.choice(liftings_to_degree(n))
+        g = scaled_relabeling(f, rng.sample(range(1, n + 1), n), c)
+        assert g.coeffs.dtype == np.int64
+        assert relabeling_classes([f, g]).tolist() == [0, 0]
+        # every lifting has coefficients +-1 and relabeling keeps the
+        # types, so one coefficient scaled or one term moved to another
+        # type leaves the class
+        assert set(np.abs(f.coeffs).tolist()) == {1}
+        k = rng.randrange(len(g.types))
+        coeffs = g.coeffs.copy()
+        coeffs[k] *= rng.choice([2, -3, 7])
+        types = g.types.copy()
+        types[k] = (types[k] + rng.randrange(1, len(assoc_types(n, 1)))) \
+            % len(assoc_types(n, 1))
+        for h in (Identity._of_split(n, g.types, g.leaves, coeffs, "lifted"),
+                  Identity._of_split(n, types, g.leaves, g.coeffs, "lifted")):
+            assert relabeling_classes([f, h]).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("n, classes", [(5, 9), (6, 38), (7, 152)])
+    def test_classes_of_the_liftings(self, n, classes, monkeypatch):
+        # the liftings fall into 9, 38 and 152 classes, found without
+        # np.unique, each led by its first member; through degree 6 they
+        # are the classes of c * sigma f over all of S_n
+        liftings = liftings_to_degree(n)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "unique", refused)
+            lead = relabeling_classes(liftings)
+        assert len(set(lead.tolist())) == classes
+        assert (lead <= np.arange(len(lead))).all()
+        assert (lead[lead] == lead).all()
+        assert sum(pipeline._fed(liftings)) == classes
+        if n == 7:
+            return
+
+        def primitive(f):
+            sign = int(np.sign(f.coeffs[0])) * math.gcd(*f.coeffs.tolist())
+            return (f.types.tobytes(), f.leaves.tobytes(),
+                    tuple((f.coeffs // sign).tolist()))
+
+        orbit: dict = {}
+        for f in liftings:
+            if primitive(f) not in orbit:
+                new = len(set(orbit.values()))
+                for sigma in itertools.permutations(range(1, n + 1)):
+                    orbit[primitive(f.relabeled(sigma))] = new
+        ids = [orbit[primitive(f)] for f in liftings]
+        firsts: dict = {}
+        for i, orbit_id in enumerate(ids):
+            firsts.setdefault(orbit_id, i)
+        assert lead.tolist() == [firsts[orbit_id] for orbit_id in ids]
+
+    def test_unkeyed_identities_stay_alone(self):
+        # object coefficients (past the int64 bound of coeff_array) get no
+        # key, so every such identity is a class of its own and is fed
+        liftings = liftings_to_degree(5)
+        scaled = [scaled_relabeling(f, range(1, 6), 2 ** 70)
+                  for f in liftings]
+        assert all(f.coeffs.dtype == object for f in scaled)
+        lead = relabeling_classes(scaled + liftings)
+        assert lead[:12].tolist() == list(range(12))
+        assert len(set(lead[12:].tolist())) == 9
+        assert pipeline._fed(scaled) == [True] * 12
+        # codes below t * n**n fit in int64 through degree 12 (58786 types);
+        # at degree 13 (208012 types) they would not, so no key is formed.
+        # Words stop at degree 10, so these are made from arrays
+        for n, keyed in ((12, True), (13, False)):
+            rng = random.Random(n)
+            f = Identity._of_split(
+                n, np.array([0, 1, 2]),
+                np.array([rng.sample(range(n), n) for _ in range(3)],
+                         dtype=np.int8), np.array([1, -2, 3]), "lifted")
+            g = f.relabeled(rng.sample(range(1, n + 1), n))
+            lead = relabeling_classes([f, Identity._of_split(
+                n, g.types, g.leaves, -5 * g.coeffs, "lifted")])
+            assert lead.tolist() == ([0, 0] if keyed else [0, 1])
 
 
 class TestNewIdentityExtraction:
@@ -609,9 +722,23 @@ def test_bad_chunk_and_prime_refused(argv, capsys, monkeypatch):
         kernel_rank(6, (5, 1), 101, chunk=0)
 
 
+@pytest.mark.parametrize("argv", [
+    ["lift", "--degree", "4"], ["lift", "--degree", "9"],
+    ["kernel", "--degree", "5", "--partition", "31"],
+    ["--dump-rep", "31", "2234"]])
+def test_bad_input_exits_1(argv, capsys):
+    # a degree lift does not cover, a partition of another degree and a
+    # leaf order that is no permutation are bad input, not a violated
+    # invariant (exit 2)
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: bad input: ")
+
+
 def test_report_progress_lines(capsys):
     # --progress adds one line per finished partition on stderr, with its
-    # time, both ranks and the peak RSS, and leaves stdout as it was
+    # time, both ranks, the liftings fed and the peak RSS, and leaves
+    # stdout as it was
     assert main(["report", "--degree", "5"]) == 0
     plain = capsys.readouterr()
     assert main(["report", "--degree", "5", "--progress"]) == 0
@@ -620,8 +747,8 @@ def test_report_progress_lines(capsys):
     done = [line for line in got.err.splitlines() if "done in" in line]
     assert len(done) == len(partitions(5))
     assert re.fullmatch(r"partition 41 \(d=4\): done in \d+\.\d\d s, "
-                        r"lifted rank 21, X\^T rank 35, peak RSS \d+ MiB",
-                        done[1])
+                        r"lifted rank 21, fed 9 of 12 liftings, "
+                        r"X\^T rank 35, peak RSS \d+ MiB", done[1])
 
 
 def test_peak_rss_units_and_missing_resource(monkeypatch):
