@@ -203,7 +203,7 @@ def cmd_compare(args) -> int:
     b = load_identities(args.b)
     degrees = {f.degree for f in a} | {f.degree for f in b}
     if len(degrees) != 1:
-        raise InvariantViolation(
+        raise ValueError(
             f"mixed degrees {sorted(degrees)}: comparison needs a single "
             f"common degree")
     n = degrees.pop()

@@ -51,6 +51,11 @@ def check_field(field: Field) -> Field:
     return p
 
 
+#: random entries of RationalEchelon.random_kernel_vectors are drawn from
+#: [0, Q_SAMPLES)
+Q_SAMPLES = 2 ** 31
+
+
 class RationalEchelon:
     """Running RCF over Q; rows arrive in any order, singly or in chunks.
 
@@ -123,6 +128,28 @@ class RationalEchelon:
         self.rows.append(row)
         self.pivcols.append(piv)
         return True
+
+    def random_kernel_vectors(self, count: int, rng) -> np.ndarray:
+        """count random vectors z with row . z = 0 for every stored row,
+        as an object array of integers, shape (count, ncols).
+
+        The free columns get integers drawn uniformly from
+        [0, Q_SAMPLES) by rng (a random.Random); the pivot entries are
+        solved from the last stored row to the first.  A stored row is
+        zero at the pivot of every row stored before it, in both modes,
+        so it meets only free entries and pivots already solved.  Each
+        vector is then scaled to integers by its denominators.
+        """
+        out = np.empty((count, self.ncols), dtype=object)
+        free = sorted(set(range(self.ncols)) - set(self.pivcols))
+        for z in out:
+            z[:] = Fraction(0)
+            z[free] = [Fraction(rng.randrange(Q_SAMPLES)) for _ in free]
+            for row, pc in zip(reversed(self.rows), reversed(self.pivcols)):
+                z[pc] = -sum(a * b for a, b in zip(row, z) if a) / row[pc]
+            den = math.lcm(*(e.denominator for e in z))
+            z[:] = [int(e * den) for e in z]
+        return out
 
     def rcf_rows(self) -> list[list[Fraction]]:
         if not self.reduced:
@@ -383,6 +410,37 @@ class ModularEchelon:
         self._R[self._n:need] = new.astype(self._dtype)
         self._piv = np.concatenate([self._piv, np.asarray(npv, dtype=np.intp)])
         self._n = need
+
+    def random_kernel_vectors(self, count: int, rng) -> np.ndarray:
+        """count random vectors z with R z = 0 mod p for the stored RCF R,
+        as int64 residues, shape (count, ncols).
+
+        The free columns get residues drawn uniformly by rng (a
+        random.Random), so each vector is uniform on the kernel.  Row j
+        of R has a unit at its pivot and zeros at the other pivots, so the
+        pivot entries are z[piv] = -R z0 with z0 the vector zero at every
+        pivot.  That product is formed _inner_bound columns at a time, so
+        it is exact, and from blocks of R of at most _MOD_CHUNK entries,
+        so it makes no copy of R.
+        """
+        p, n, dtype = self.p, self._n, self.compute_dtype
+        piv = self._piv[:n]
+        free = np.ones(self.ncols, dtype=bool)
+        free[piv] = False
+        Z = np.zeros((self.ncols, count), dtype=dtype)
+        Z[free] = np.reshape(rng.choices(range(p), k=int(free.sum()) * count),
+                             (-1, count))
+        solved = np.zeros((n, count), dtype=dtype)
+        k = _inner_bound(p, dtype)
+        step = max(1, _MOD_CHUNK // min(k, self.ncols))
+        for a in range(0, n, step):
+            out = solved[a:a + step]
+            for c in range(0, self.ncols, k):
+                out -= self._R[a:a + len(out), c:c + k].astype(dtype) \
+                    @ Z[c:c + k]
+                _mod_inplace(out, p)
+        Z[piv] = solved
+        return Z.T.astype(np.int64)
 
     def rcf(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, pivcols) sorted by pivot column; rows have int entries."""

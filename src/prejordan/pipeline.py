@@ -33,6 +33,7 @@ import csv
 import io
 import json
 import math
+import random
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -547,21 +548,35 @@ def _feed_identities(state, n: int, rho: RhoCache, idents) -> list[bool]:
 
 
 def lifted_rank(n: int, lam, liftings, field='Q',
-                rho: RhoCache | None = None) -> tuple[int, list[bool]]:
-    """Rank of the stacked lifted-identity blocks, fed by
+                rho: RhoCache | None = None, certify: bool = False):
+    """(rank, grew): rank of the stacked lifted-identity blocks, fed by
     _feed_identities: one lifting per relabeling class (152 of the 672
     at degree 7), one batch of whole blocks at a time.
 
-    Also reports, per identity, whether its block increased the rank
+    grew tells, per identity, whether its block increased the rank
     (False for every lifting not fed, as it would be if it were); the
     union of those flags across partitions drives pruning.
+
+    With certify a third element W holds CERTIFICATE_VECTORS random
+    vectors orthogonal to every lifted row in kernel coordinates (L',
+    see kernel_rank): each is a random kernel vector w0 of the stored
+    rows, L w0 = 0, with each type block multiplied by A(id), so that
+    L' w = L diag(A(id)**-1) diag(A(id)) w0 = 0.  They are formed while
+    the echelon state is alive and cost a product with it; kernel_rank
+    takes (rank, W) as its lifted argument.
     """
     if rho is None:
         rho = RhoCache(lam, field)
-    state = echelon_state(len(assoc_types(n, 1)) * rho.dim, field,
-                          reduced=False)
+    t = len(assoc_types(n, 1))
+    state = echelon_state(t * rho.dim, field, reduced=False)
     grew = _feed_identities(state, n, rho, liftings)
-    return state.rank, grew
+    if not certify:
+        return state.rank, grew
+    W = state.random_kernel_vectors(CERTIFICATE_VECTORS, random.Random())
+    W = W.reshape(len(W), t, rho.dim) @ rho.a_id.T.astype(W.dtype)
+    if field != 'Q':
+        W %= int(field)
+    return state.rank, grew, W.reshape(len(W), -1)
 
 
 def checked_field(field, chunk: int):
@@ -572,28 +587,89 @@ def checked_field(field, chunk: int):
     return check_field(field)
 
 
+#: random vectors on each side of the kernel_rank certificate; a wrong
+#: stop passes it with probability below 2 / p**3
+CERTIFICATE_VECTORS = 3
+
+
 def kernel_rank(n: int, lam, field='Q', chunk: int = 50, table=None,
-                rho: RhoCache | None = None, keep_state: bool = False):
+                rho: RhoCache | None = None, keep_state: bool = False,
+                lifted=None):
     """(rank, nullity) of the transposed block matrix for one partition.
 
     nullity counts irreducible summands of the identity space: the block
     matrix has t*d columns and its left null vectors are the identities.
     With keep_state the echelon state comes back as a third element so
-    the nullspace can be extracted.
+    the nullspace can be extracted; every row is fed.
+
+    lifted = (r_L, W) from lifted_rank(..., certify=True) lets the feed
+    stop early, and the number of D-types fed comes back third.  Write
+    L' for the lifted rows with each type block times A(id)**-1, the
+    coordinates of X^T's kernel (new_identity_vectors converts back):
+    rank L' = r_L, and L' lies in ker(X^T) when the liftings are
+    identities, so that rank(X^T) <= t*d - r_L.  After each batch the
+    rank r of the rows fed so far is compared with t*d - r_L:
+
+    * r > t*d - r_L raises InvariantViolation: ker(X^T) is smaller than
+      span(L'), so a lifting is no identity (or r_L is wrong);
+    * r = t*d - r_L stops the feed after a check.  K, the kernel of the
+      rows fed, has dimension r_L.  The check draws k = len(W) uniform
+      vectors z of K from the echelon state and needs w . z = 0 for
+      every w of W, which are uniform in the annihilator of span(L').
+      If K is not inside span(L'), all k vectors z lie in span(L') with
+      probability at most p**-k, and a z outside it is orthogonal to
+      all k vectors w with probability p**-k: the check passes with
+      probability below 2/p**k (2/N**k over Q, entries drawn from N
+      integers).  Passing shows K inside span(L'), so K = span(L') by
+      dimension, and ker(X^T), inside K, is inside span(L'): every
+      identity of this component is a combination of lifted ones, so
+      new = 0 is proven whether or not the liftings are identities.
+      As they are, span(L') lies in ker(X^T) too, so ker(X^T) = K and
+      rank and nullity are those of the full feed.
+
+    The stop is exact in any order of D-types; the order only sets how
+    soon it comes.  While new > 0 the rank stays below t*d - r_L and
+    every row is fed.
     """
     field = checked_field(field, chunk)
+    if keep_state and lifted is not None:
+        raise ValueError("keep_state feeds every row; lifted stops early")
     if rho is None:
         rho = RhoCache(lam, field)
     t = len(assoc_types(n, 1))
     d = rho.dim
     state = echelon_state(t * d, field, reduced=keep_state)
+    bound = None if lifted is None else t * d - lifted[0]
+    fed = 0
     for batch in xblock_transpose_rows(n, lam, field=field, chunk=chunk,
                                        table=table, rho=rho):
         state.add_rows(batch)
+        fed += len(batch) // d
+        if bound is not None and state.rank >= bound:
+            break
     rank = state.rank
     if keep_state:
         return rank, t * d - rank, state
-    return rank, t * d - rank
+    if bound is None:
+        return rank, t * d - rank
+    where = f"for partition {format_partition(lam)} after {fed} D-types"
+    blame = "some lifting is not an identity or r_L is not its rank"
+    if rank > bound:
+        raise InvariantViolation(
+            f"X^T rank {rank} exceeds t*d - lifted rank = {bound} {where}:"
+            f" {blame}")
+    if rank == bound:
+        W = lifted[1]
+        Z = state.random_kernel_vectors(len(W), random.Random())
+        # exact in int64: ModularEchelon needs ncols*(p-1)**2 + p <= 2**53
+        pairs = W @ Z.T
+        if field != 'Q':
+            pairs %= int(field)
+        if np.count_nonzero(pairs):
+            raise InvariantViolation(
+                f"the kernel of the X^T rows fed is not the lifted span "
+                f"{where}: {blame}")
+    return rank, t * d - rank, fed
 
 
 def new_identity_vectors(n: int, lam, liftings, field='Q', chunk: int = 50,
@@ -812,14 +888,12 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             progress(f"partition {format_partition(lam)} (d={d})")
         start = time.perf_counter()
         rho = RhoCache(lam, field)
-        lrank, grew = lifted_rank(n, lam, liftings, field, rho)
+        lrank, grew, orth = lifted_rank(n, lam, liftings, field, rho,
+                                        certify=True)
         grews.append(grew)
-        xrank, nullity = kernel_rank(n, lam, field, config.chunk, table, rho)
+        xrank, nullity, fed_dtypes = kernel_rank(
+            n, lam, field, config.chunk, table, rho, lifted=(lrank, orth))
         new = nullity - lrank
-        if new < 0:
-            raise InvariantViolation(
-                f"lifted rank {lrank} exceeds nullity {nullity} "
-                f"for partition {format_partition(lam)}")
         vectors = None
         if config.emit_new and new > 0:
             vectors = new_identity_vectors(n, lam, liftings, field,
@@ -838,7 +912,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             progress(f"partition {format_partition(lam)} (d={d}): done in "
                      f"{time.perf_counter() - start:.2f} s, lifted rank "
                      f"{lrank}, fed {fed} of {len(liftings)} liftings, "
-                     f"X^T rank {xrank}"
+                     f"X^T rank {xrank}, X^T fed {fed_dtypes} of {s} D-types"
                      + ("" if peak is None else f", peak RSS {peak:.0f} MiB"))
     report.retained = tuple(_grew_somewhere(grews))
     return report

@@ -168,6 +168,44 @@ class TestRationalEchelon:
                     assert sum(a * b for a, b in zip(r, v)) == 0
 
 
+class TestRandomKernelVectors:
+    # the certificate of pipeline.kernel_rank draws kernel vectors from
+    # the stored rows of both kinds of state
+
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_rational(self, reduced):
+        rng = random.Random(24)
+        for _ in range(30):
+            m, n = rng.randrange(1, 8), rng.randrange(1, 9)
+            rows = random_int_matrix(rng, m, n)
+            st = RationalEchelon(n, reduced=reduced)
+            st.add_rows(rows)
+            Z = st.random_kernel_vectors(n - st.rank + 2, rng)
+            assert Z.shape == (n - st.rank + 2, n)
+            assert all(isinstance(e, int) for e in Z.flat)
+            assert not (np.array(rows, dtype=object) @ Z.T).any()
+            # free entries are random, so the vectors span the kernel
+            assert naive_rank_mod(Z.tolist(), 1_000_003) == n - st.rank
+
+    @pytest.mark.parametrize("p", CROSS_PRIMES)
+    def test_modular(self, p):
+        # the product with the store goes in row blocks of _MOD_CHUNK
+        # entries (40 rows at 200 columns) and, past the float32 inner
+        # bound (65 columns at p = 509), in column chunks
+        rng = random.Random(p)
+        for m, n in ((5, 9), (120, 200), (200, 120)):
+            rows = np.array(random_int_matrix(rng, m, n, bound=50))
+            rows[m // 2:] = rows[:m - m // 2] * 3 % p  # rank deficient
+            st = ModularEchelon(n, p)
+            st.add_rows(rows)
+            # 20 more than the nullity span the kernel even at p = 2
+            Z = st.random_kernel_vectors(n - st.rank + 20, rng)
+            assert Z.dtype == np.int64 and Z.shape == (n - st.rank + 20, n)
+            assert ((0 <= Z) & (Z < p)).all()
+            assert not (rows @ Z.T % p).any()
+            assert naive_rank_mod(Z.tolist(), p) == n - st.rank
+
+
 class TestModularEchelon:
     def test_rank_matches_naive_mod_p(self):
         rng = random.Random(31)

@@ -544,6 +544,162 @@ class TestNewIdentityExtraction:
         assert found_gap
 
 
+def count_xt_rows(monkeypatch) -> list:
+    """Rows of each X^T batch kernel_rank reads, through the name it calls
+    (as perfbench's tracer counts them)."""
+    rows = []
+    real = pipeline.xblock_transpose_rows
+
+    def counted(*args, **kwargs):
+        for batch in real(*args, **kwargs):
+            rows.append(len(batch))
+            yield batch
+    monkeypatch.setattr(pipeline, "xblock_transpose_rows", counted)
+    return rows
+
+
+class TestKernelStop:
+    # given the lifted rank r_L and its certificate vectors, kernel_rank
+    # stops once the X^T rank reaches t*d - r_L (proof in its docstring)
+
+    @pytest.mark.parametrize("n, field, chunk, stops", [
+        (4, 'Q', 1, 5), (5, 'Q', 5, 7), (6, 101, 50, 11)])
+    def test_stop_matches_full_feed(self, n, field, chunk, stops,
+                                    monkeypatch):
+        liftings = liftings_to_degree(n)
+        s = len(expansion.expansion_arrays(n).offsets) - 1
+        rows = count_xt_rows(monkeypatch)
+        stopped = 0
+        for lam in partitions(n):
+            rho = RhoCache(lam, field)
+            lrank, _, orth = lifted_rank(n, lam, liftings, field, rho,
+                                         certify=True)
+            rows.clear()
+            rank, nullity, fed = kernel_rank(n, lam, field, chunk, rho=rho,
+                                             lifted=(lrank, orth))
+            assert sum(rows) == fed * rho.dim
+            assert (rank, nullity) == kernel_rank(n, lam, field, chunk,
+                                                  rho=rho)
+            assert nullity == lrank
+            stopped += fed < s
+        assert stopped == stops
+
+    def test_no_stop_while_new_is_positive(self, monkeypatch):
+        # the liftings of one defining identity leave new > 0 in every
+        # degree-6 partition: the rank never reaches t*d - r_L, so every
+        # X^T row is fed and the ranks are those of the full feed
+        f, _ = defining_identities()
+        partial = [g for h in lift(f) for g in lift(h)]
+        s = len(expansion.expansion_arrays(6).offsets) - 1
+        rows = count_xt_rows(monkeypatch)
+        for lam in partitions(6):
+            rho = RhoCache(lam, 101)
+            lrank, _, orth = lifted_rank(6, lam, partial, 101, rho,
+                                         certify=True)
+            full = kernel_rank(6, lam, 101, rho=rho)
+            rows.clear()
+            rank, nullity, fed = kernel_rank(6, lam, 101, rho=rho,
+                                             lifted=(lrank, orth))
+            assert nullity > lrank
+            assert fed == s and sum(rows) == s * rho.dim
+            assert (rank, nullity) == full
+
+    def test_non_identity_lifting_fails(self, monkeypatch):
+        # one fed lifting perturbed into a non-identity: every degree-6
+        # partition either passes t*d - r_L or fails the certificate
+        liftings = liftings_to_degree(6)
+        f = liftings[0]
+        coeffs = f.coeffs.copy()
+        coeffs[0] += 1
+        bad = Identity._of_split(6, f.types, f.leaves, coeffs, "lifted")
+        with pytest.raises(InvariantViolation):
+            bad.check_kernel_membership()
+        monkeypatch.setattr(pipeline, "liftings_to_degree",
+                            lambda *args, **kwargs: [bad] + liftings[1:])
+        with pytest.raises(InvariantViolation):
+            degree_report(ReportConfig(degree=6, field="F"))
+        seen = set()
+        for lam in partitions(6):
+            rho = RhoCache(lam, 101)
+            lrank, _, orth = lifted_rank(6, lam, [bad] + liftings[1:], 101,
+                                         rho, certify=True)
+            with pytest.raises(InvariantViolation) as err:
+                kernel_rank(6, lam, 101, rho=rho, lifted=(lrank, orth))
+            seen.add("exceeds" in str(err.value))
+        assert seen == {True, False}
+
+    def test_bound_one_too_low_fails(self):
+        # r_L + 1 puts the stop one below the true X^T rank.  Where a batch
+        # ends exactly there (partition 6: rank 14 of 15 after 50
+        # D-types) the certificate finds the kernel one larger than the
+        # lifted span; elsewhere the rank passes the bound
+        liftings = liftings_to_degree(6)
+        seen = set()
+        for lam in partitions(6):
+            rho = RhoCache(lam, 101)
+            lrank, _, orth = lifted_rank(6, lam, liftings, 101, rho,
+                                         certify=True)
+            with pytest.raises(InvariantViolation) as err:
+                kernel_rank(6, lam, 101, rho=rho, lifted=(lrank + 1, orth))
+            seen.add("exceeds" in str(err.value))
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("field", ['Q', 101])
+    def test_foreign_certificate_fails(self, field):
+        # vectors that are not orthogonal to the lifted span fail the check
+        # at the stop
+        liftings = liftings_to_degree(5)
+        lam = (3, 1, 1)
+        rho = RhoCache(lam, field)
+        lrank, _, orth = lifted_rank(5, lam, liftings, field, rho,
+                                     certify=True)
+        orth = orth.copy()
+        orth[:, 0] += 1
+        with pytest.raises(InvariantViolation, match="not the lifted span"):
+            kernel_rank(5, lam, field, 5, rho=rho, lifted=(lrank, orth))
+
+    def test_keep_state_refuses_lifted(self):
+        # new_identity_vectors needs every row in its state
+        with pytest.raises(ValueError):
+            kernel_rank(4, (3, 1), 101, keep_state=True, lifted=(3, None))
+
+    @pytest.mark.parametrize("n, field", [(6, 101), (6, 'Q'), (5, 'Q')])
+    def test_kernel_coordinates(self, n, field):
+        # random combinations of lifted rows with each type block times
+        # A(id)**-1 are annihilated by the whole X^T, and the certificate
+        # vectors lifted_rank draws are orthogonal to them (at degree 6
+        # over Q only the first, which needs no elimination)
+        liftings = liftings_to_degree(n)
+        t = len(assoc_types(n, 1))
+        rng = np.random.default_rng(n)
+        for lam in partitions(n):
+            rho = RhoCache(lam, field)
+            d = rho.dim
+            L = pipeline._block_rows(liftings, rho, t)
+            u = (rng.integers(0, 101, (3, len(L))) @ L).reshape(3, t, d)
+            if field == 'Q':
+                num, _ = rho._a_id_inv
+                u = (u.astype(object) @ num).reshape(3, -1)
+                # the products below are exact in int64
+                top = max(abs(int(e)) for e in u.flat) * t * d
+                assert top * int(expansion.expansion_arrays(n).coeffs.max()
+                                 ) * 2 < 2 ** 63
+                u = u.astype(np.int64)
+            else:
+                u = (u @ rho._a_id_inv % field).reshape(3, -1)
+            for batch in expansion.xblock_transpose_rows(n, lam, field,
+                                                         rho=rho):
+                prod = batch @ u.T
+                assert not (prod if field == 'Q' else prod % field).any()
+            if field == 'Q' and n == 6:
+                continue
+            _, _, orth = lifted_rank(n, lam, liftings, field, rho,
+                                     certify=True)
+            pairs = orth @ u.T.astype(orth.dtype)
+            assert not np.count_nonzero(pairs if field == 'Q'
+                                        else pairs % field)
+
+
 class TestComparison:
     def test_defining_pair_generates_kernel(self):
         pair = list(defining_identities())
@@ -735,10 +891,22 @@ def test_bad_input_exits_1(argv, capsys):
     assert out.out == "" and out.err.startswith("error: bad input: ")
 
 
+def test_compare_mixed_degrees_exits_1(tmp_path, capsys):
+    # identity files of two degrees are bad input (exit 1), not a violated
+    # invariant (exit 2)
+    pair = list(defining_identities())
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_identities(pair, str(a))
+    save_identities(lift(pair[0]), str(b))
+    assert main(["compare", "--a", str(a), "--b", str(b)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: bad input: mixed")
+
+
 def test_report_progress_lines(capsys):
     # --progress adds one line per finished partition on stderr, with its
-    # time, both ranks, the liftings fed and the peak RSS, and leaves
-    # stdout as it was
+    # time, both ranks, the liftings and D-types fed and the peak RSS, and
+    # leaves stdout as it was
     assert main(["report", "--degree", "5"]) == 0
     plain = capsys.readouterr()
     assert main(["report", "--degree", "5", "--progress"]) == 0
@@ -748,7 +916,8 @@ def test_report_progress_lines(capsys):
     assert len(done) == len(partitions(5))
     assert re.fullmatch(r"partition 41 \(d=4\): done in \d+\.\d\d s, "
                         r"lifted rank 21, fed 9 of 12 liftings, "
-                        r"X\^T rank 35, peak RSS \d+ MiB", done[1])
+                        r"X\^T rank 35, X\^T fed 42 of 42 D-types, "
+                        r"peak RSS \d+ MiB", done[1])
 
 
 def test_peak_rss_units_and_missing_resource(monkeypatch):
