@@ -44,12 +44,9 @@ coefficients; the empty dict is zero.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from typing import Union
 
-from .monomials import (MAX_BASIS_DEGREE, Word, coeff_str, format_word,
-                        parse_word, relabel, split, with_leaves)
+from .monomials import MAX_BASIS_DEGREE, Word, relabel, split, with_leaves
 
 DPoly = dict  # Word -> Fraction, zero coefficients never stored
 
@@ -242,30 +239,3 @@ def normal_dtypes(n: int) -> tuple[Word, ...]:
     if not 1 <= n <= MAX_BASIS_DEGREE:
         raise ValueError(f"degree {n} out of supported range 1..{MAX_BASIS_DEGREE}")
     return tuple(with_leaves(s, range(1, n + 1)) for s in normal_skeletons(n))
-
-
-@cache
-def normal_dtype_index(n: int) -> dict[Word, int]:
-    return {t: k for k, t in enumerate(normal_dtypes(n))}
-
-
-def classify_normal(word: Word) -> tuple[int, tuple[int, ...]]:
-    """(normal type index, permutation) of a normal multilinear word."""
-    s, perm = split(word)
-    idx = normal_dtype_index(len(perm)).get(s)
-    if idx is None:
-        raise ValueError(f"not a normal word: {word!r}")
-    return idx, perm
-
-
-def poly_to_json(poly: DPoly) -> list[dict]:
-    """JSON form: list of {coeff, word}, sorted by the rendered word."""
-    items = sorted(poly.items(), key=lambda kv: format_word(kv[0]))
-    return [{"coeff": coeff_str(c), "word": format_word(w)} for w, c in items]
-
-
-def poly_from_json(data) -> DPoly:
-    out: DPoly = {}
-    for item in data:
-        poly_add(out, parse_word(item["word"]), Fraction(item["coeff"]))
-    return out

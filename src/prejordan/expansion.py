@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -699,22 +698,6 @@ def expansion_matrix(n: int, field='Q', allow_large: bool = False
                 row[j * fact + pidx[compose(sigma, perm)]] = c
             rows.append(row)
     return ExactMatrix(rows, field)
-
-
-def identity_vector(poly, n: int) -> list:
-    """Coordinates of a one-product combination in the monomial basis."""
-    from .monomials import basis_index
-    idx = basis_index(n, 1)
-    t = len(assoc_types(n, 1))
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    vec = [Fraction(0)] * (t * fact)
-    for word, coeff in poly.items():
-        if degree(word) != n:
-            raise ValueError("combination mixes degrees")
-        vec[idx(word)] += Fraction(coeff)
-    return vec
 
 
 # ----------------------------------------------- per-partition block rows

@@ -265,6 +265,30 @@ class ModularEchelon:
     (one back-substitution product per mini block), so the arithmetic cost
     is dominated by BLAS calls and the peak memory by the int8 store plus
     one float segment.
+
+    Inside a mini block the search is left-looking.  Its j new pivot rows
+    E stay unnormalized, and T**-1, the inverse of their pivot submatrix
+    T = E[:, pv], is kept; T is upper triangular in arrival order, since
+    each row of E is zero at the pivots before its own.  A row r is
+    reduced by c = r[pv] T**-1, then r - c E, which is zero at pv and
+    equals r minus r[pv] times the normalized rows.  A new pivot row
+    with entry delta at column pc adds to T**-1 the column
+    -(T**-1 u) * delta**-1, u = E[:, pc], and the diagonal entry
+    delta**-1.  The mini block ends with one normalization E <- T**-1 E.
+    Every factor holds residues in [0, p) and every inner dimension is
+    j <= mini_rows <= k, so each product is within the bound:
+
+    * c = r[pv] T**-1 and T**-1 u sum at most j*(p-1)**2 and are reduced
+      before use.  T**-1 u is reduced *before* it is scaled by
+      p - delta**-1; the scaled entries are then at most (p-1)**2.
+      Scaling first would reach j*(p-1)**3, past 2**24 at p = 509.
+    * r - c E lies in [-j*(p-1)**2, p) and T**-1 E in [0, j*(p-1)**2];
+      _mod_inplace reduces both.
+
+    Vectors of at most mini_rows entries (c and the new column) are
+    reduced with np.remainder, one call in place of _mod_inplace's four.
+    It is exact on the same range: numpy takes the IEEE fmod, which is
+    exact, and adds p once to a negative result, an exact integer sum.
     """
 
     def __init__(self, ncols: int, p: int, block_rows: int = 2048,
@@ -334,52 +358,69 @@ class ModularEchelon:
                 _mod_inplace(B, p)
 
     def _add_block(self, B: np.ndarray, grew: np.ndarray) -> None:
-        # grew[k] is set when row k of B adds a pivot
+        # grew[k] is set when row k of B adds a pivot.  Within a mini
+        # block Bm the new pivot rows E are gathered unnormalized at the
+        # front of Bm, with T**-1 the inverse of their pivot submatrix
+        # T = E[:, pv]; see the class docstring
         p = self.p
         self._forward(B)
         nb = np.empty_like(B)
         npv: list[int] = []
-        for s in range(0, B.shape[0], self.mini_rows):
-            Bm = B[s:s + self.mini_rows]
+        mini = self.mini_rows
+        Tinv = np.zeros((mini, mini), dtype=B.dtype)
+        pv = np.empty(mini, dtype=np.intp)
+        q = np.empty(B.shape[1], dtype=B.dtype)
+        for s in range(0, B.shape[0], mini):
+            Bm = B[s:s + mini]
             if npv:
                 arr = np.asarray(npv, dtype=np.intp)
                 coef = Bm[:, arr]
                 if coef.any():
                     Bm -= coef @ nb[:len(npv)]
                     _mod_inplace(Bm, p)
-            fresh = len(npv)
-            # a row that is zero now stays zero and cannot raise the rank
+            j = 0
+            Tj, Ej, pvj = Tinv[:0, :0], Bm[:0], pv[:0]
+            # a row that is zero now stays zero and cannot raise the rank;
+            # row i only overwrites Bm[j], j <= i, a row already visited
             for i in np.flatnonzero(Bm.any(axis=1)).tolist():
-                row = Bm[i]
-                if fresh != len(npv):
-                    arr = np.asarray(npv[fresh:], dtype=np.intp)
-                    coef = row[arr]
-                    if coef.any():
-                        row -= coef @ nb[fresh:len(npv)]
-                        _mod_inplace(row, p)
-                nz = np.nonzero(row)[0]
-                if nz.size == 0:
+                row, e = Bm[i], Bm[j]
+                g = row[pvj]
+                if np.count_nonzero(g):
+                    c = g @ Tj
+                    np.remainder(c, p, out=c)
+                    np.subtract(row, c @ Ej, out=e)
+                    _sub_multiple(e, np.divide(e, p, out=q), p)
+                elif i != j:
+                    # nothing to reduce: row is nonzero, so it is a pivot
+                    e[:] = row
+                pc = int((e != 0).argmax())
+                delta = int(e[pc])
+                if not delta:
                     continue
-                pc = int(nz[0])
-                inv = pow(int(row[pc]), -1, p)
-                if inv != 1:
-                    row *= inv
-                    _mod_inplace(row, p)
-                row[pc] = 1.0
-                if len(npv) > fresh:
-                    sub = nb[fresh:len(npv)]
-                    col = sub[:, pc].copy()
-                    if col.any():
-                        sub -= np.outer(col, row)
-                        _mod_inplace(sub, p)
-                nb[len(npv)] = row
-                npv.append(pc)
+                inv = pow(delta, -1, p)
+                if j:
+                    # reduced before the scaling, which alone keeps the
+                    # column's entries within (p-1)**2
+                    col = Tj @ Ej[:, pc]
+                    np.remainder(col, p, out=col)
+                    col *= p - inv
+                    np.remainder(col, p, out=Tinv[:j, j])
+                Tinv[j, j] = inv
+                pv[j] = pc
+                j += 1
+                Tj, Ej, pvj = Tinv[:j, :j], Bm[:j], pv[:j]
                 grew[s + i] = True
-            if fresh and len(npv) > fresh:
-                arr = np.asarray(npv[fresh:], dtype=np.intp)
-                coef = nb[:fresh, arr]
+            if not j:
+                continue
+            fresh = len(npv)
+            new = nb[fresh:fresh + j]
+            np.matmul(Tj, Ej, out=new)
+            _mod_inplace(new, p)
+            npv.extend(pvj.tolist())
+            if fresh:
+                coef = nb[:fresh, pvj]
                 if coef.any():
-                    nb[:fresh] -= coef @ nb[fresh:len(npv)]
+                    nb[:fresh] -= coef @ new
                     _mod_inplace(nb[:fresh], p)
         if not npv:
             return
@@ -734,14 +775,6 @@ def lll_reduce(rows, delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
             mu, norms = _gram_schmidt(basis)
             i = max(i - 1, 1)
     return basis
-
-
-def gram_det(rows) -> int:
-    """Determinant of the Gram matrix of integer rows; an invariant of the
-    lattice basis up to unimodular changes."""
-    M = int_rows(rows)
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in M] for u in M]
-    return int_det(gram)
 
 
 # ---------------------------------------------------------------- file I/O

@@ -87,28 +87,12 @@ def split(word: Word) -> tuple[Word, tuple[int, ...]]:
     return go(word), tuple(labels)
 
 
-def is_multilinear(word: Word) -> bool:
-    seq = leaves(word)
-    return sorted(seq) == list(range(1, len(seq) + 1))
-
-
 # permutations are tuples in one-line notation with 1-based values
-
-
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """(p o q)(k) = p(q(k))."""
     return tuple(p[q[k] - 1] for k in range(len(q)))
-
-
-def inverse_perm(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for k, v in enumerate(p):
-        out[v - 1] = k + 1
-    return tuple(out)
 
 
 def all_perms(n: int) -> list[tuple[int, ...]]:

@@ -169,16 +169,6 @@ class Identity:
                 f"{len(residue)} residual terms, first "
                 f"{format_word(next(iter(residue)))}")
 
-    def group_algebra(self, t: int) -> list[dict]:
-        """One group algebra element {perm: coeff} per association type, t
-        of them, read off the split."""
-        out: list[dict] = [dict() for _ in range(t)]
-        for i, perm, c in zip(self.types.tolist(),
-                              map(tuple, (self.leaves + 1).tolist()),
-                              self.coeffs.tolist()):
-            out[i][perm] = out[i].get(perm, 0) + c
-        return out
-
     def vector(self, length: int, index) -> list:
         vec = [0] * length
         for c, w in self.terms:
@@ -890,9 +880,11 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
         rho = RhoCache(lam, field)
         lrank, grew, orth = lifted_rank(n, lam, liftings, field, rho,
                                         certify=True)
+        lifted_s = time.perf_counter() - start
         grews.append(grew)
         xrank, nullity, fed_dtypes = kernel_rank(
             n, lam, field, config.chunk, table, rho, lifted=(lrank, orth))
+        kernel_s = time.perf_counter() - start - lifted_s
         new = nullity - lrank
         vectors = None
         if config.emit_new and new > 0:
@@ -910,9 +902,11 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
         if progress:
             peak = _peak_rss_mib()
             progress(f"partition {format_partition(lam)} (d={d}): done in "
-                     f"{time.perf_counter() - start:.2f} s, lifted rank "
-                     f"{lrank}, fed {fed} of {len(liftings)} liftings, "
-                     f"X^T rank {xrank}, X^T fed {fed_dtypes} of {s} D-types"
+                     f"{time.perf_counter() - start:.2f} s (lifted rank "
+                     f"{lifted_s:.2f} s, kernel rank {kernel_s:.2f} s), "
+                     f"lifted rank {lrank}, fed {fed} of {len(liftings)} "
+                     f"liftings, X^T rank {xrank}, X^T fed {fed_dtypes} of "
+                     f"{s} D-types"
                      + ("" if peak is None else f", peak RSS {peak:.0f} MiB"))
     report.retained = tuple(_grew_somewhere(grews))
     return report

@@ -132,23 +132,6 @@ def class_representative(mu: Partition) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cycle_type(perm: tuple[int, ...]) -> Partition:
-    n = len(perm)
-    seen = [False] * n
-    lengths = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        length = 0
-        k = s
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k] - 1
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
 # ------------------------------------------------- Murnaghan-Nakayama rule
 
 
@@ -177,13 +160,6 @@ def _mn(lam: Partition, mu: Partition) -> int:
 def character(lam: Partition, mu: Partition) -> int:
     """Irreducible character chi_lambda evaluated on cycle type mu."""
     return _mn(lam, tuple(sorted(mu, reverse=True)))
-
-
-@cache
-def character_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Rows over partitions(n), columns over class_types(n)."""
-    return tuple(tuple(character(lam, mu) for mu in class_types(n))
-                 for lam in partitions(n))
 
 
 def decompose(char_values, n: int) -> tuple[int, ...]:

@@ -1,12 +1,19 @@
-"""Shared generators and references for the test suite."""
+"""Shared generators and references for the test suite, and the small
+conversions only the tests use."""
 
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
-from prejordan.monomials import inverse_perm
+from prejordan.dendriform import DPoly, normal_dtypes, poly_add
+from prejordan.linalg import int_det, int_rows
+from prejordan.monomials import (Word, assoc_types, basis_index, coeff_str,
+                                 degree, format_word, leaves, parse_word,
+                                 split)
 from prejordan.pipeline import Identity
-from prejordan.symrep import conjugate, standard_tableaux
+from prejordan.symrep import (Partition, character, class_types, conjugate,
+                              partitions, standard_tableaux)
 
 
 def random_word(rng, n, ops=1):
@@ -86,3 +93,111 @@ def lift_reference(ident):
     polys.append({('*', w, new): c for c, w in ident.terms})
     polys.append({('*', new, w): c for c, w in ident.terms})
     return [Identity.from_poly(poly, "lifted", check=False) for poly in polys]
+
+
+# ------------------------------------------------ permutations and words
+# permutations are tuples in one-line notation with 1-based values
+
+
+def identity_perm(n: int) -> tuple[int, ...]:
+    return tuple(range(1, n + 1))
+
+
+def inverse_perm(p: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for k, v in enumerate(p):
+        out[v - 1] = k + 1
+    return tuple(out)
+
+
+def is_multilinear(word: Word) -> bool:
+    seq = leaves(word)
+    return sorted(seq) == list(range(1, len(seq) + 1))
+
+
+def cycle_type(perm: tuple[int, ...]) -> Partition:
+    n = len(perm)
+    seen = [False] * n
+    lengths = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        length = 0
+        k = s
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k] - 1
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+@cache
+def character_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows over partitions(n), columns over class_types(n)."""
+    return tuple(tuple(character(lam, mu) for mu in class_types(n))
+                 for lam in partitions(n))
+
+
+# --------------------------------------------------- normal words, polys
+
+
+@cache
+def normal_dtype_index(n: int) -> dict[Word, int]:
+    return {t: k for k, t in enumerate(normal_dtypes(n))}
+
+
+def classify_normal(word: Word) -> tuple[int, tuple[int, ...]]:
+    """(normal type index, permutation) of a normal multilinear word."""
+    s, perm = split(word)
+    idx = normal_dtype_index(len(perm)).get(s)
+    if idx is None:
+        raise ValueError(f"not a normal word: {word!r}")
+    return idx, perm
+
+
+def poly_to_json(poly: DPoly) -> list[dict]:
+    """JSON form: list of {coeff, word}, sorted by the rendered word."""
+    items = sorted(poly.items(), key=lambda kv: format_word(kv[0]))
+    return [{"coeff": coeff_str(c), "word": format_word(w)} for w, c in items]
+
+
+def poly_from_json(data) -> DPoly:
+    out: DPoly = {}
+    for item in data:
+        poly_add(out, parse_word(item["word"]), Fraction(item["coeff"]))
+    return out
+
+
+def identity_vector(poly, n: int) -> list:
+    """Coordinates of a one-product combination in the monomial basis."""
+    idx = basis_index(n, 1)
+    t = len(assoc_types(n, 1))
+    fact = 1
+    for k in range(2, n + 1):
+        fact *= k
+    vec = [Fraction(0)] * (t * fact)
+    for word, coeff in poly.items():
+        if degree(word) != n:
+            raise ValueError("combination mixes degrees")
+        vec[idx(word)] += Fraction(coeff)
+    return vec
+
+
+def group_algebra(ident: Identity, t: int) -> list[dict]:
+    """One group algebra element {perm: coeff} per association type, t of
+    them, read off the identity's split."""
+    out: list[dict] = [dict() for _ in range(t)]
+    for i, perm, c in zip(ident.types.tolist(),
+                          map(tuple, (ident.leaves + 1).tolist()),
+                          ident.coeffs.tolist()):
+        out[i][perm] = out[i].get(perm, 0) + c
+    return out
+
+
+def gram_det(rows) -> int:
+    """Determinant of the Gram matrix of integer rows; an invariant of the
+    lattice basis up to unimodular changes."""
+    M = int_rows(rows)
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in M] for u in M]
+    return int_det(gram)

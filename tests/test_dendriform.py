@@ -9,11 +9,10 @@ import math
 import random
 from collections import Counter
 
-from helpers import random_word
-from prejordan.dendriform import (classify_normal, dnormalize, is_normal,
-                                  normal_dtype_index, normal_dtypes,
-                                  normalize_word, poly_from_json,
-                                  poly_to_json, rewrite_random_strategy)
+from helpers import (classify_normal, normal_dtype_index, poly_from_json,
+                     poly_to_json, random_word)
+from prejordan.dendriform import (dnormalize, is_normal, normal_dtypes,
+                                  normalize_word, rewrite_random_strategy)
 from prejordan.monomials import format_word, leaves, with_leaves
 
 

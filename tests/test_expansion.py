@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_word
-from prejordan.dendriform import dnormalize, normal_dtype_index, normal_dtypes
+from helpers import (identity_perm, identity_vector, normal_dtype_index,
+                     random_word)
+from prejordan.dendriform import dnormalize, normal_dtypes
 from prejordan.errors import ResourceLimit
 from prejordan.expansion import (cached_expansion_table, expansion_arrays,
                                  expansion_matrix, expansion_table,
-                                 identity_vector,
                                  pj_expand, pj_normal_form,
                                  poly_normal_form, xblock_matrix,
                                  xblock_transpose_rows)
@@ -91,8 +91,6 @@ def test_equivariance():
 
 
 def test_table_matches_direct_expansion():
-    from prejordan.dendriform import classify_normal
-    from prejordan.monomials import identity_perm, with_leaves
     for n in range(3, 8):
         table = expansion_table(n)
         dtypes = normal_dtypes(n)

@@ -12,11 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_int_matrix, random_rational_matrix
+from helpers import gram_det, random_int_matrix, random_rational_matrix
 from prejordan.linalg import (ExactMatrix, ModularEchelon, RationalEchelon,
                               _MOD_CHUNK, _inner_bound, _mod_inplace,
-                              check_field, echelon_state,
-                              express_in_rowspace, gram_det,
+                              check_field, echelon_state, express_in_rowspace,
                               hermite_with_transform, int_det, int_rows,
                               lll_reduce, read_matrix, residues, write_matrix)
 
@@ -85,6 +84,25 @@ def naive_rank_mod(rows, p):
         rows = [[(a - r[c] * b) % p for a, b in zip(r, src)] for r in rows]
         rank += 1
     return rank
+
+
+def naive_rank_flags_mod(rows, p):
+    """Per row whether it raises the rank mod p of the rows before it:
+    naive_rank_mod run incrementally, one reduction per row against the
+    normalized rows kept so far."""
+    kept, flags = [], []
+    for r in rows:
+        r = [e % p for e in r]
+        for pc, src in kept:
+            if r[pc]:
+                c = r[pc]
+                r = [(a - c * b) % p for a, b in zip(r, src)]
+        pc = next((c for c, e in enumerate(r) if e), None)
+        flags.append(pc is not None)
+        if pc is not None:
+            inv = pow(r[pc], -1, p)
+            kept.append((pc, [e * inv % p for e in r]))
+    return flags
 
 
 def naive_det(rows):
@@ -315,6 +333,77 @@ class TestModularEchelon:
                 got, got_pivots = st.rcf()
                 assert got.tolist() == want and got_pivots.tolist() == pivots
 
+    @pytest.mark.parametrize("p", CROSS_PRIMES)
+    def test_default_mini_blocks_match_naive(self, p):
+        # 150 rows at the default sizes fill 64-row mini blocks with many
+        # pivots each; dependent rows combine rows of their own mini
+        # block or of earlier ones, and zero rows and multiples are mixed
+        # in.  Fed whole and in ragged chunks (whose mini blocks start
+        # elsewhere), the flags match the naive incremental rank and the
+        # RCF the naive one
+        rng = random.Random(p + 61)
+        m, n, mini = 150, 80, 64
+        rows = []
+        for i in range(m):
+            start = i // mini * mini
+            kind = rng.random() if i else 0.0
+            if kind < 0.55:
+                row = [rng.randrange(p) for _ in range(n)]
+            elif kind < 0.95:
+                inside = start < i and (i < mini or rng.random() < 0.5)
+                pool = range(start, i) if inside else range(start)
+                row = [0] * n
+                for k in rng.sample(pool, min(3, len(pool))):
+                    c = rng.randrange(1, p)
+                    row = [a + c * b for a, b in zip(row, rows[k])]
+            elif kind < 0.97:
+                row = [0] * n
+            else:
+                row = [e * rng.randrange(1, p) for e in rows[i - 1]]
+            rows.append(row)
+        want_flags = naive_rank_flags_mod(rows, p)
+        assert 50 < sum(want_flags) < m - 40
+        want, pivots = naive_rcf_mod(rows, p)
+        whole = echelon_state(n, p)
+        assert whole.mini_rows == mini
+        chunked = echelon_state(n, p)
+        flags = []
+        for a, b in ((0, 37), (37, 130), (130, m)):
+            flags += chunked.add_rows(np.array(rows[a:b]))
+        assert whole.add_rows(np.array(rows)) == flags == want_flags
+        for st in (whole, chunked):
+            got, got_pivots = st.rcf()
+            assert got.tolist() == want and got_pivots.tolist() == pivots
+
+    def test_large_inverse_columns_at_509(self):
+        # at p = 509 the float32 bound is k = 65, so a mini block holds
+        # 64 rows.  Rows e_i - sum_{c > i} e_c have unit pivots on the
+        # diagonal; T**-1 has entries 2**(b-a-1) mod p above it, and each
+        # new pivot meets u = (p-1, ..., p-1), so T**-1 u sums up to
+        # 64*(p-1)**2, about 2**24, before the scaling by p - 1.  Random
+        # rows after them are reduced through those columns; a column
+        # scaled before its reduction is rounded and breaks the RCF
+        p, n = 509, 70
+        st = ModularEchelon(n, p)
+        assert st.compute_dtype == np.float32 and st.mini_rows == 64
+        rows = np.zeros((64, n), dtype=np.int64)
+        for i in range(60):
+            rows[i, i] = 1
+            rows[i, i + 1:] = p - 1
+        rng = random.Random(509)
+        rows[60:] = [[rng.randrange(p) for _ in range(n)] for _ in range(4)]
+        a, b = np.triu_indices(60, 1)
+        t_inv = np.eye(60, dtype=np.int64)
+        t_inv[a, b] = [pow(2, int(e), p) for e in b - a - 1]
+        assert (rows[:60, :60] @ t_inv % p == np.eye(60)).all()
+        # the largest T**-1 u, times p - 1, is far past 2**24
+        assert max((t_inv[:j, :j] @ rows[:j, j]).max()
+                   for j in range(1, 60)) * (p - 1) > 2 ** 28
+        assert st.add_rows(rows) == naive_rank_flags_mod(rows.tolist(), p)
+        want, pivots = naive_rcf_mod(rows.tolist(), p)
+        got, got_pivots = st.rcf()
+        assert got.tolist() == want and got_pivots.tolist() == pivots
+
     def test_compute_dtype_follows_prime(self):
         # the degree-7 X^T width at F_101 computes in float32; a prime
         # whose inner bound cannot cover a mini block computes in float64
@@ -470,9 +559,9 @@ def _common_den(row):
 
 
 class TestModularReduction:
-    """_mod_inplace against Python's % on the range ModularEchelon
-    guarantees, |x| <= 2**m - p with m = 24 (float32) or 53 (float64), the
-    width guard, and residues on float input."""
+    """_mod_inplace and np.remainder against Python's % on the range
+    ModularEchelon guarantees, |x| <= 2**m - p with m = 24 (float32) or
+    53 (float64), the width guard, and residues on float input."""
 
     PRIMES = [2, 101, 32003, 1000003]
 
@@ -492,6 +581,9 @@ class TestModularReduction:
             values = [x for x in edge + rand if abs(x) <= top]
             A = np.array(values, dtype=dtype)
             assert [int(a) for a in A] == values  # every value held exactly
+            # np.remainder, which ModularEchelon applies to short vectors,
+            # is exact on the same range
+            assert np.remainder(A, p).tolist() == [x % p for x in values]
             _mod_inplace(A, p)
             assert [int(a) for a in A] == [x % p for x in values]
             M = np.array(edge, dtype=dtype).reshape(2, -1)

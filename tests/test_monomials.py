@@ -6,11 +6,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_word
+from helpers import identity_perm, inverse_perm, is_multilinear, random_word
 from prejordan.monomials import (all_perms, assoc_type_index, assoc_types,
                                  basis_index, classify, compose, coeff_str,
-                                 degree, format_word, identity_perm,
-                                 inverse_perm, is_multilinear, leaves,
+                                 degree, format_word, leaves,
                                  multilinear_basis, parse_word, perm_index,
                                  relabel, shape, with_leaves)
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import lift_reference
+from helpers import group_algebra, lift_reference
 from prejordan import expansion, monomials, pipeline
 from prejordan.cli import main
 from prejordan.errors import InvariantViolation
@@ -101,7 +101,7 @@ class TestDefiningIdentities:
 
     def test_group_algebra_split(self):
         f, _ = defining_identities()
-        blocks = f.group_algebra(5)
+        blocks = group_algebra(f, 5)
         assert len(blocks) == 5
         assert sum(len(b) for b in blocks) == 12
 
@@ -905,8 +905,9 @@ def test_compare_mixed_degrees_exits_1(tmp_path, capsys):
 
 def test_report_progress_lines(capsys):
     # --progress adds one line per finished partition on stderr, with its
-    # time, both ranks, the liftings and D-types fed and the peak RSS, and
-    # leaves stdout as it was
+    # time and the part of it spent in each rank, both ranks, the
+    # liftings and D-types fed and the peak RSS, and leaves stdout as it
+    # was
     assert main(["report", "--degree", "5"]) == 0
     plain = capsys.readouterr()
     assert main(["report", "--degree", "5", "--progress"]) == 0
@@ -914,8 +915,9 @@ def test_report_progress_lines(capsys):
     assert got.out == plain.out and not plain.err
     done = [line for line in got.err.splitlines() if "done in" in line]
     assert len(done) == len(partitions(5))
-    assert re.fullmatch(r"partition 41 \(d=4\): done in \d+\.\d\d s, "
-                        r"lifted rank 21, fed 9 of 12 liftings, "
+    assert re.fullmatch(r"partition 41 \(d=4\): done in \d+\.\d\d s "
+                        r"\(lifted rank \d+\.\d\d s, "
+                        r"kernel rank \d+\.\d\d s\), lifted rank 21, fed 9 of 12 liftings, "
                         r"X\^T rank 35, X\^T fed 42 of 42 D-types, "
                         r"peak RSS \d+ MiB", done[1])
 

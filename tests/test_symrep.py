@@ -13,14 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import clifton_a_reference
+from helpers import character_table, clifton_a_reference, cycle_type
 from prejordan import symrep
 from prejordan.errors import InvariantViolation, ResourceLimit
 from prejordan.monomials import all_perms, compose
-from prejordan.symrep import (RhoCache, character, character_table,
-                              class_representative, class_size, class_types,
-                              clifton_a, clifton_matrix, conjugate,
-                              cycle_type, decompose, dimension,
+from prejordan.symrep import (RhoCache, character, class_representative,
+                              class_size, class_types, clifton_a,
+                              clifton_matrix, conjugate, decompose, dimension,
                               format_partition, module_character,
                               parse_partition, partitions,
                               standard_tableaux)
