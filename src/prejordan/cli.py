@@ -26,10 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "interchange format and exit")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("expand", help="build or persist an expansion table")
+    p = sub.add_parser("expand", help="build an expansion table")
     p.add_argument("--degree", type=int, required=True, metavar="N")
-    p.add_argument("--cache", metavar="DIR",
-                   help="directory for the JSON table cache")
     p.add_argument("--dump-matrix", metavar="FILE",
                    help="also write the dense monomial-level matrix")
     p.add_argument("--allow-large", action="store_true")
@@ -68,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the rank-growing ones")
     p.add_argument("--emit-new", action="store_true",
                    help="include coordinate vectors of new identities")
-    p.add_argument("--cache", metavar="DIR")
     p.add_argument("--out", metavar="FILE", help="write here, not stdout")
     p.add_argument("--progress", action="store_true",
                    help="progress lines on stderr")
@@ -95,16 +92,15 @@ def _summary(values) -> str:
 
 
 def cmd_expand(args) -> int:
-    from .expansion import cached_expansion_table, expansion_matrix
+    from .expansion import expansion_arrays, expansion_matrix
     from .linalg import write_matrix
     from .monomials import assoc_types
 
-    table = cached_expansion_table(args.degree, args.cache)
+    table = expansion_arrays(args.degree)
     t = len(assoc_types(args.degree, 1))
     s = len(table.offsets) - 1
     print(f"degree {args.degree}: {t} association types, {s} normal "
-          f"D-types, {len(table.coeffs)} table entries"
-          + (f", cached under {args.cache}" if args.cache else ""))
+          f"D-types, {len(table.coeffs)} table entries")
     if args.dump_matrix:
         mat = expansion_matrix(args.degree, allow_large=args.allow_large)
         with open(args.dump_matrix, "w") as fh:
@@ -177,7 +173,6 @@ def cmd_report(args) -> int:
         if args.partition else None,
         prune=not args.no_prune,
         allow_large=args.allow_large,
-        cache_dir=args.cache,
         emit_new=args.emit_new)
     progress = (lambda msg: print(msg, file=sys.stderr, flush=True)) \
         if args.progress else None

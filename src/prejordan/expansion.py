@@ -58,13 +58,10 @@ sum_i g_i * cell(i, j) = 0 for every j.
 
 The expansion table is those images split by normal D-type, held as
 arrays sorted by D-type, so each batch of X^T rows is one slice of it.
-Tables can be cached to disk as versioned JSON.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from functools import cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -78,10 +75,7 @@ from .linalg import _SIGNIFICAND, ExactMatrix
 from .monomials import (Word, all_perms, assoc_type_index, assoc_types,
                         compose, degree, format_word, perm_index, shape,
                         split, with_leaves)
-from .symrep import RhoCache
-
-TABLE_FORMAT = "expansion-table"
-TABLE_VERSION = 1
+from .symrep import RhoCache, sum_dtype
 
 # Dense monomial-level matrices get big fast; above this degree the
 # per-partition route is the only sane one and building the full matrix
@@ -610,63 +604,6 @@ def expansion_table(n: int):
     return tuple(rows)
 
 
-def table_to_json(n: int, table: ExpansionTable) -> dict:
-    """JSON of the table: one row per type of [dtype, perm, coeff] entries
-    ordered by D-type and permutation, perms 1-based."""
-    rows: list[list] = [[] for _ in assoc_types(n, 1)]
-    order = np.argsort(table.types, kind="stable")
-    for i, j, perm, c in zip(table.types[order].tolist(),
-                             table.dtypes[order].tolist(),
-                             (table.perms[order] + 1).tolist(),
-                             table.coeffs[order].tolist()):
-        rows[i].append([j, perm, c])
-    return {"format": TABLE_FORMAT, "version": TABLE_VERSION,
-            "degree": n, "rows": rows}
-
-
-def table_from_json(data) -> tuple[int, ExpansionTable]:
-    """The degree and table of table_to_json's output; ValueError for
-    another format or version, or entries out of (type, D-type,
-    permutation) order, the order table_to_json writes and _table needs."""
-    if data.get("format") != TABLE_FORMAT or data.get("version") != TABLE_VERSION:
-        raise ValueError("not an expansion table file this version reads")
-    n, rows = data["degree"], data["rows"]
-    entries = [(i, j, perm, c) for i, row in enumerate(rows)
-               for j, perm, c in row]
-    keys = np.array([(i, j, *perm) for i, j, perm, _ in entries],
-                    dtype=np.int64).reshape(len(entries), n + 2)
-    # each entry must differ from the one before first in a larger value
-    step = np.diff(keys, axis=0)
-    first = (step != 0).argmax(axis=1)
-    if (step[np.arange(len(step)), first] <= 0).any():
-        raise ValueError("expansion table entries out of (type, D-type, "
-                         "permutation) order")
-    return n, _table(n, keys[:, 0], keys[:, 1], keys[:, 2:] - 1,
-                     [e[3] for e in entries],
-                     max((sum(abs(c) for _, _, c in row) for row in rows),
-                         default=0))
-
-
-def cached_expansion_table(n: int, cache_dir: str | None = None
-                           ) -> ExpansionTable:
-    """expansion_arrays with a JSON disk cache when cache_dir is given."""
-    if cache_dir is None:
-        return expansion_arrays(n)
-    path = os.path.join(cache_dir, f"expansion-{n}.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            deg, table = table_from_json(json.load(fh))
-        if deg == n:
-            return table
-    table = expansion_arrays(n)
-    os.makedirs(cache_dir, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(table_to_json(n, table), fh)
-    os.replace(tmp, path)
-    return table
-
-
 # ------------------------------------------------- monomial-level matrices
 
 
@@ -711,7 +648,7 @@ XBLOCK_CALL_ENTRIES = 2 ** 20
 
 def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
                           table: ExpansionTable | None = None,
-                          rho: RhoCache | None = None):
+                          rho: RhoCache | None = None, dtype=None):
     """Rows of the transposed representation block matrix, in batches.
 
     The block matrix X has one d x d block per (type i, D-type j) cell,
@@ -720,8 +657,12 @@ def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
     identity component iff the corresponding row vector lies in the left
     nullspace of X, so ranks and nullspaces of identities come from the
     transpose.  Rows of X^T arrive in batches of chunk D-types (chunk*d
-    rows), as one unreduced integer array per batch over either field, in
-    the dtype of the table's coefficients.
+    rows), as one unreduced integer array per batch over either field.
+    With dtype None the batches have the dtype of the table's
+    coefficients.  A float dtype (an echelon state's row_dtype) is used
+    when it holds every entry exactly: every cell's sum of |coeff| is at
+    most 2**m, m its significand (symrep.sum_dtype; the largest is 20 at
+    degree 7 and 35 at degree 8); past that the batches are integers.
 
     The blocks skip the change of basis by A(id)^-1; that factor
     multiplies each block on the left, so the rank and nullity are
@@ -744,10 +685,12 @@ def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
     cuts = np.flatnonzero(np.diff(table.dtypes * t + table.types,
                                   prepend=-1, append=-1))
     owner = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    # decided once for the whole table, so that every call agrees
+    dtype = sum_dtype(dtype, table.coeffs, cuts[:-1])
     per_call = max(1, XBLOCK_CALL_ENTRIES // (d * d))
     for start in range(0, s, chunk):
         stop = min(start + chunk, s)
-        rows = np.zeros((stop - start, d, t, d), dtype=table.coeffs.dtype)
+        rows = np.zeros((stop - start, d, t, d), dtype=dtype)
         lo, end = np.searchsorted(cuts, table.offsets[[start, stop]])
         while lo < end:
             # the most whole cells from lo within per_call entries, at least one
@@ -755,13 +698,16 @@ def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
             hi = min(max(hi, lo + 1), end)
             e0, e1 = cuts[lo], cuts[hi]
             raw = rho.raw_of_elements(owner[e0:e1] - lo, hi - lo,
-                                      table.perms[e0:e1], table.coeffs[e0:e1])
+                                      table.perms[e0:e1], table.coeffs[e0:e1],
+                                      dtype)
             # row a of D-type j holds M_i[b, a] at column i*d + b
             first = cuts[lo:hi]
             rows[table.dtypes[first] - start, :, table.types[first]] = \
                 raw.reshape(d, hi - lo, d).transpose(1, 2, 0)
             lo = hi
         yield rows.reshape(-1, t * d)
+        # the consumer may then free this batch before the next is built
+        del rows
 
 
 def xblock_matrix(n: int, lam, field='Q', table=None) -> ExactMatrix:

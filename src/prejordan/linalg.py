@@ -65,6 +65,9 @@ class RationalEchelon:
     reduced=True.
     """
 
+    #: dtype the row builders make their batches in: None, exact integers
+    row_dtype = None
+
     def __init__(self, ncols: int, reduced: bool = True):
         self.ncols = ncols
         self.reduced = reduced
@@ -211,7 +214,7 @@ def _inner_bound(p: int, dtype) -> int:
     return (2 ** _SIGNIFICAND[np.dtype(dtype)] - p) // (p - 1) ** 2
 
 
-def _mod_inplace(A: np.ndarray, p: int) -> None:
+def _mod_inplace(A: np.ndarray, p: int, check: bool = False) -> None:
     """Reduce the integer values of A into [0, p), in place.
 
     A must be a C-contiguous float32 or float64 array whose every entry is
@@ -226,18 +229,25 @@ def _mod_inplace(A: np.ndarray, p: int) -> None:
     quotients go through a scratch buffer of at most _MOD_CHUNK entries,
     so reducing a large array adds no copy of it; an array that fits in
     one, as most rows the elimination reduces do, takes one pass.
+
+    With check, each chunk is first tested for integers (floor(x) == x in
+    the scratch) and ValueError is raised at the first chunk that holds
+    another value, leaving the chunks before it reduced.
     """
     if A.dtype not in _SIGNIFICAND or not A.flags.c_contiguous:
         raise TypeError("_mod_inplace needs a C-contiguous float32 or "
                         "float64 array")
-    if A.size <= _MOD_CHUNK:
+    if A.size <= _MOD_CHUNK and not check:
         _sub_multiple(A, np.divide(A, p), p)
         return
     flat = A.reshape(-1)
-    q = np.empty(_MOD_CHUNK, dtype=A.dtype)
+    q = np.empty(min(flat.size, _MOD_CHUNK), dtype=A.dtype)
     for s in range(0, flat.size, _MOD_CHUNK):
         x = flat[s:s + _MOD_CHUNK]
-        _sub_multiple(x, np.divide(x, p, out=q[:x.size]), p)
+        qx = q[:x.size]
+        if check and not np.array_equal(np.floor(x, out=qx), x):
+            raise ValueError("integer matrix expected")
+        _sub_multiple(x, np.divide(x, p, out=qx), p)
 
 
 def _sub_multiple(x: np.ndarray, q: np.ndarray, p: int) -> None:
@@ -302,6 +312,8 @@ class ModularEchelon:
         self.compute_dtype = np.dtype(
             np.float32 if _inner_bound(self.p, np.float32) >= _MINI_ROWS
             else np.float64)
+        #: dtype the row builders make their batches in for this state
+        self.row_dtype = self.compute_dtype
         k = _inner_bound(self.p, self.compute_dtype)
         self.block_rows = min(block_rows, k)
         self.mini_rows = min(mini_rows, k)
@@ -326,8 +338,13 @@ class ModularEchelon:
 
         A row raises the rank exactly when it is independent of every row
         before it, so the flags do not depend on how rows are batched.
-        Integer rows within +-(2**m - p) are converted once, straight to
-        the compute dtype; any other input goes through residues first.
+        An array that already has the compute dtype (row_dtype), is
+        C-contiguous and lies within +-(2**m - p) is reduced and eliminated
+        in place, with no copy: it is checked for integers a chunk at a
+        time as it is reduced (ValueError otherwise), and its content is
+        consumed.  Integer rows within +-(2**m - p) are converted once,
+        straight to the compute dtype; any other input goes through
+        residues first.
         """
         M = np.asarray(rows)
         if M.size == 0:
@@ -337,10 +354,17 @@ class ModularEchelon:
         if M.shape[1] != self.ncols:
             raise ValueError("row length does not match")
         top = 2 ** _SIGNIFICAND[self.compute_dtype] - self.p
-        if not (M.dtype.kind in 'iu' and -top <= M.min() and M.max() <= top):
-            M = residues(M, self.p)
-        M = M.astype(self.compute_dtype, order='C')
-        _mod_inplace(M, self.p)
+        # NaN fails both comparisons, so it goes to residues, which raises
+        in_range = M.dtype.kind in 'iuf' and -top <= M.min() \
+            and M.max() <= top
+        if in_range and M.dtype == self.compute_dtype \
+                and M.flags.c_contiguous:
+            _mod_inplace(M, self.p, check=True)
+        else:
+            if not (in_range and M.dtype.kind in 'iu'):
+                M = residues(M, self.p)
+            M = M.astype(self.compute_dtype, order='C')
+            _mod_inplace(M, self.p)
         grew = np.zeros(M.shape[0], dtype=bool)
         for s in range(0, M.shape[0], self.block_rows):
             self._add_block(M[s:s + self.block_rows],

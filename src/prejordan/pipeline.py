@@ -43,9 +43,9 @@ from functools import cache
 import numpy as np
 
 from .errors import InvariantViolation
-from .expansion import (cached_expansion_table, coeff_array,
-                        expansion_matrix, poly_normal_form, split_normal_form,
-                        type_images, xblock_transpose_rows)
+from .expansion import (coeff_array, expansion_arrays, expansion_matrix,
+                        poly_normal_form, split_normal_form, type_images,
+                        xblock_transpose_rows)
 from .linalg import (check_field, echelon_state, hermite_with_transform,
                      lll_reduce)
 from .monomials import (Word, all_perms, assoc_type_index, assoc_types,
@@ -56,8 +56,12 @@ from .symrep import RhoCache, dimension, format_partition, partitions
 IDENTITY_FORMAT = "identity-list"
 IDENTITY_VERSION = 1
 
-#: per-partition memory gate in bytes, roughly two copies of the reduced
-#: row store at full width; degree 8 with block dimension 90 goes past it
+#: per-partition memory gate in bytes for _estimated_bytes, which is
+#: 2*(t*d)**2: twice the int8 row store of an echelon state at full rank
+#: (t*d rows of t*d columns).  It is a size class, not the working set:
+#: one-partition degree-8 reports (two BLAS threads) peaked at 232 MiB
+#: for 44 (d = 14, estimate 72 MB) and 690 MiB for 332 (d = 42, estimate
+#: 649 MB).  Only 4211 (d = 90, estimate 2.98 GB) goes past it
 MEMORY_BUDGET = 2_500_000_000
 
 
@@ -387,17 +391,22 @@ def identity_block(ident: Identity, lam, rho: RhoCache, t: int) -> np.ndarray:
     return _block_rows([ident], rho, t)
 
 
-def _block_rows(idents, rho: RhoCache, t: int) -> np.ndarray:
+def _block_rows(idents, rho: RhoCache, t: int, dtype=None) -> np.ndarray:
     """The block rows of idents stacked, shape (len(idents)*d, t*d), from
-    one RhoCache.raw_of_elements call on their splits: type i of identity
-    b is element b*t + i."""
-    d = rho.dim
-    raw = rho.raw_of_elements(
+    one RhoCache.raw_of_elements call on their splits that lays them out
+    in place, t blocks to a block row: type i of identity b is element
+    b*t + i.
+
+    With dtype None they are unreduced integers in the dtype of the
+    coefficients.  A float dtype (an echelon state's row_dtype) is used
+    when every (identity, type) element has sum |c| <= 2**m, m its
+    significand, which holds every entry exactly (symrep.sum_dtype; at
+    degree 7 the largest sum is 12); past that the rows are integers.
+    """
+    return rho.raw_of_elements(
         np.concatenate([f.types + b * t for b, f in enumerate(idents)]),
         len(idents) * t, np.concatenate([f.leaves for f in idents]),
-        np.concatenate([f.coeffs for f in idents]))
-    return raw.reshape(d, len(idents), t * d).transpose(1, 0, 2) \
-        .reshape(-1, t * d)
+        np.concatenate([f.coeffs for f in idents]), dtype, t)
 
 
 def relabeling_classes(idents) -> np.ndarray:
@@ -530,8 +539,10 @@ def _feed_identities(state, n: int, rho: RhoCache, idents) -> list[bool]:
     batch = [f for f, feed in zip(idents, fed) if feed]
     raised = []
     for start in range(0, len(batch), per_call):
+        # built in the state's row dtype, which add_rows reduces in place
         flags = state.add_rows(
-            _block_rows(batch[start:start + per_call], rho, t))
+            _block_rows(batch[start:start + per_call], rho, t,
+                        state.row_dtype))
         raised.extend(any(flags[k:k + d]) for k in range(0, len(flags), d))
     raised = iter(raised)
     return [feed and next(raised) for feed in fed]
@@ -632,9 +643,11 @@ def kernel_rank(n: int, lam, field='Q', chunk: int = 50, table=None,
     bound = None if lifted is None else t * d - lifted[0]
     fed = 0
     for batch in xblock_transpose_rows(n, lam, field=field, chunk=chunk,
-                                       table=table, rho=rho):
+                                       table=table, rho=rho,
+                                       dtype=state.row_dtype):
         state.add_rows(batch)
         fed += len(batch) // d
+        del batch  # freed before the next batch is built
         if bound is not None and state.rank >= bound:
             break
     rank = state.rank
@@ -702,7 +715,6 @@ class ReportConfig:
     #: degree 8 only: lift just the degree-7 identities that grew a rank
     prune: bool = True
     allow_large: bool = False
-    cache_dir: str | None = None
     verify_liftings: bool = False
     emit_new: bool = False
     memory_budget: int = MEMORY_BUDGET
@@ -729,6 +741,11 @@ class PartitionRow:
     new: int | None
     skipped: bool = False
     new_vectors: list | None = None
+    #: seconds of the lifted and the kernel rank, and the peak RSS of the
+    #: process in MiB after both; None for a skipped row
+    lifted_s: float | None = None
+    kernel_s: float | None = None
+    peak_rss_mib: float | None = None
 
 
 @dataclass
@@ -758,7 +775,8 @@ class DegreeReport:
                               "rank": r.lifted_rank},
                    "all": {"rows": r.all_rows, "cols": r.all_cols,
                            "rank": r.all_rank, "nullity": r.nullity},
-                   "new": r.new}
+                   "new": r.new, "lifted_s": r.lifted_s,
+                   "kernel_s": r.kernel_s, "peak_rss_mib": r.peak_rss_mib}
             if r.new_vectors is not None:
                 row["new_vectors"] = [[str(e) for e in v]
                                       for v in r.new_vectors]
@@ -802,6 +820,7 @@ class DegreeReport:
 
 
 def _estimated_bytes(n: int, d: int) -> int:
+    """2*(t*d)**2, the size class MEMORY_BUDGET gates (see there)."""
     t = len(assoc_types(n, 1))
     return 2 * (t * d) * (t * d)
 
@@ -833,7 +852,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
     if not 4 <= n <= 8:
         raise ValueError("reports cover degrees 4 through 8")
     field = checked_field(config.resolved_field(), config.chunk)
-    table = cached_expansion_table(n, config.cache_dir)
+    table = expansion_arrays(n)
     t = len(assoc_types(n, 1))
     s = len(_dtypes(n))
 
@@ -894,13 +913,14 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
                 raise InvariantViolation(
                     f"extracted {len(vectors)} new identity vectors, "
                     f"expected {new}")
+        peak = _peak_rss_mib()
         report.rows.append(PartitionRow(
             partition=lam, d=d, lifted_rows=len(liftings) * d,
             lifted_cols=t * d, lifted_rank=lrank, all_rows=s * d,
             all_cols=t * d, all_rank=xrank, nullity=nullity, new=new,
-            new_vectors=vectors))
+            new_vectors=vectors, lifted_s=lifted_s, kernel_s=kernel_s,
+            peak_rss_mib=peak))
         if progress:
-            peak = _peak_rss_mib()
             progress(f"partition {format_partition(lam)} (d={d}): done in "
                      f"{time.perf_counter() - start:.2f} s (lifted rank "
                      f"{lifted_s:.2f} s, kernel rank {kernel_s:.2f} s), "

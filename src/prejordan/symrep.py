@@ -26,7 +26,8 @@ from functools import cache
 import numpy as np
 
 from .errors import InvariantViolation, ResourceLimit
-from .linalg import RationalEchelon, express_in_rowspace, residues
+from .linalg import (_SIGNIFICAND, RationalEchelon, express_in_rowspace,
+                     residues)
 
 Partition = tuple
 
@@ -285,6 +286,25 @@ def _invert_mod(M: np.ndarray, p: int) -> np.ndarray:
     return aug[:, d:]
 
 
+def sum_dtype(dtype, coeffs: np.ndarray, starts: np.ndarray) -> np.dtype:
+    """The dtype raw blocks are summed in when element i has the
+    coefficients coeffs[starts[i]:starts[i+1]]: dtype, a float with an
+    m-bit significand, when every element has sum |c| <= 2**m; otherwise,
+    and for dtype None or not a float, the dtype of coeffs.
+
+    |A(perm)| <= 1 entrywise, so every product c * A(perm) and every
+    partial sum of a block, in any order, is an integer of magnitude at
+    most the element's sum |c|; a float with an m-bit significand holds
+    every integer up to 2**m, so the float sum is exactly the integer sum.
+    """
+    m = None if dtype is None else _SIGNIFICAND.get(np.dtype(dtype))
+    if m is None or coeffs.dtype == object or (
+            len(coeffs)
+            and np.add.reduceat(np.abs(coeffs), starts).max() > 2 ** m):
+        return coeffs.dtype
+    return np.dtype(dtype)
+
+
 #: largest n a RhoCache takes: its A-matrix store is indexed through a
 #: dense table of n! int32 slots (14.5 MB at n = 10)
 RHO_MAX_N = 10
@@ -307,8 +327,9 @@ class RhoCache:
 
     Raw blocks, sums of A-matrices without the change of basis, are
     integer matrices whatever the field and are built once for both, by
-    raw_of_elements, in the dtype of the coefficients: int64 under the
-    bound stated there, object arrays of exact Python numbers past it.
+    raw_of_elements: in the dtype of the coefficients (int64 under the
+    bound stated there, object arrays of exact Python numbers past it),
+    or in a float dtype asked for where it holds them exactly.
     Only of_element applies A(id)^-1: over 'Q' as an integer matrix and
     one denominator, over a prime as a modular inverse.  The A-matrices
     met so far are kept in one int8 store, found through a table of n!
@@ -369,11 +390,14 @@ class RhoCache:
         return self.of_element({perm: 1})
 
     def raw_of_elements(self, owner: np.ndarray, k: int, perms: np.ndarray,
-                        coeffs: np.ndarray) -> np.ndarray:
-        """Raw blocks of k group algebra elements side by side, shape
-        (d, k*d): element i is the sum of coeffs[j] * A(perms[j]) over the
-        terms j with owner[j] == i, perms holding one permutation of
-        0..n-1 per row (ValueError otherwise).
+                        coeffs: np.ndarray, dtype=None,
+                        per_row: int | None = None) -> np.ndarray:
+        """Raw blocks of k group algebra elements, per_row of them side by
+        side in each block row (default all k), shape
+        (k // per_row * d, per_row * d): element i, at block row
+        i // per_row and block column i % per_row, is the sum of
+        coeffs[j] * A(perms[j]) over the terms j with owner[j] == i, perms
+        holding one permutation of 0..n-1 per row (ValueError otherwise).
 
         The raw block is A(id) times the representation matrix of the
         element.  Since A(id) is invertible and multiplies every block of a
@@ -382,26 +406,30 @@ class RhoCache:
         representation blocks, so rank pipelines use these directly.
 
         The blocks are one sum over the stacked A-matrices of the terms,
-        grouped by owner.  Entries keep the dtype of coeffs: int64 is exact
-        when each element has sum |c| < 2**63, which bounds every partial
-        sum since |A| <= 1, and the caller must keep to that bound; an
-        object array of exact Python numbers is summed exactly whatever
-        its size.
+        grouped by owner, formed straight in the dtype sum_dtype gives:
+        the float dtype asked for while every element has sum |c| <= 2**m,
+        else the dtype of coeffs.  int64 is exact when each element has
+        sum |c| < 2**63, which bounds every partial sum since |A| <= 1, and
+        the caller must keep to that bound; an object array of exact
+        Python numbers is summed exactly whatever its size.
         """
         n, d = sum(self.lam), self.dim
+        per_row = per_row or max(k, 1)
         if (np.sort(perms, axis=1) != np.arange(n)).any():
             raise ValueError(f"not a permutation of {n} leaves")
-        out = np.zeros((d, k, d), dtype=coeffs.dtype)
+        order = np.argsort(owner, kind="stable")
+        owner, coeffs = owner[order], coeffs[order]
+        starts = np.flatnonzero(np.concatenate(([True],
+                                                owner[1:] != owner[:-1])))
+        dtype = sum_dtype(dtype, coeffs, starts)
+        out = np.zeros((k // per_row, d, per_row, d), dtype=dtype)
         if len(coeffs):
-            order = np.argsort(owner, kind="stable")
-            owner = owner[order]
-            starts = np.flatnonzero(np.concatenate(([True],
-                                                    owner[1:] != owner[:-1])))
-            stacked = self._stacked(perms[order]).astype(coeffs.dtype)
-            products = coeffs[order][:, None, None] * stacked
-            out[:, owner[starts]] = \
-                np.add.reduceat(products, starts).transpose(1, 0, 2)
-        return out.reshape(d, k * d)
+            products = np.multiply(coeffs[:, None, None],
+                                   self._stacked(perms[order]), dtype=dtype)
+            i = owner[starts]
+            out[i // per_row, :, i % per_row] = \
+                np.add.reduceat(products, starts)
+        return out.reshape(-1, per_row * d)
 
     def raw_of_element(self, terms: dict) -> np.ndarray:
         """The raw d x d block of one element {perm: coeff}, perms

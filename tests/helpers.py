@@ -201,3 +201,18 @@ def gram_det(rows) -> int:
     M = int_rows(rows)
     gram = [[sum(a * b for a, b in zip(u, v)) for v in M] for u in M]
     return int_det(gram)
+
+
+def table_to_json(n: int, table) -> dict:
+    """The table in the JSON file format of earlier versions: one row per
+    association type of [dtype, perm, coeff] entries ordered by D-type and
+    permutation, perms 1-based.  Its bytes pin the whole table."""
+    rows: list[list] = [[] for _ in assoc_types(n, 1)]
+    order = np.argsort(table.types, kind="stable")
+    for i, j, perm, c in zip(table.types[order].tolist(),
+                             table.dtypes[order].tolist(),
+                             (table.perms[order] + 1).tolist(),
+                             table.coeffs[order].tolist()):
+        rows[i].append([j, perm, c])
+    return {"format": "expansion-table", "version": 1, "degree": n,
+            "rows": rows}

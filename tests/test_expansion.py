@@ -9,21 +9,22 @@ import numpy as np
 import pytest
 
 from helpers import (identity_perm, identity_vector, normal_dtype_index,
-                     random_word)
+                     random_word, table_to_json)
+from prejordan import pipeline
 from prejordan.dendriform import dnormalize, normal_dtypes
 from prejordan.errors import ResourceLimit
-from prejordan.expansion import (cached_expansion_table, expansion_arrays,
-                                 expansion_matrix, expansion_table,
-                                 pj_expand, pj_normal_form,
+from prejordan.expansion import (expansion_arrays, expansion_matrix,
+                                 expansion_table, pj_expand, pj_normal_form,
                                  poly_normal_form, xblock_matrix,
                                  xblock_transpose_rows)
-from prejordan.linalg import int_rows, read_matrix
+from prejordan.linalg import echelon_state, int_rows, read_matrix
 from prejordan.monomials import (assoc_type_index, assoc_types, classify,
                                  degree, leaves,
                                  multilinear_basis, parse_word, relabel,
                                  shape, with_leaves)
 from prejordan.pipeline import liftings_to_degree
 from prejordan.symrep import RhoCache, dimension, partitions
+from test_linalg import CROSS_PRIMES
 
 DATA = Path(__file__).parent / "data"
 
@@ -104,23 +105,10 @@ def test_table_matches_direct_expansion():
             assert rebuilt == direct
 
 
-def same_table(a, b):
-    return all(x.dtype == y.dtype and x.shape == y.shape and (x == y).all()
-               for x, y in zip(a, b))
-
-
-def test_cache_roundtrip(tmp_path):
-    fresh = expansion_arrays(4)
-    first = cached_expansion_table(4, str(tmp_path))
-    again = cached_expansion_table(4, str(tmp_path))
-    assert (tmp_path / "expansion-4.json").exists()
-    assert same_table(first, fresh)
-    assert same_table(again, fresh)
-
-
-# SHA-1 and size of json.dumps(table_to_json(n, ...)), the bytes of a cache
-# file, as written before the table was held as arrays (5, 6) and before the
-# images were built level by level (7, 8)
+# SHA-1 and size of json.dumps(table_to_json(n, ...)), the bytes of the
+# table file format of earlier versions, as written before the table was
+# held as arrays (5, 6) and before the images were built level by level
+# (7, 8): they pin every entry of the table and its order
 TABLE_JSON_SHA1 = {5: ("b05f19f750570f29a58879f043ff7b17535569dc", 13198),
                    6: ("8155a4bc37a63a00b6b337e2eeed2faeee7552b2", 123901),
                    7: ("8a3208cfabbfc52cbe2a3cfbd38b4d9c2fca80bc", 1224556),
@@ -131,45 +119,9 @@ TABLE_JSON_SHA1 = {5: ("b05f19f750570f29a58879f043ff7b17535569dc", 13198),
     "n", [5, 6, 7, pytest.param(8, marks=pytest.mark.release)])
 def test_table_json_bytes_pinned(n):
     import hashlib
-    from prejordan.expansion import table_from_json, table_to_json
     text = json.dumps(table_to_json(n, expansion_arrays(n)))
     assert (hashlib.sha1(text.encode()).hexdigest(), len(text)) == \
         TABLE_JSON_SHA1[n]
-    deg, back = table_from_json(json.loads(text))
-    assert deg == n and same_table(back, expansion_arrays(n))
-
-
-def test_cache_refuses_other_formats(tmp_path):
-    from prejordan.expansion import table_to_json
-    good = table_to_json(4, expansion_arrays(4))
-    for bad in ({**good, "version": good["version"] + 1},
-                {**good, "format": "something-else"}, {"rows": []}):
-        (tmp_path / "expansion-4.json").write_text(json.dumps(bad))
-        with pytest.raises(ValueError):
-            cached_expansion_table(4, str(tmp_path))
-
-
-def test_table_json_refuses_entries_out_of_order():
-    # _table sorts only by D-type, so a file must list each type's entries
-    # by (D-type, permutation), as table_to_json writes them
-    from prejordan.expansion import table_from_json, table_to_json
-    good = table_to_json(4, expansion_arrays(4))
-    assert same_table(table_from_json(good)[1], expansion_arrays(4))
-    rows = good["rows"]
-    i = next(i for i, row in enumerate(rows) if len(row) > 2)
-    same = next(k for k in range(len(rows[i]) - 1)
-                if rows[i][k][0] == rows[i][k + 1][0])
-    other = next(k for k in range(len(rows[i]) - 1)
-                 if rows[i][k][0] != rows[i][k + 1][0])
-    for k in (same, other):  # a swapped pair of permutations, of D-types
-        bad = json.loads(json.dumps(good))
-        bad["rows"][i][k:k + 2] = bad["rows"][i][k + 1], bad["rows"][i][k]
-        with pytest.raises(ValueError, match="order"):
-            table_from_json(bad)
-    bad = json.loads(json.dumps(good))  # a repeated entry
-    bad["rows"][i].insert(0, bad["rows"][i][0])
-    with pytest.raises(ValueError, match="order"):
-        table_from_json(bad)
 
 
 def test_dense_matrix_degree_gate():
@@ -746,6 +698,80 @@ class TestBlockMatrices:
                 for row in batch]
         assert len(rows) == len(normal_dtypes(n)) * d
         assert len(rows[0]) == len(assoc_types(n, 1)) * d
+
+
+def float_and_integer_rows(n, lam, p):
+    """For a partition at prime p: (state row dtype, [(integer rows, float
+    rows)] for the X^T batches and the lifted batch of the fed liftings)."""
+    rho = RhoCache(lam, p)
+    t = len(assoc_types(n, 1))
+    dtype = echelon_state(t * rho.dim, p).row_dtype
+    pairs = list(zip(xblock_transpose_rows(n, lam, p, rho=rho),
+                     xblock_transpose_rows(n, lam, p, rho=rho, dtype=dtype)))
+    liftings = liftings_to_degree(n)
+    fed = [f for f, keep in zip(liftings, pipeline._fed(liftings)) if keep]
+    pairs.append((pipeline._block_rows(fed, rho, t),
+                  pipeline._block_rows(fed, rho, t, dtype)))
+    return dtype, pairs
+
+
+@pytest.mark.parametrize("p", CROSS_PRIMES)
+def test_float_rows_give_the_integer_results(p):
+    # every degree-6 partition: the batches built in the state's compute
+    # dtype hold the integers of the int64 batches, and eliminated in
+    # place they give the same flags, RCF and pivots
+    for lam in partitions(6):
+        dtype, pairs = float_and_integer_rows(6, lam, p)
+        assert dtype == (np.float32 if p <= 509 else np.float64)
+        for k in range(2):  # X^T, then the lifted rows
+            results = []
+            for pick in (0, 1):
+                st = echelon_state(pairs[0][0].shape[1], p)
+                batches = pairs[:-1] if k == 0 else pairs[-1:]
+                flags = []
+                for pair in batches:
+                    assert pair[pick].dtype == (dtype if pick else np.int64)
+                    if pick:
+                        assert (pair[0] == pair[1]).all()
+                    flags += st.add_rows(pair[pick])
+                R, piv = st.rcf()
+                results.append((flags, R.tolist(), piv.tolist()))
+            assert results[0] == results[1], (lam, k)
+
+
+def test_float_rows_only_within_the_significand():
+    # a float32 raw block is exact while every element has sum |c| <=
+    # 2**24; one past it, the block comes back in the coefficients' dtype
+    lam = (2, 1, 1)
+    rho = RhoCache(lam, 101)
+    perms = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2]])
+    a = rho._stacked(perms).astype(np.int64)
+    for top, want in ((2 ** 24, np.float32), (2 ** 24 + 1, np.int64)):
+        coeffs = np.array([top - 2 ** 23, -2 ** 22, 2 ** 22 - (top == 2 ** 24)],
+                          dtype=np.int64)
+        coeffs[2] += top - np.abs(coeffs).sum()
+        assert np.abs(coeffs).sum() == top
+        one = np.zeros(3, dtype=np.intp)
+        raw = rho.raw_of_elements(one, 1, perms, coeffs, np.float32)
+        assert raw.dtype == want
+        assert (raw == np.tensordot(coeffs, a, 1)).all()
+        # a second element of small weight does not lift the first's
+        raw = rho.raw_of_elements(np.array([0, 0, 1]), 2, perms,
+                                  np.array([3, -1, 2]), np.float32)
+        assert raw.dtype == np.float32
+    # the X^T builder decides once, on the largest cell of its table
+    table = expansion_arrays(5)
+    cuts = np.flatnonzero(np.diff(table.dtypes * 14 + table.types,
+                                  prepend=-1, append=-1))
+    weight = int(np.add.reduceat(np.abs(table.coeffs), cuts[:-1]).max())
+    for scale, want in ((2 ** 24 // weight, np.float32),
+                        (2 ** 24 // weight + 1, np.int64)):
+        scaled = table._replace(coeffs=table.coeffs * scale)
+        for exact, batch in zip(
+                xblock_transpose_rows(5, (3, 1, 1), 101, table=scaled),
+                xblock_transpose_rows(5, (3, 1, 1), 101, table=scaled,
+                                      dtype=np.float32)):
+            assert batch.dtype == want and (batch == exact).all()
 
 
 def test_classify_consistency_with_basis():

@@ -553,6 +553,84 @@ class TestModularEchelon:
             assert sum(flags) == whole.rank
 
 
+class TestFloatIntake:
+    """Rows that already have the compute dtype are reduced and eliminated
+    in place; the guards send every other array through residues."""
+
+    @staticmethod
+    def exact(rows, p):
+        st = echelon_state(len(rows[0]), p)
+        flags = st.add_rows(np.array(rows, dtype=object))
+        return flags, st.rcf()
+
+    @staticmethod
+    def assert_same(got, want):
+        (flags, (R, piv)), (wflags, (wR, wpiv)) = got, want
+        assert flags == wflags
+        assert R.tolist() == wR.tolist() and piv.tolist() == wpiv.tolist()
+
+    def test_compute_dtype_rows_reduced_in_place(self):
+        # the array is consumed, no copy made, and the result is that of
+        # the same integers given as exact Python ints
+        rng = random.Random(41)
+        for p in (101, 509, 521, 32003):
+            st = ModularEchelon(30, p)
+            rows = random_int_matrix(rng, 40, 30, bound=3 * p)
+            M = np.array(rows, dtype=st.row_dtype)
+            flags = st.add_rows(M)
+            self.assert_same((flags, st.rcf()), self.exact(rows, p))
+            assert M.min() >= 0 and M.max() < p  # reduced in place
+
+    def test_other_float_rows_take_the_copy(self):
+        # a float32 array at a float64 prime (32003: (p-1)**2 passes
+        # 2**24, so float32 products would be inexact), float64 rows at a
+        # float32 prime and Fortran-ordered rows are left untouched
+        rng = random.Random(42)
+        for p, dtype, order in ((32003, np.float32, 'C'),
+                                (521, np.float32, 'C'),
+                                (101, np.float64, 'C'),
+                                (101, np.float32, 'F'),
+                                (32003, np.float64, 'F')):
+            rows = random_int_matrix(rng, 40, 30, bound=p - 1)
+            M = np.array(rows, dtype=dtype, order=order)
+            kept = M.copy()
+            st = ModularEchelon(30, p)
+            self.assert_same((st.add_rows(M), st.rcf()), self.exact(rows, p))
+            assert (M == kept).all()
+
+    def test_non_integral_rows_raise(self):
+        # also when the only non-integer is in a later chunk of the pass
+        for p in (101, 521):
+            st = ModularEchelon(3, p)
+            with pytest.raises(ValueError, match="integer matrix expected"):
+                st.add_rows(np.array([[0.5, 1.0, 0.0]], dtype=st.row_dtype))
+            M = np.ones((_MOD_CHUNK, 3), dtype=st.row_dtype)
+            M[-1, 2] = 2.25
+            with pytest.raises(ValueError, match="integer matrix expected"):
+                st.add_rows(M)
+            assert st.rank == 0
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError):
+                    st.add_rows(np.array([[bad, 1, 0]], dtype=st.row_dtype))
+            assert st.rank == 0
+
+    def test_rows_past_the_in_place_range_reduce_exactly(self):
+        # |x| > 2**m - p goes through residues; in place, float32 floor
+        # division would round the large ones (their quotient times p is
+        # not a float32).  residues takes floats below 2**53 only
+        for p, m, dtype in ((101, 24, np.float32), (509, 24, np.float32),
+                            (521, 53, np.float64)):
+            top = 2 ** m - p
+            big = [top + 1, 2 ** m - 1, 2 ** 30 + 2 ** 12, 3 * 2 ** 26] \
+                if m == 24 else [top + 1, 2 ** m - 1, top + p // 2, top + 2]
+            rows = [big, [-x for x in big], [1, top, -top, 2 ** m - 2],
+                    [7, 0, big[2], 1]]
+            M = np.array(rows, dtype=dtype)
+            assert [[int(x) for x in r] for r in M.tolist()] == rows
+            st = ModularEchelon(4, p)
+            self.assert_same((st.add_rows(M), st.rcf()), self.exact(rows, p))
+
+
 def _common_den(row):
     from math import lcm
     return lcm(*(Fraction(e).denominator for e in row)) if row else 1

@@ -938,6 +938,100 @@ def test_peak_rss_units_and_missing_resource(monkeypatch):
     assert pipeline._peak_rss_mib() is None
 
 
+def traced_peak(run) -> int:
+    """Bytes allocated at the peak of run() above those allocated when it
+    started, as tracemalloc counts them (numpy reports its buffers)."""
+    import tracemalloc
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestRowMemory:
+    """A rank holds each batch of rows once, in float32 at F_101.
+
+    The bounds count the arrays each step holds at once, from the shapes
+    of the run: R rows in the largest batch, C = t*d columns, r <= C
+    stored rows, B = 4*R*C bytes for one float32 batch M.  add_rows
+    eliminates M in place; next to it:
+
+    * _forward holds the coefficients (R x r), one float segment of the
+      store (r x C) and their product (R x C): 2B + 4C**2 bytes;
+    * _add_block adds nb (R x C) and, per mini block of 64 rows, a
+      coefficient block and a product of at most 64 x C each;
+    * _back_eliminate holds nb, one segment, its product and the cast
+      coefficients (r x new pivots, r + new <= C): B + 9.25C**2 bytes;
+    * _append holds nb, the old and the grown int8 store and the int8
+      new rows: B + 3.5C**2 bytes;
+    * the int8 store (at most max(C, 256) x C bytes grown by half) lives
+      throughout;
+    * 64 KiB cover the small arrays: flags, pivots, T**-1 and the
+      32 KiB scratch of _mod_inplace.
+
+    An int64 batch (2B) with a float copy beside it passes each bound.
+    """
+
+    P = 101
+
+    def setup_rho(self, n, lam):
+        # warm every cache first: the table, the liftings and the
+        # A-matrices the partition meets
+        liftings = liftings_to_degree(n)
+        rho = RhoCache(lam, self.P)
+        lifted_rank(n, lam, liftings, self.P, rho)
+        kernel_rank(n, lam, self.P, rho=rho)
+        return liftings, rho
+
+    def test_kernel_rank(self):
+        n, lam, chunk = 6, (3, 2, 1), 50
+        liftings, rho = self.setup_rho(n, lam)
+        t, d = len(assoc_types(n, 1)), rho.dim
+        R, C = chunk * d, t * d
+        assert R >= C  # so a store segment is no larger than a batch
+        B = 4 * R * C
+        store = 1.5 * max(C, 256) * C
+        elim = B + max(2 * B + 4 * C * C, B + 9.25 * C * C,
+                       B + 8 * 64 * C + 4 * 64 * 64, B + 3.5 * C * C) + store
+        # building a batch: the batch, and for one raw_of_elements call
+        # over E table entries the stacked products, their sums, the
+        # blocks and their transposed copy, each at most 4*E*d*d bytes,
+        # plus index arrays over the table's entries
+        table = expansion.expansion_arrays(n)
+        E = int(np.diff(table.offsets[::chunk]).max())
+        build = B + 4 * (4 * E * d * d) + 6 * 8 * len(table.coeffs) + store
+        bound = max(elim, build) + 2 ** 16
+        peak = traced_peak(lambda: kernel_rank(n, lam, self.P, chunk, rho=rho))
+        assert peak <= bound, (peak, bound, B)
+
+    def test_lifted_rank(self):
+        # one add_rows call into an empty state: no store segment is
+        # converted, and the rows of all 38 fed liftings are one batch
+        n, lam = 6, (4, 1, 1)
+        liftings, rho = self.setup_rho(n, lam)
+        t, d = len(assoc_types(n, 1)), rho.dim
+        fed = [f for f, keep in zip(liftings, pipeline._fed(liftings)) if keep]
+        R, C = len(fed) * d, t * d
+        assert R * C <= BLOCK_BATCH_ENTRIES
+        B = 4 * R * C
+        elim = 2 * B + 8 * 64 * C + 4 * 64 * 64 + 2 * max(R, 256) * C
+        # building: the rows and, per term of the fed liftings, one
+        # d x d product and at most one d x d sum, plus index arrays over
+        # the terms of every lifting
+        terms = sum(len(f.types) for f in liftings)
+        build = B + 2 * 4 * terms * d * d + 10 * 8 * terms
+        bound = max(elim, build) + 2 ** 16
+        peak = traced_peak(lambda: lifted_rank(n, lam, liftings, self.P, rho))
+        assert peak <= bound, (peak, bound, B)
+
+
 @pytest.fixture(scope="module")
 def report():
     return degree_report(ReportConfig(degree=4, field="Q"))
@@ -953,6 +1047,18 @@ class TestReportFormats:
         assert set(row["lifted"]) == {"rows", "cols", "rank"}
         assert set(row["all"]) == {"rows", "cols", "rank", "nullity"}
         json.dumps(data)  # must be serializable as-is
+
+    def test_json_timings_and_peak(self, report):
+        # each row carries the seconds of its two ranks and the peak RSS
+        # after it, as --progress prints them; a skipped row has none
+        for row in report.to_json()["rows"]:
+            assert row["lifted_s"] >= 0 and row["kernel_s"] >= 0
+            assert row["peak_rss_mib"] > 0
+        skipped = degree_report(ReportConfig(degree=4, field="Q",
+                                             memory_budget=0))
+        for row in skipped.to_json()["rows"]:
+            assert (row["lifted_s"], row["kernel_s"],
+                    row["peak_rss_mib"]) == (None, None, None)
 
     def test_csv_parses_back(self, report):
         import csv
