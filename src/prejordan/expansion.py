@@ -57,7 +57,8 @@ one element of QS_n per type is an identity iff
 sum_i g_i * cell(i, j) = 0 for every j.
 
 The expansion table is those images split by normal D-type, held as
-arrays sorted by D-type, so each batch of X^T rows is one slice of it.
+arrays sorted by D-type with one offset per D-type, so a batch of X^T
+rows gathers the entries of its D-types from it, in any order.
 """
 
 from __future__ import annotations
@@ -648,7 +649,8 @@ XBLOCK_CALL_ENTRIES = 2 ** 20
 
 def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
                           table: ExpansionTable | None = None,
-                          rho: RhoCache | None = None, dtype=None):
+                          rho: RhoCache | None = None, dtype=None,
+                          order=None):
     """Rows of the transposed representation block matrix, in batches.
 
     The block matrix X has one d x d block per (type i, D-type j) cell,
@@ -656,23 +658,26 @@ def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
     is (t*d) x (s*d).  A tuple of group algebra elements (g_1..g_t) is an
     identity component iff the corresponding row vector lies in the left
     nullspace of X, so ranks and nullspaces of identities come from the
-    transpose.  Rows of X^T arrive in batches of chunk D-types (chunk*d
-    rows), as one unreduced integer array per batch over either field.
-    With dtype None the batches have the dtype of the table's
-    coefficients.  A float dtype (an echelon state's row_dtype) is used
-    when it holds every entry exactly: every cell's sum of |coeff| is at
-    most 2**m, m its significand (symrep.sum_dtype; the largest is 20 at
-    degree 7 and 35 at degree 8); past that the batches are integers.
+    transpose.  Rows of X^T arrive D-type by D-type in the order of the
+    D-type indices order (every D-type in canonical order by default), in
+    batches of chunk D-types (chunk*d rows), as one unreduced integer
+    array per batch over either field.  With dtype None the batches have
+    the dtype of the table's coefficients.  A float dtype (an echelon
+    state's row_dtype) is used when it holds every entry exactly: every
+    cell's sum of |coeff| is at most 2**m, m its significand
+    (symrep.sum_dtype; the largest is 20 at degree 7 and 35 at degree 8);
+    past that the batches are integers.
 
     The blocks skip the change of basis by A(id)^-1; that factor
     multiplies each block on the left, so the rank and nullity are
     unchanged while the assembly drops from cubic to quadratic in the
     block size.
 
-    A batch is one slice of the table.  Its cells are summed by
-    RhoCache.raw_of_elements in calls of whole cells and at most
-    XBLOCK_CALL_ENTRIES // (d*d) entries (a larger cell takes a call of
-    its own), and each call's blocks are written straight into the batch.
+    A batch gathers the entries of its D-types from the table, which is
+    not copied.  Its cells are summed by RhoCache.raw_of_elements in calls
+    of whole cells and at most XBLOCK_CALL_ENTRIES // (d*d) entries (a
+    larger cell takes a call of its own), and each call's blocks are
+    written straight into the batch.
     """
     if table is None:
         table = expansion_arrays(n)
@@ -680,29 +685,34 @@ def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
         rho = RhoCache(lam, field)
     d = rho.dim
     t = len(assoc_types(n, 1))
-    s = len(table.offsets) - 1
-    # cell k, one (D-type, type) pair, holds the entries cuts[k]:cuts[k+1]
-    cuts = np.flatnonzero(np.diff(table.dtypes * t + table.types,
-                                  prepend=-1, append=-1))
-    owner = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    offsets = table.offsets
+    order = np.arange(len(offsets) - 1) if order is None else np.asarray(
+        order, dtype=np.intp)
     # decided once for the whole table, so that every call agrees
-    dtype = sum_dtype(dtype, table.coeffs, cuts[:-1])
+    dtype = sum_dtype(dtype, table.coeffs, np.flatnonzero(np.diff(
+        table.dtypes * t + table.types, prepend=-1)))
     per_call = max(1, XBLOCK_CALL_ENTRIES // (d * d))
-    for start in range(0, s, chunk):
-        stop = min(start + chunk, s)
-        rows = np.zeros((stop - start, d, t, d), dtype=dtype)
-        lo, end = np.searchsorted(cuts, table.offsets[[start, stop]])
+    for start in range(0, len(order), chunk):
+        batch = order[start:start + chunk]
+        # entry k of the batch is table entry at[k], of D-type batch[pos[k]]
+        pos, at = _ragged(offsets[batch + 1] - offsets[batch], offsets[batch])
+        cell = pos * t + table.types[at]
+        # cell k, one (D-type, type) pair, holds the entries cuts[k]:cuts[k+1]
+        cuts = np.flatnonzero(np.diff(cell, prepend=-1, append=-1))
+        owner = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+        rows = np.zeros((len(batch), d, t, d), dtype=dtype)
+        lo, end = 0, len(cuts) - 1
         while lo < end:
             # the most whole cells from lo within per_call entries, at least one
             hi = np.searchsorted(cuts, cuts[lo] + per_call, side='right') - 1
             hi = min(max(hi, lo + 1), end)
             e0, e1 = cuts[lo], cuts[hi]
             raw = rho.raw_of_elements(owner[e0:e1] - lo, hi - lo,
-                                      table.perms[e0:e1], table.coeffs[e0:e1],
-                                      dtype)
+                                      table.perms[at[e0:e1]],
+                                      table.coeffs[at[e0:e1]], dtype)
             # row a of D-type j holds M_i[b, a] at column i*d + b
-            first = cuts[lo:hi]
-            rows[table.dtypes[first] - start, :, table.types[first]] = \
+            first = cell[cuts[lo:hi]]
+            rows[first // t, :, first % t] = \
                 raw.reshape(d, hi - lo, d).transpose(1, 2, 0)
             lo = hi
         yield rows.reshape(-1, t * d)

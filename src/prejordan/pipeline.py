@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -333,15 +334,26 @@ def _liftings(idents: list[Identity]) -> list[Identity]:
                         owner))
     types, leaves = lifted_types.reshape(-1)[order], lifted_leaves[order]
     coeffs = np.tile(coeffs, n + 2)[order]
-    type_images(n + 1, types)  # one batch for every coeff_array below
+    sizes = np.repeat(sizes, n + 2)
+    stops = np.cumsum(sizes)
+    weight = type_images(n + 1, types).weight  # one batch for every lifting
+    # coeff_array's bound, sum |c| * weight < 2**63, for every lifting at
+    # once in float64: the m terms are nonnegative, so the estimate is
+    # within a factor 1 + (m + 1) * 2**-53 of the sum, and one under
+    # 2**62 proves the sum under 2**63.  The other liftings, and object
+    # coefficients, take coeff_array's exact check
+    small = np.zeros(len(sizes), dtype=bool)
+    if coeffs.dtype != object:
+        small = np.add.reduceat(np.abs(coeffs.astype(np.float64))
+                                * weight[types], stops - sizes) < 2 ** 62
     out = []
-    stop = 0
-    for size in np.repeat(sizes, n + 2).tolist():
-        start, stop = stop, stop + size
-        out.append(Identity._of_split(
-            n + 1, types[start:stop], leaves[start:stop],
-            coeff_array(n + 1, types[start:stop].tolist(),
-                        coeffs[start:stop].tolist()), "lifted"))
+    for start, stop, ok in zip((stops - sizes).tolist(), stops.tolist(),
+                               small.tolist()):
+        c = coeffs[start:stop]
+        if not ok:
+            c = coeff_array(n + 1, types[start:stop].tolist(), c.tolist())
+        out.append(Identity._of_split(n + 1, types[start:stop],
+                                      leaves[start:stop], c, "lifted"))
     return out
 
 
@@ -588,6 +600,44 @@ def checked_field(field, chunk: int):
     return check_field(field)
 
 
+#: the D-types kernel_rank feeds first, as half-open runs of indices into
+#: normal_dtypes(n): the union of the canonical rank profiles over F_101
+#: (the D-types whose X^T rows raise the rank when every D-type is fed in
+#: canonical order) of 7, 1111111, 52, 43, 2221, 22111, 511 and 31111 at
+#: degree 7, which equals the union over all 15 partitions, and of 8, 71,
+#: 2111111 and 11111111 at degree 8; tests/helpers.prefix_runs derives
+#: both.  118 of 429 and 320 of 1,430 D-types
+KERNEL_PREFIX = {
+    7: ((0, 64), (76, 83), (84, 88), (94, 96), (100, 104), (112, 121),
+        (122, 123), (124, 125), (126, 128), (131, 135), (139, 140),
+        (150, 152), (168, 175), (176, 179), (192, 193), (196, 199),
+        (264, 265), (268, 269), (308, 309)),
+    8: ((0, 128), (152, 167), (168, 176), (188, 192), (200, 208), (224, 247),
+        (248, 251), (252, 256), (262, 272), (278, 280), (300, 304),
+        (310, 312), (336, 359), (360, 361), (362, 363), (364, 365),
+        (366, 368), (374, 377), (378, 379), (380, 381), (383, 389),
+        (391, 399), (402, 403), (406, 408), (411, 412), (432, 435),
+        (439, 441), (442, 443), (474, 476), (478, 480), (482, 484),
+        (528, 543), (544, 551), (552, 553), (554, 555), (556, 557),
+        (578, 580), (586, 587), (594, 595), (602, 603), (612, 619),
+        (669, 670), (861, 863), (866, 868), (869, 870), (990, 991),
+        (992, 993), (994, 995)),
+}
+
+
+def _kernel_order(n: int, s: int) -> list[np.ndarray]:
+    """The parts of the s degree-n D-types that kernel_rank feeds in
+    turn: KERNEL_PREFIX[n], then the other D-types in canonical order, or
+    every D-type in canonical order where no prefix is pinned."""
+    if n not in KERNEL_PREFIX:
+        return [np.arange(s)]
+    first = np.concatenate([np.arange(a, b) for a, b in KERNEL_PREFIX[n]])
+    # a mask, not np.setdiff1d, which imports numpy.ma
+    rest = np.ones(s, dtype=bool)
+    rest[first] = False
+    return [first, np.flatnonzero(rest)]
+
+
 #: random vectors on each side of the kernel_rank certificate; a wrong
 #: stop passes it with probability below 2 / p**3
 CERTIFICATE_VECTORS = 3
@@ -630,7 +680,18 @@ def kernel_rank(n: int, lam, field='Q', chunk: int = 50, table=None,
 
     The stop is exact in any order of D-types; the order only sets how
     soon it comes.  While new > 0 the rank stays below t*d - r_L and
-    every row is fed.
+    every row is fed.  The D-types come in the order of _kernel_order:
+    at degrees 7 and 8 the pinned prefix KERNEL_PREFIX[n] first, in
+    batches of at most chunk D-types the last of which ends at the
+    prefix's end, then the others in canonical order; elsewhere
+    canonical order.  Every D-type is fed once before the rank is read
+    unstopped, the rank of a set of rows does not depend on their order,
+    and the stop and the certificate hold in any order, so the prefix
+    sets only the time: a wrong, scrambled or truncated prefix, or one
+    learned mod 101 and used over Q or at another prime, gives the same
+    rank, nullity and checks, and moves only the batch at which the
+    feed stops.  At degree 7 every partition reaches t*d - r_L at the
+    prefix's end (118 of 429 D-types).
     """
     field = checked_field(field, chunk)
     if keep_state and lifted is not None:
@@ -639,12 +700,15 @@ def kernel_rank(n: int, lam, field='Q', chunk: int = 50, table=None,
         rho = RhoCache(lam, field)
     t = len(assoc_types(n, 1))
     d = rho.dim
+    if table is None:
+        table = expansion_arrays(n)
     state = echelon_state(t * d, field, reduced=keep_state)
     bound = None if lifted is None else t * d - lifted[0]
     fed = 0
-    for batch in xblock_transpose_rows(n, lam, field=field, chunk=chunk,
-                                       table=table, rho=rho,
-                                       dtype=state.row_dtype):
+    for batch in chain.from_iterable(xblock_transpose_rows(
+            n, lam, field=field, chunk=chunk, table=table, rho=rho,
+            dtype=state.row_dtype, order=part)
+            for part in _kernel_order(n, len(table.offsets) - 1)):
         state.add_rows(batch)
         fed += len(batch) // d
         del batch  # freed before the next batch is built
@@ -746,6 +810,9 @@ class PartitionRow:
     lifted_s: float | None = None
     kernel_s: float | None = None
     peak_rss_mib: float | None = None
+    #: the D-types whose X^T rows the kernel rank fed before it stopped
+    #: (all s when it did not stop); None for a skipped row
+    kernel_dtypes_fed: int | None = None
 
 
 @dataclass
@@ -776,7 +843,8 @@ class DegreeReport:
                    "all": {"rows": r.all_rows, "cols": r.all_cols,
                            "rank": r.all_rank, "nullity": r.nullity},
                    "new": r.new, "lifted_s": r.lifted_s,
-                   "kernel_s": r.kernel_s, "peak_rss_mib": r.peak_rss_mib}
+                   "kernel_s": r.kernel_s, "peak_rss_mib": r.peak_rss_mib,
+                   "kernel_dtypes_fed": r.kernel_dtypes_fed}
             if r.new_vectors is not None:
                 row["new_vectors"] = [[str(e) for e in v]
                                       for v in r.new_vectors]
@@ -788,11 +856,12 @@ class DegreeReport:
         w = csv.writer(buf)
         w.writerow(["partition", "d", "lifted_rows", "lifted_cols",
                     "lifted_rank", "all_rows", "all_cols", "all_rank",
-                    "nullity", "new", "skipped"])
+                    "nullity", "new", "skipped", "kernel_dtypes_fed"])
         for r in self.rows:
             w.writerow([format_partition(r.partition), r.d, r.lifted_rows,
                         r.lifted_cols, r.lifted_rank, r.all_rows, r.all_cols,
-                        r.all_rank, r.nullity, r.new, int(r.skipped)])
+                        r.all_rank, r.nullity, r.new, int(r.skipped),
+                        r.kernel_dtypes_fed])
         return buf.getvalue()
 
     def to_text(self) -> str:
@@ -919,7 +988,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             lifted_cols=t * d, lifted_rank=lrank, all_rows=s * d,
             all_cols=t * d, all_rank=xrank, nullity=nullity, new=new,
             new_vectors=vectors, lifted_s=lifted_s, kernel_s=kernel_s,
-            peak_rss_mib=peak))
+            peak_rss_mib=peak, kernel_dtypes_fed=fed_dtypes))
         if progress:
             progress(f"partition {format_partition(lam)} (d={d}): done in "
                      f"{time.perf_counter() - start:.2f} s (lifted rank "

@@ -7,13 +7,14 @@ from functools import cache
 import numpy as np
 
 from prejordan.dendriform import DPoly, normal_dtypes, poly_add
-from prejordan.linalg import int_det, int_rows
+from prejordan.expansion import xblock_transpose_rows
+from prejordan.linalg import echelon_state, int_det, int_rows
 from prejordan.monomials import (Word, assoc_types, basis_index, coeff_str,
                                  degree, format_word, leaves, parse_word,
                                  split)
 from prejordan.pipeline import Identity
-from prejordan.symrep import (Partition, character, class_types, conjugate,
-                              partitions, standard_tableaux)
+from prejordan.symrep import (Partition, RhoCache, character, class_types,
+                              conjugate, partitions, standard_tableaux)
 
 
 def random_word(rng, n, ops=1):
@@ -216,3 +217,34 @@ def table_to_json(n: int, table) -> dict:
         rows[i].append([j, perm, c])
     return {"format": "expansion-table", "version": 1, "degree": n,
             "rows": rows}
+
+
+def dtype_rank_profile(n: int, lam, p: int = 101) -> list[int]:
+    """The D-types whose X^T rows raise the rank over F_p when every
+    D-type is fed in canonical order: the rank profile of X^T at D-type
+    level, read off the per-row flags of add_rows (a row raises the rank
+    exactly when it is independent of the rows before it, whatever the
+    batching)."""
+    rho = RhoCache(lam, p)
+    d = rho.dim
+    state = echelon_state(len(assoc_types(n, 1)) * d, p, reduced=False)
+    flags: list[bool] = []
+    for batch in xblock_transpose_rows(n, lam, p, rho=rho,
+                                       dtype=state.row_dtype):
+        flags.extend(state.add_rows(batch))
+    return np.flatnonzero(np.reshape(flags, (-1, d)).any(axis=1)).tolist()
+
+
+def prefix_runs(n: int, lams, p: int = 101) -> tuple:
+    """The union of the D-type rank profiles of the partitions lams of n,
+    as sorted half-open runs (start, stop) of D-type indices: the form of
+    pipeline.KERNEL_PREFIX."""
+    union = sorted(set().union(*(dtype_rank_profile(n, lam, p)
+                                 for lam in lams)))
+    runs: list[list[int]] = []
+    for j in union:
+        if runs and runs[-1][1] == j:
+            runs[-1][1] += 1
+        else:
+            runs.append([j, j + 1])
+    return tuple(map(tuple, runs))

@@ -227,6 +227,8 @@ def test_criterion_08_degree7_subset():
             assert row.all_rank == xrank
             assert row.nullity == lrank
             assert row.new == 0
+            # the kernel rank stops at the end of its pinned prefix
+            assert row.kernel_dtypes_fed == 118
 
 
 def test_criterion_08_degree7_liftings_pass_gate():
@@ -247,6 +249,7 @@ def test_criterion_08_degree7_full_table_and_pruning():
             assert row.all_rank == xrank
             assert row.nullity == lrank
             assert row.new == 0
+            assert row.kernel_dtypes_fed == 118
         # liftings that never grew a rank are dropped before degree 8
         assert len(rep.retained) == 133
 

@@ -10,16 +10,19 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import group_algebra, lift_reference
+from helpers import group_algebra, lift_reference, prefix_runs
 from prejordan import expansion, monomials, pipeline
 from prejordan.cli import main
 from prejordan.errors import InvariantViolation
@@ -154,6 +157,51 @@ class TestLiftings:
     def test_multiplication_helper(self):
         w = mul(1, mul(2, 3))
         assert format_word(w) == "(x1*(x2*x3))"
+
+    @staticmethod
+    def assert_coeffs_as_coeff_array(liftings):
+        # _liftings decides int64 or object for all liftings at once; the
+        # choice and the values must be coeff_array's for each lifting
+        for g in liftings:
+            ref = expansion.coeff_array(g.degree, g.types.tolist(),
+                                        g.coeffs.tolist())
+            assert g.coeffs.dtype == ref.dtype
+            assert g.coeffs.tolist() == ref.tolist()
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_coefficient_dtypes_match_coeff_array(self, n):
+        liftings = liftings_to_degree(n)
+        assert all(g.coeffs.dtype == np.int64 for g in liftings)
+        self.assert_coeffs_as_coeff_array(liftings)
+
+    def test_coefficients_near_the_int64_bound(self):
+        # a degree-6 source scaled so that its heaviest lifting has
+        # sum |c| * weight just below 2**63, then just past it: the float
+        # estimate cannot decide either, the exact check must
+        f = liftings_to_degree(6)[0]
+
+        def weights(g):
+            w = expansion.type_images(7, g.types).weight[g.types].tolist()
+            return sum(abs(c) * x for c, x in zip(g.coeffs.tolist(), w))
+
+        heaviest = max(weights(g) for g in lift(f))
+        scale = (2 ** 63 - 1) // heaviest
+        for k, dtype in ((scale, np.int64), (scale + 1, object)):
+            forged = Identity._of_split(6, f.types, f.leaves, f.coeffs * k,
+                                        "lifted")
+            assert (f.coeffs * k).tolist() == [c * k for c in
+                                               f.coeffs.tolist()]
+            up = lift(forged)
+            assert 2 ** 62 < heaviest * k
+            assert {g.coeffs.dtype for g in up
+                    if weights(g) == heaviest * k} == {np.dtype(dtype)}
+            self.assert_coeffs_as_coeff_array(up)
+        # object coefficients stay object, and exact
+        big = Identity._of_split(6, f.types, f.leaves,
+                                 f.coeffs.astype(object) * 2 ** 70, "lifted")
+        up = lift(big)
+        assert {g.coeffs.dtype for g in up} == {np.dtype(object)}
+        self.assert_coeffs_as_coeff_array(up)
 
 
 def liftings_reference(n, retained=None):
@@ -700,6 +748,90 @@ class TestKernelStop:
                                         else pairs % field)
 
 
+class TestKernelPrefix:
+    # kernel_rank feeds KERNEL_PREFIX[n] first at degrees 7 and 8; the
+    # prefix sets only when the stop comes (proof in its docstring)
+
+    @pytest.mark.parametrize("n, count", [(7, 118), (8, 320)])
+    def test_pinned_runs(self, n, count):
+        s = len(pipeline._dtypes(n))
+        runs = pipeline.KERNEL_PREFIX[n]
+        assert all(0 <= a < b <= s for a, b in runs)
+        # sorted and disjoint, with a gap between runs
+        assert all(b < c for (_, b), (c, _) in zip(runs, runs[1:]))
+        assert sum(b - a for a, b in runs) == count
+        first, rest = pipeline._kernel_order(n, s)
+        assert len(first) == count
+        assert sorted(first.tolist() + rest.tolist()) == list(range(s))
+        assert rest.tolist() == sorted(rest.tolist())
+
+    def test_other_degrees_keep_canonical_order(self):
+        for n in range(4, 7):
+            s = len(pipeline._dtypes(n))
+            [order] = pipeline._kernel_order(n, s)
+            assert order.tolist() == list(range(s))
+
+    @staticmethod
+    def stopped_and_canonical(lam, field, monkeypatch, rows):
+        """(rank, nullity, D-types fed) of a stopped degree-7 kernel rank,
+        (rank, nullity) of the canonical full feed and the D-types of
+        each batch of the stopped feed."""
+        rho = RhoCache(lam, field)
+        lrank, _, orth = lifted_rank(7, lam, liftings_to_degree(7), field,
+                                     rho, certify=True)
+        rows.clear()
+        stopped = kernel_rank(7, lam, field, rho=rho, lifted=(lrank, orth))
+        batches = [k // rho.dim for k in rows]
+        assert sum(batches) == stopped[2]
+        with monkeypatch.context() as m:
+            m.delitem(pipeline.KERNEL_PREFIX, 7)
+            full = kernel_rank(7, lam, field, rho=rho)
+        assert full[1] == lrank
+        return stopped, full, batches
+
+    @pytest.mark.parametrize("lam, field", [
+        ((7,), 101), ((1,) * 7, 101), ((6, 1), 101), ((2, 1, 1, 1, 1, 1), 101),
+        ((7,), 'Q'), ((1,) * 7, 'Q')])
+    def test_degree7_stops_at_the_prefix_end(self, lam, field, monkeypatch):
+        # every degree-7 partition reaches t*d - r_L within the prefix; the
+        # prefix learned over F_101 stops the Q feed there too
+        rows = count_xt_rows(monkeypatch)
+        stopped, full, batches = self.stopped_and_canonical(
+            lam, field, monkeypatch, rows)
+        assert stopped == (*full, 118)
+        # the last prefix batch ends at the prefix's end
+        assert batches == [50, 50, 18]
+
+    @pytest.mark.parametrize("prefix", [
+        pipeline.KERNEL_PREFIX[7][::-1],                  # runs reversed
+        tuple((j, j + 1) for j in random.Random(7).sample(
+            [j for a, b in pipeline.KERNEL_PREFIX[7] for j in range(a, b)],
+            118)),                                        # D-types shuffled
+        pipeline.KERNEL_PREFIX[7][:5],                    # truncated
+        ((0, 10), (311, 429)),                            # wrong
+    ])
+    def test_any_prefix_gives_the_same_ranks(self, prefix, monkeypatch):
+        rows = count_xt_rows(monkeypatch)
+        monkeypatch.setitem(pipeline.KERNEL_PREFIX, 7, prefix)
+        for lam in ((6, 1), (2, 1, 1, 1, 1, 1)):
+            stopped, full, _ = self.stopped_and_canonical(
+                lam, 101, monkeypatch, rows)
+            assert stopped[:2] == full
+
+
+@pytest.mark.release
+def test_kernel_prefix_is_derived_again():
+    # KERNEL_PREFIX is the union of the canonical rank profiles over F_101
+    # of the source partitions its comment names (not the benchmark's 61
+    # and 211111); at degree 7 that is also the union over all 15
+    sources = {7: ((7,), (1,) * 7, (5, 2), (4, 3), (2, 2, 2, 1),
+                   (2, 2, 1, 1, 1), (5, 1, 1), (3, 1, 1, 1, 1)),
+               8: ((8,), (7, 1), (2, 1, 1, 1, 1, 1, 1), (1,) * 8)}
+    for n, lams in sources.items():
+        assert prefix_runs(n, lams) == pipeline.KERNEL_PREFIX[n]
+    assert prefix_runs(7, partitions(7)) == pipeline.KERNEL_PREFIX[7]
+
+
 class TestComparison:
     def test_defining_pair_generates_kernel(self):
         pair = list(defining_identities())
@@ -1057,8 +1189,18 @@ class TestReportFormats:
         skipped = degree_report(ReportConfig(degree=4, field="Q",
                                              memory_budget=0))
         for row in skipped.to_json()["rows"]:
-            assert (row["lifted_s"], row["kernel_s"],
-                    row["peak_rss_mib"]) == (None, None, None)
+            assert (row["lifted_s"], row["kernel_s"], row["peak_rss_mib"],
+                    row["kernel_dtypes_fed"]) == (None, None, None, None)
+
+    def test_kernel_dtypes_fed(self, report):
+        # the figure --progress prints as "X^T fed K of s D-types", in the
+        # JSON rows and the CSV; degree 4 has 14 D-types
+        import csv
+        import io
+        fed = [row["kernel_dtypes_fed"] for row in report.to_json()["rows"]]
+        assert all(1 <= k <= 14 for k in fed)
+        assert [int(row["kernel_dtypes_fed"]) for row in
+                csv.DictReader(io.StringIO(report.to_csv()))] == fed
 
     def test_csv_parses_back(self, report):
         import csv
@@ -1078,3 +1220,19 @@ class TestReportFormats:
         assert isinstance(report, DegreeReport)
         assert report.degree == 4
         assert report.field == 'Q'
+
+
+def test_report_does_not_import_numpy_ma():
+    # np.setdiff1d and the plain np.unique import numpy.ma, which costs
+    # about 10 ms at the first call; a degree-7 F_101 report needs neither
+    code = ("import sys\n"
+            "from prejordan import pipeline\n"
+            "pipeline.degree_report(pipeline.ReportConfig(\n"
+            "    degree=7, field='F', partitions=((7,),)))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
