@@ -699,21 +699,19 @@ def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
         cell = pos * t + table.types[at]
         # cell k, one (D-type, type) pair, holds the entries cuts[k]:cuts[k+1]
         cuts = np.flatnonzero(np.diff(cell, prepend=-1, append=-1))
-        owner = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
         rows = np.zeros((len(batch), d, t, d), dtype=dtype)
+        # row a of D-type j holds M_i[b, a] at column i*d + b, so block
+        # (j, i) of this view is M_i, element j*t + i of the calls
+        blocks = rows.transpose(0, 2, 3, 1)
         lo, end = 0, len(cuts) - 1
         while lo < end:
             # the most whole cells from lo within per_call entries, at least one
             hi = np.searchsorted(cuts, cuts[lo] + per_call, side='right') - 1
             hi = min(max(hi, lo + 1), end)
             e0, e1 = cuts[lo], cuts[hi]
-            raw = rho.raw_of_elements(owner[e0:e1] - lo, hi - lo,
-                                      table.perms[at[e0:e1]],
-                                      table.coeffs[at[e0:e1]], dtype)
-            # row a of D-type j holds M_i[b, a] at column i*d + b
-            first = cell[cuts[lo:hi]]
-            rows[first // t, :, first % t] = \
-                raw.reshape(d, hi - lo, d).transpose(1, 2, 0)
+            rho.raw_of_elements(cell[e0:e1], len(batch) * t,
+                                table.perms[at[e0:e1]],
+                                table.coeffs[at[e0:e1]], dtype, t, blocks)
             lo = hi
         yield rows.reshape(-1, t * d)
         # the consumer may then free this batch before the next is built

@@ -188,6 +188,10 @@ class RationalEchelon:
 
 
 _MOD_CHUNK = 2 ** 13  # entries per pass of _mod_inplace: a 32-64 KiB scratch
+#: least rows of the float chunk of the store that ModularEchelon converts
+#: at a time; a chunk has at least the batch's rows too, and at most a
+#: segment's
+_STORE_CHUNK = 128
 
 #: significand bits m of each compute dtype; it holds every integer of
 #: magnitude at most 2**m exactly
@@ -270,11 +274,27 @@ class ModularEchelon:
     the elimination forms is an integer of magnitude at most 2**m - p,
     m = 24 or 53, computed exactly and reduced back to [0, p) by
     _mod_inplace's exact floor division.  __init__ also requires
-    ncols*(p-1)**2 + p <= 2**53.  Rows are processed in outer blocks (one
-    conversion sweep of the stored rows per block) and inner mini blocks
-    (one back-substitution product per mini block), so the arithmetic cost
-    is dominated by BLAS calls and the peak memory by the int8 store plus
-    one float segment.
+    ncols*(p-1)**2 + p <= 2**53.  Rows are processed in outer blocks and
+    inner mini blocks (one back-substitution product per mini block), so
+    the arithmetic cost is dominated by BLAS calls.
+
+    An outer block B of R rows sweeps the stored rows once.  _forward
+    converts them to the compute dtype a chunk of
+    H = min(seg_rows, max(_STORE_CHUNK, R)) rows at a time and subtracts
+    each chunk's product, B[:, chunk pivots] times the chunk, from B; B
+    is reduced once per segment.  Between two reductions B takes the
+    products of one segment's chunks, whose inner dimensions add up to
+    the segment's rows, at most seg_rows <= k; B enters the segment in
+    [0, p), so it stays within [-k*(p-1)**2, p) and _mod_inplace reduces
+    it exactly.  A stored row is zero at the pivots of the others, so a
+    chunk's product leaves the coefficients of the chunks after it as
+    they were.  The block's new pivot rows are written into rows of B
+    already consumed, and _back_eliminate clears their columns from the
+    stored rows a chunk at a time.  Beside the batch, add_rows thus holds
+    one product the size of the batch (of a chunk in _back_eliminate),
+    one float chunk of the store and the chunk's coefficients, next to
+    the int8 store.  A chunk has at least the batch's rows, so a large
+    batch still makes about one product per segment.
 
     Inside a mini block the search is left-looking.  Its j new pivot rows
     E stay unnormalized, and T**-1, the inverse of their pivot submatrix
@@ -371,24 +391,43 @@ class ModularEchelon:
                             grew[s:s + self.block_rows])
         return grew.tolist()
 
+    def _chunk_rows(self, rows: int) -> int:
+        # store rows converted at a time beside a batch or new pivot rows
+        # of that many rows
+        return min(self.seg_rows, max(_STORE_CHUNK, rows))
+
     def _forward(self, B: np.ndarray) -> None:
-        # eliminate B against the stored rows, a row segment at a time
-        p = self.p
-        for a in range(0, self._n, self.seg_rows):
-            b = min(a + self.seg_rows, self._n)
-            coef = B[:, self._piv[a:b]]
-            if coef.any():
-                B -= coef @ self._R[a:b].astype(B.dtype)
+        # eliminate B against the stored rows, a chunk at a time, reducing
+        # B once per segment; see the class docstring
+        p, n = self.p, self._n
+        h = self._chunk_rows(B.shape[0])
+        chunk = prod = None
+        for a in range(0, n, self.seg_rows):
+            b = min(a + self.seg_rows, n)
+            dirty = False
+            for c in range(a, b, h):
+                e = min(c + h, b)
+                coef = B[:, self._piv[c:e]]
+                if not coef.any():
+                    continue
+                if prod is None:
+                    chunk = np.empty((min(h, n), self.ncols), dtype=B.dtype)
+                    prod = np.empty_like(B)
+                Rc = chunk[:e - c]
+                Rc[:] = self._R[c:e]
+                B -= np.matmul(coef, Rc, out=prod)
+                dirty = True
+            if dirty:
                 _mod_inplace(B, p)
 
     def _add_block(self, B: np.ndarray, grew: np.ndarray) -> None:
         # grew[k] is set when row k of B adds a pivot.  Within a mini
         # block Bm the new pivot rows E are gathered unnormalized at the
         # front of Bm, with T**-1 the inverse of their pivot submatrix
-        # T = E[:, pv]; see the class docstring
+        # T = E[:, pv]; see the class docstring.  The normalized pivot
+        # rows of the block so far are B[:len(npv)], rows already consumed
         p = self.p
         self._forward(B)
-        nb = np.empty_like(B)
         npv: list[int] = []
         mini = self.mini_rows
         Tinv = np.zeros((mini, mini), dtype=B.dtype)
@@ -400,7 +439,7 @@ class ModularEchelon:
                 arr = np.asarray(npv, dtype=np.intp)
                 coef = Bm[:, arr]
                 if coef.any():
-                    Bm -= coef @ nb[:len(npv)]
+                    Bm -= coef @ B[:len(npv)]
                     _mod_inplace(Bm, p)
             j = 0
             Tj, Ej, pvj = Tinv[:0, :0], Bm[:0], pv[:0]
@@ -436,34 +475,44 @@ class ModularEchelon:
                 grew[s + i] = True
             if not j:
                 continue
+            # fresh <= s; where fresh + j > s the output overlaps Ej, and
+            # matmul buffers its input
             fresh = len(npv)
-            new = nb[fresh:fresh + j]
+            new = B[fresh:fresh + j]
             np.matmul(Tj, Ej, out=new)
             _mod_inplace(new, p)
             npv.extend(pvj.tolist())
             if fresh:
-                coef = nb[:fresh, pvj]
+                coef = B[:fresh, pvj]
                 if coef.any():
-                    nb[:fresh] -= coef @ new
-                    _mod_inplace(nb[:fresh], p)
+                    B[:fresh] -= coef @ new
+                    _mod_inplace(B[:fresh], p)
         if not npv:
             return
-        new = nb[:len(npv)]
+        new = B[:len(npv)]
         self._back_eliminate(new, npv)
         self._append(new, npv)
 
     def _back_eliminate(self, new: np.ndarray, npv: list[int]) -> None:
-        # only the segments with an entry in a new pivot column change, so
-        # only those are converted to the compute dtype
+        # clear the new pivot columns from the stored rows a chunk at a
+        # time; only chunks with an entry in those columns are converted
         arr = np.asarray(npv, dtype=np.intp)
-        for a in range(0, self._n, self.seg_rows):
-            b = min(a + self.seg_rows, self._n)
+        h = self._chunk_rows(new.shape[0])
+        chunk = prod = None
+        for a in range(0, self._n, h):
+            b = min(a + h, self._n)
             coef = self._R[a:b, arr]
-            if coef.any():
-                seg = self._R[a:b].astype(new.dtype)
-                seg -= coef.astype(new.dtype) @ new
-                _mod_inplace(seg, self.p)
-                self._R[a:b] = seg.astype(self._dtype)
+            if not coef.any():
+                continue
+            if chunk is None:
+                chunk = np.empty((min(h, self._n), self.ncols),
+                                 dtype=new.dtype)
+                prod = np.empty_like(chunk)
+            Rc = chunk[:b - a]
+            Rc[:] = self._R[a:b]
+            Rc -= np.matmul(coef.astype(new.dtype), new, out=prod[:b - a])
+            _mod_inplace(Rc, self.p)
+            self._R[a:b] = Rc
 
     def _append(self, new: np.ndarray, npv: list[int]) -> None:
         need = self._n + len(npv)
@@ -472,7 +521,7 @@ class ModularEchelon:
             grown = np.empty((cap, self.ncols), dtype=self._dtype)
             grown[:self._n] = self._R[:self._n]
             self._R = grown
-        self._R[self._n:need] = new.astype(self._dtype)
+        self._R[self._n:need] = new
         self._piv = np.concatenate([self._piv, np.asarray(npv, dtype=np.intp)])
         self._n = need
 

@@ -60,9 +60,10 @@ IDENTITY_VERSION = 1
 #: per-partition memory gate in bytes for _estimated_bytes, which is
 #: 2*(t*d)**2: twice the int8 row store of an echelon state at full rank
 #: (t*d rows of t*d columns).  It is a size class, not the working set:
-#: one-partition degree-8 reports (two BLAS threads) peaked at 232 MiB
-#: for 44 (d = 14, estimate 72 MB) and 690 MiB for 332 (d = 42, estimate
-#: 649 MB).  Only 4211 (d = 90, estimate 2.98 GB) goes past it
+#: one-partition degree-8 reports (two BLAS threads) peaked at 149 MiB
+#: for 44 (d = 14, estimate 72 MB), 214 MiB for 62 (d = 20, estimate
+#: 147 MB) and 688 MiB for 332 (d = 42, estimate 649 MB).  Only 4211
+#: (d = 90, estimate 2.98 GB) goes past it
 MEMORY_BUDGET = 2_500_000_000
 
 
@@ -806,9 +807,11 @@ class PartitionRow:
     skipped: bool = False
     new_vectors: list | None = None
     #: seconds of the lifted and the kernel rank, and the peak RSS of the
-    #: process in MiB after both; None for a skipped row
+    #: process in MiB after the lifted rank and after both; None for a
+    #: skipped row
     lifted_s: float | None = None
     kernel_s: float | None = None
+    lifted_peak_rss_mib: float | None = None
     peak_rss_mib: float | None = None
     #: the D-types whose X^T rows the kernel rank fed before it stopped
     #: (all s when it did not stop); None for a skipped row
@@ -843,7 +846,9 @@ class DegreeReport:
                    "all": {"rows": r.all_rows, "cols": r.all_cols,
                            "rank": r.all_rank, "nullity": r.nullity},
                    "new": r.new, "lifted_s": r.lifted_s,
-                   "kernel_s": r.kernel_s, "peak_rss_mib": r.peak_rss_mib,
+                   "kernel_s": r.kernel_s,
+                   "lifted_peak_rss_mib": r.lifted_peak_rss_mib,
+                   "peak_rss_mib": r.peak_rss_mib,
                    "kernel_dtypes_fed": r.kernel_dtypes_fed}
             if r.new_vectors is not None:
                 row["new_vectors"] = [[str(e) for e in v]
@@ -856,12 +861,13 @@ class DegreeReport:
         w = csv.writer(buf)
         w.writerow(["partition", "d", "lifted_rows", "lifted_cols",
                     "lifted_rank", "all_rows", "all_cols", "all_rank",
-                    "nullity", "new", "skipped", "kernel_dtypes_fed"])
+                    "nullity", "new", "skipped", "kernel_dtypes_fed",
+                    "lifted_peak_rss_mib"])
         for r in self.rows:
             w.writerow([format_partition(r.partition), r.d, r.lifted_rows,
                         r.lifted_cols, r.lifted_rank, r.all_rows, r.all_cols,
                         r.all_rank, r.nullity, r.new, int(r.skipped),
-                        r.kernel_dtypes_fed])
+                        r.kernel_dtypes_fed, r.lifted_peak_rss_mib])
         return buf.getvalue()
 
     def to_text(self) -> str:
@@ -969,6 +975,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
         lrank, grew, orth = lifted_rank(n, lam, liftings, field, rho,
                                         certify=True)
         lifted_s = time.perf_counter() - start
+        lifted_peak = _peak_rss_mib()
         grews.append(grew)
         xrank, nullity, fed_dtypes = kernel_rank(
             n, lam, field, config.chunk, table, rho, lifted=(lrank, orth))
@@ -988,7 +995,8 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             lifted_cols=t * d, lifted_rank=lrank, all_rows=s * d,
             all_cols=t * d, all_rank=xrank, nullity=nullity, new=new,
             new_vectors=vectors, lifted_s=lifted_s, kernel_s=kernel_s,
-            peak_rss_mib=peak, kernel_dtypes_fed=fed_dtypes))
+            lifted_peak_rss_mib=lifted_peak, peak_rss_mib=peak,
+            kernel_dtypes_fed=fed_dtypes))
         if progress:
             progress(f"partition {format_partition(lam)} (d={d}): done in "
                      f"{time.perf_counter() - start:.2f} s (lifted rank "
@@ -996,7 +1004,9 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
                      f"lifted rank {lrank}, fed {fed} of {len(liftings)} "
                      f"liftings, X^T rank {xrank}, X^T fed {fed_dtypes} of "
                      f"{s} D-types"
-                     + ("" if peak is None else f", peak RSS {peak:.0f} MiB"))
+                     + ("" if peak is None else
+                        f", peak RSS {peak:.0f} MiB ({lifted_peak:.0f} MiB "
+                        f"after the lifted rank)"))
     report.retained = tuple(_grew_somewhere(grews))
     return report
 

@@ -391,13 +391,21 @@ class RhoCache:
 
     def raw_of_elements(self, owner: np.ndarray, k: int, perms: np.ndarray,
                         coeffs: np.ndarray, dtype=None,
-                        per_row: int | None = None) -> np.ndarray:
+                        per_row: int | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
         """Raw blocks of k group algebra elements, per_row of them side by
         side in each block row (default all k), shape
         (k // per_row * d, per_row * d): element i, at block row
         i // per_row and block column i % per_row, is the sum of
         coeffs[j] * A(perms[j]) over the terms j with owner[j] == i, perms
         holding one permutation of 0..n-1 per row (ValueError otherwise).
+
+        With out, an array of shape (k // per_row, per_row, d, d) in the
+        dtype chosen below, the block of element i is written to
+        out[i // per_row, i % per_row] instead, and out is returned; the
+        blocks of elements without terms are left as they are.  out may
+        be any view, as the transposed one xblock_transpose_rows gives
+        of its batch.
 
         The raw block is A(id) times the representation matrix of the
         element.  Since A(id) is invertible and multiplies every block of a
@@ -422,14 +430,16 @@ class RhoCache:
         starts = np.flatnonzero(np.concatenate(([True],
                                                 owner[1:] != owner[:-1])))
         dtype = sum_dtype(dtype, coeffs, starts)
-        out = np.zeros((k // per_row, d, per_row, d), dtype=dtype)
+        raw = None
+        if out is None:
+            raw = np.zeros((k // per_row, d, per_row, d), dtype=dtype)
+            out = raw.transpose(0, 2, 1, 3)
         if len(coeffs):
             products = np.multiply(coeffs[:, None, None],
                                    self._stacked(perms[order]), dtype=dtype)
             i = owner[starts]
-            out[i // per_row, :, i % per_row] = \
-                np.add.reduceat(products, starts)
-        return out.reshape(-1, per_row * d)
+            out[i // per_row, i % per_row] = np.add.reduceat(products, starts)
+        return out if raw is None else raw.reshape(-1, per_row * d)
 
     def raw_of_element(self, terms: dict) -> np.ndarray:
         """The raw d x d block of one element {perm: coeff}, perms

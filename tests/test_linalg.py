@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import gram_det, random_int_matrix, random_rational_matrix
+from prejordan import linalg
 from prejordan.linalg import (ExactMatrix, ModularEchelon, RationalEchelon,
                               _MOD_CHUNK, _inner_bound, _mod_inplace,
                               check_field, echelon_state, express_in_rowspace,
@@ -629,6 +630,113 @@ class TestFloatIntake:
             assert [[int(x) for x in r] for r in M.tolist()] == rows
             st = ModularEchelon(4, p)
             self.assert_same((st.add_rows(M), st.rcf()), self.exact(rows, p))
+
+
+def int64_rcf_flags(rows, p):
+    """Flags, RCF and pivots mod p of rows fed one at a time, by int64
+    elimination against the normalized rows kept so far (every product
+    is below p**2, every sum of rank of them far below 2**63)."""
+    rows = np.asarray(rows, dtype=np.int64) % p
+    kept = np.zeros((0, rows.shape[1]), dtype=np.int64)
+    piv, flags = [], []
+    for r in rows:
+        r = (r - r[piv] @ kept) % p
+        nz = np.flatnonzero(r)
+        flags.append(bool(nz.size))
+        if nz.size:
+            c = int(nz[0])
+            r = r * pow(int(r[c]), -1, p) % p
+            kept = np.vstack([(kept - np.outer(kept[:, c], r)) % p, r])
+            piv.append(c)
+    order = np.argsort(piv, kind='stable')
+    return flags, kept[order], np.array(piv, dtype=np.intp)[order]
+
+
+class TestStoreChunks:
+    """_forward and _back_eliminate convert the int8 store to the compute
+    dtype one chunk of rows at a time: max(_STORE_CHUNK, batch rows)
+    rows, at most a segment's.  _forward still reduces once per segment,
+    and the new pivot rows of a block are written into its consumed
+    rows.  None of this changes a flag, the RCF or the pivots."""
+
+    @staticmethod
+    def rows_for(p, rng, N=150, F=12):
+        """Batches of rows over N pivot columns and F free ones.  First N
+        stored rows e_i + (p-1) on every free column, in ragged batches
+        of 1 to 7 rows; a row over the pivot columns then sums about N
+        products near (p-1)**2 per free column, past 2**24 at p = 509
+        over more than one segment of k = 65 rows.  Then one batch of six
+        rows whose second is a multiple of its first, so its first mini
+        block of three gives two pivot rows and the next block's three
+        are written over rows of their own source; then dense rows,
+        multiples and sums of earlier ones, and zero rows."""
+        n = N + F
+        stored = np.zeros((N, n), dtype=np.int64)
+        stored[np.arange(N), np.arange(N)] = 1
+        stored[:, N:] = p - 1
+
+        def dense():
+            row = [rng.randrange(p // 2, p) for _ in range(N)]
+            return row + [rng.randrange(p) for _ in range(F)]
+
+        first = dense()
+        overlap = [first, [max(1, p - 2) * e for e in first]] + \
+            [dense() for _ in range(4)]
+        rest = []
+        for i in range(40):
+            kind = rng.random()
+            if kind < 0.5 or len(rest) < 2:
+                rest.append(dense())
+            elif kind < 0.9:
+                a, b = rng.sample(rest, 2)
+                c = rng.randrange(1, p)
+                rest.append([x + c * y for x, y in zip(a, b)])
+            else:
+                rest.append([0] * n)
+
+        def ragged(rows):
+            out = []
+            while len(rows):
+                step = rng.randrange(1, 8)
+                out.append(rows[:step])
+                rows = rows[step:]
+            return out
+
+        return n, ragged(stored.tolist()) + [overlap] + ragged(rest)
+
+    @pytest.mark.parametrize("p", CROSS_PRIMES)
+    def test_chunk_rows_change_nothing(self, p, monkeypatch):
+        rng = random.Random(p + 5)
+        n, batches = self.rows_for(p, rng)
+        want_flags, want, want_piv = int64_rcf_flags(
+            [r for b in batches for r in b], p)
+        store = sum(map(len, batches))
+        assert 1 < sum(want_flags) < store - 5
+        # 1 row: chunks of the batch's rows; 7: a size that divides no
+        # segment; more than the store: whole segments
+        for chunk in (None, 1, 7, store + 1):
+            if chunk is not None:
+                monkeypatch.setattr(linalg, "_STORE_CHUNK", chunk)
+            for sizes in ({}, dict(block_rows=6, mini_rows=3, seg_rows=10)):
+                st = ModularEchelon(n, p, **sizes)
+                flags = []
+                for b in batches:
+                    flags += st.add_rows(np.array(b, dtype=np.int64))
+                got, got_piv = st.rcf()
+                assert flags == want_flags, (chunk, sizes)
+                assert (got == want).all() and (got_piv == want_piv).all()
+
+    def test_chunk_has_the_batch_rows(self, monkeypatch):
+        # at least _STORE_CHUNK rows and the batch's, at most a segment's:
+        # smaller chunks would each stream a product the size of the batch
+        st = ModularEchelon(8, P)
+        assert linalg._STORE_CHUNK == 128 and st.seg_rows == 1677
+        assert [st._chunk_rows(r) for r in (1, 128, 300, 5000)] \
+            == [128, 128, 300, 1677]
+        assert {ModularEchelon(8, 509)._chunk_rows(r) for r in (1, 300)} \
+            == {65}
+        monkeypatch.setattr(linalg, "_STORE_CHUNK", 7)
+        assert [st._chunk_rows(r) for r in (1, 7, 300)] == [7, 7, 300]
 
 
 def _common_den(row):

@@ -1038,8 +1038,8 @@ def test_compare_mixed_degrees_exits_1(tmp_path, capsys):
 def test_report_progress_lines(capsys):
     # --progress adds one line per finished partition on stderr, with its
     # time and the part of it spent in each rank, both ranks, the
-    # liftings and D-types fed and the peak RSS, and leaves stdout as it
-    # was
+    # liftings and D-types fed and the peak RSS after both ranks and after
+    # the lifted one, and leaves stdout as it was
     assert main(["report", "--degree", "5"]) == 0
     plain = capsys.readouterr()
     assert main(["report", "--degree", "5", "--progress"]) == 0
@@ -1051,7 +1051,8 @@ def test_report_progress_lines(capsys):
                         r"\(lifted rank \d+\.\d\d s, "
                         r"kernel rank \d+\.\d\d s\), lifted rank 21, fed 9 of 12 liftings, "
                         r"X\^T rank 35, X\^T fed 42 of 42 D-types, "
-                        r"peak RSS \d+ MiB", done[1])
+                        r"peak RSS \d+ MiB \(\d+ MiB after the lifted rank\)",
+                        done[1])
 
 
 def test_peak_rss_units_and_missing_resource(monkeypatch):
@@ -1088,27 +1089,32 @@ def traced_peak(run) -> int:
 
 
 class TestRowMemory:
-    """A rank holds each batch of rows once, in float32 at F_101.
+    """A rank holds each batch of rows once, in float32 at F_101, and
+    beside it one product the size of the batch and one float chunk of
+    the store.
 
     The bounds count the arrays each step holds at once, from the shapes
-    of the run: R rows in the largest batch, C = t*d columns, r <= C
-    stored rows, B = 4*R*C bytes for one float32 batch M.  add_rows
-    eliminates M in place; next to it:
+    of the run: R rows in the largest batch, C = t*d columns, r stored
+    rows at most (the rank reached), H = min(r, max(128, R)) rows in a
+    float chunk of the store (_STORE_CHUNK = 128) and B = 4*R*C bytes for
+    one float32 batch M.  add_rows eliminates M in place; next to it:
 
-    * _forward holds the coefficients (R x r), one float segment of the
-      store (r x C) and their product (R x C): 2B + 4C**2 bytes;
-    * _add_block adds nb (R x C) and, per mini block of 64 rows, a
-      coefficient block and a product of at most 64 x C each;
-    * _back_eliminate holds nb, one segment, its product and the cast
-      coefficients (r x new pivots, r + new <= C): B + 9.25C**2 bytes;
-    * _append holds nb, the old and the grown int8 store and the int8
-      new rows: B + 3.5C**2 bytes;
-    * the int8 store (at most max(C, 256) x C bytes grown by half) lives
+    * _forward holds the coefficients of one chunk (R x H), the chunk
+      (H x C) and the product (R x C): B + 4*R*H + 4*H*C bytes;
+    * _add_block writes the new pivot rows into consumed rows of M.  It
+      holds, per mini block of 64 rows, a coefficient block (64 x r) and
+      a product (64 x C), and for the update of the earlier pivot rows,
+      at most r of them, a coefficient block (r x 64) and a product
+      (r x C): at most 4*64*(r + C) + 4*r*C bytes;
+    * _back_eliminate holds a chunk, its product and the coefficients,
+      int8 and float32 (H x R each): 8*H*C + 5*H*R bytes;
+    * _append holds the grown int8 store beside the old one;
+    * the int8 store (at most max(r, 256) x C bytes grown by half) lives
       throughout;
     * 64 KiB cover the small arrays: flags, pivots, T**-1 and the
       32 KiB scratch of _mod_inplace.
 
-    An int64 batch (2B) with a float copy beside it passes each bound.
+    An int64 batch (2B) with a float copy beside it fails each bound.
     """
 
     P = 101
@@ -1127,24 +1133,26 @@ class TestRowMemory:
         liftings, rho = self.setup_rho(n, lam)
         t, d = len(assoc_types(n, 1)), rho.dim
         R, C = chunk * d, t * d
-        assert R >= C  # so a store segment is no larger than a batch
-        B = 4 * R * C
-        store = 1.5 * max(C, 256) * C
-        elim = B + max(2 * B + 4 * C * C, B + 9.25 * C * C,
-                       B + 8 * 64 * C + 4 * 64 * 64, B + 3.5 * C * C) + store
+        r = kernel_rank(n, lam, self.P, chunk, rho=rho)[0]
+        B, H = 4 * R * C, min(r, max(128, R))
+        store = 1.5 * max(r, 256) * C
+        elim = B + max(B + 4 * R * H + 4 * H * C,
+                       4 * 64 * (r + C) + 4 * r * C,
+                       8 * H * C + 5 * H * R, store) + store
         # building a batch: the batch, and for one raw_of_elements call
-        # over E table entries the stacked products, their sums, the
-        # blocks and their transposed copy, each at most 4*E*d*d bytes,
-        # plus index arrays over the table's entries
+        # over E table entries the int8 A-matrices, their float32
+        # products and the sums written into the batch (1 + 4 + 4 bytes
+        # per entry times d*d), plus index arrays over its entries
         table = expansion.expansion_arrays(n)
         E = int(np.diff(table.offsets[::chunk]).max())
-        build = B + 4 * (4 * E * d * d) + 6 * 8 * len(table.coeffs) + store
+        assert E * d * d <= expansion.XBLOCK_CALL_ENTRIES  # one call
+        build = B + 9 * E * d * d + 8 * (n + 8) * E + store
         bound = max(elim, build) + 2 ** 16
         peak = traced_peak(lambda: kernel_rank(n, lam, self.P, chunk, rho=rho))
         assert peak <= bound, (peak, bound, B)
 
     def test_lifted_rank(self):
-        # one add_rows call into an empty state: no store segment is
+        # one add_rows call into an empty state: no store chunk is
         # converted, and the rows of all 38 fed liftings are one batch
         n, lam = 6, (4, 1, 1)
         liftings, rho = self.setup_rho(n, lam)
@@ -1152,13 +1160,16 @@ class TestRowMemory:
         fed = [f for f, keep in zip(liftings, pipeline._fed(liftings)) if keep]
         R, C = len(fed) * d, t * d
         assert R * C <= BLOCK_BATCH_ENTRIES
+        r = lifted_rank(n, lam, liftings, self.P, rho)[0]
         B = 4 * R * C
-        elim = 2 * B + 8 * 64 * C + 4 * 64 * 64 + 2 * max(R, 256) * C
+        # the batch, _add_block's arrays and the new int8 store
+        elim = B + 4 * 64 * (r + C) + 4 * r * C + max(R, 256) * C
         # building: the rows and, per term of the fed liftings, one
         # d x d product and at most one d x d sum, plus index arrays over
         # the terms of every lifting
         terms = sum(len(f.types) for f in liftings)
-        build = B + 2 * 4 * terms * d * d + 10 * 8 * terms
+        fed_terms = sum(len(f.types) for f in fed)
+        build = B + 2 * 4 * fed_terms * d * d + 10 * 8 * terms
         bound = max(elim, build) + 2 ** 16
         peak = traced_peak(lambda: lifted_rank(n, lam, liftings, self.P, rho))
         assert peak <= bound, (peak, bound, B)
@@ -1182,15 +1193,23 @@ class TestReportFormats:
 
     def test_json_timings_and_peak(self, report):
         # each row carries the seconds of its two ranks and the peak RSS
-        # after it, as --progress prints them; a skipped row has none
-        for row in report.to_json()["rows"]:
+        # after its lifted rank and after it, as --progress prints them,
+        # the first also in the CSV; a skipped row has none
+        import csv
+        import io
+        rows = report.to_json()["rows"]
+        for row in rows:
             assert row["lifted_s"] >= 0 and row["kernel_s"] >= 0
-            assert row["peak_rss_mib"] > 0
+            assert 0 < row["lifted_peak_rss_mib"] <= row["peak_rss_mib"]
+        assert [float(row["lifted_peak_rss_mib"]) for row in
+                csv.DictReader(io.StringIO(report.to_csv()))] \
+            == [row["lifted_peak_rss_mib"] for row in rows]
         skipped = degree_report(ReportConfig(degree=4, field="Q",
                                              memory_budget=0))
         for row in skipped.to_json()["rows"]:
-            assert (row["lifted_s"], row["kernel_s"], row["peak_rss_mib"],
-                    row["kernel_dtypes_fed"]) == (None, None, None, None)
+            assert (row["lifted_s"], row["kernel_s"],
+                    row["lifted_peak_rss_mib"], row["peak_rss_mib"],
+                    row["kernel_dtypes_fed"]) == (None,) * 5
 
     def test_kernel_dtypes_fed(self, report):
         # the figure --progress prints as "X^T fed K of s D-types", in the
