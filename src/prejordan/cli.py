@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="q = rationals, p = modular "
                         "(default: q through degree 5, then p)")
     p.add_argument("--prime", type=int, default=101)
-    p.add_argument("--chunk", type=int, default=50)
 
     p = sub.add_parser("lift", help="generate and verify liftings")
     p.add_argument("--degree", type=int, required=True, metavar="N")
@@ -58,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=["q", "p"],
                    help="default: q through degree 5, then p")
     p.add_argument("--prime", type=int, default=101)
-    p.add_argument("--chunk", type=int, default=50)
     p.add_argument("--partition", action="append", metavar="LAMBDA",
                    help="restrict to this partition (repeatable)")
     p.add_argument("--no-prune", action="store_true",
@@ -68,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include coordinate vectors of new identities")
     p.add_argument("--out", metavar="FILE", help="write here, not stdout")
     p.add_argument("--progress", action="store_true",
-                   help="progress lines on stderr")
+                   help="progress lines on stderr: per partition its "
+                        "times, ranks, add_rows calls, rows a call and "
+                        "peak RSS")
 
     p = sub.add_parser("compare", help="do two identity files generate "
                                        "the same module?")
@@ -110,20 +110,21 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _resolve_field(args, degree):
-    if args.field == "q" or (args.field is None and degree <= 5):
-        return 'Q'
-    return args.prime
+def _field(args) -> str:
+    # the ReportConfig.field of --field
+    return {"q": "Q", "p": "F", None: "auto"}[args.field]
 
 
 def cmd_kernel(args) -> int:
+    from .linalg import check_field
     from .monomials import assoc_types
-    from .pipeline import _dtypes, checked_field, kernel_rank
+    from .pipeline import ReportConfig, _dtypes, kernel_rank
     from .symrep import (dimension, format_partition, parse_partition,
                          partitions)
 
     n = args.degree
-    field = checked_field(_resolve_field(args, n), args.chunk)
+    field = check_field(ReportConfig(n, _field(args), args.prime)
+                        .resolved_field())
     lams = [parse_partition(args.partition)] if args.partition \
         else list(partitions(n))
     for lam in lams:
@@ -132,13 +133,12 @@ def cmd_kernel(args) -> int:
                              f"partition of {n}")
     t = len(assoc_types(n, 1))
     s = len(_dtypes(n))
-    print(f"degree {n}  field "
-          f"{'Q' if field == 'Q' else 'F_%d' % field}  chunk {args.chunk}")
+    print(f"degree {n}  field {'Q' if field == 'Q' else 'F_%d' % field}")
     print(f"{'partition':>10} {'d':>3} {'rows':>6} {'cols':>6} "
           f"{'rank':>6} {'nullity':>7}")
     for lam in lams:
         d = dimension(lam)
-        rank, nullity = kernel_rank(n, lam, field, args.chunk)
+        rank, nullity = kernel_rank(n, lam, field)
         print(f"{format_partition(lam):>10} {d:>3} {s * d:>6} {t * d:>6} "
               f"{rank:>6} {nullity:>7}")
     return 0
@@ -165,10 +165,8 @@ def cmd_report(args) -> int:
 
     config = ReportConfig(
         degree=args.degree,
-        field="Q" if args.field == "q" else
-              ("F" if args.field == "p" else "auto"),
+        field=_field(args),
         prime=args.prime,
-        chunk=args.chunk,
         partitions=tuple(parse_partition(s) for s in args.partition)
         if args.partition else None,
         prune=not args.no_prune,

@@ -647,7 +647,7 @@ def expansion_matrix(n: int, field='Q', allow_large: bool = False
 XBLOCK_CALL_ENTRIES = 2 ** 20
 
 
-def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
+def xblock_transpose_rows(n: int, lam, field='Q', *, chunk: int,
                           table: ExpansionTable | None = None,
                           rho: RhoCache | None = None, dtype=None,
                           order=None):
@@ -660,7 +660,8 @@ def xblock_transpose_rows(n: int, lam, field='Q', chunk: int = 50,
     nullspace of X, so ranks and nullspaces of identities come from the
     transpose.  Rows of X^T arrive D-type by D-type in the order of the
     D-type indices order (every D-type in canonical order by default), in
-    batches of chunk D-types (chunk*d rows), as one unreduced integer
+    batches of chunk D-types (chunk*d rows; kernel_rank takes chunk from
+    its echelon state's batch_rows), as one unreduced integer
     array per batch over either field.  With dtype None the batches have
     the dtype of the table's coefficients.  A float dtype (an echelon
     state's row_dtype) is used when it holds every entry exactly: every

@@ -78,6 +78,13 @@ class RationalEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
+    def batch_rows(self, d: int) -> int:
+        """Rows of one add_rows call fed in whole groups of d rows: the
+        largest multiple of d at most ncols // 4, and at least d.  Exact
+        Python numbers have no byte ratio to a store; the width cap is
+        ModularEchelon's at F_101 (see there)."""
+        return max(d, self.ncols // 4 // d * d)
+
     def add_rows(self, rows: Iterable[Sequence]) -> list[bool]:
         """Reduce rows into the state in order; returns the rank increase
         as one flag per row, True where that row raised the rank.  An
@@ -296,6 +303,15 @@ class ModularEchelon:
     the int8 store.  A chunk has at least the batch's rows, so a large
     batch still makes about one product per segment.
 
+    Callers size their batches by batch_rows, so a batch has at most
+    ncols * store itemsize // compute itemsize rows and at most
+    block_rows: it holds no more bytes than the store at full rank
+    (ncols rows) and is one outer block.  Its product has its shape and
+    the store chunk its rows or _STORE_CHUNK, whichever is more.  So
+    where batches reach _STORE_CHUNK rows (ncols >= 512 at F_101),
+    add_rows holds at most about four times the full-rank store, and no
+    more than three block-sized float arrays beside the store.
+
     Inside a mini block the search is left-looking.  Its j new pivot rows
     E stay unnormalized, and T**-1, the inverse of their pivot submatrix
     T = E[:, pv], is kept; T is upper triangular in arrival order, since
@@ -351,6 +367,15 @@ class ModularEchelon:
     @property
     def rank(self) -> int:
         return self._n
+
+    def batch_rows(self, d: int) -> int:
+        """Rows of one add_rows call fed in whole groups of d rows: the
+        largest multiple of d at most block_rows and at most
+        ncols * store itemsize // compute itemsize, the rows of a float
+        batch with the bytes of the store at full rank; at least d.  At
+        F_101 (int8 store, float32) the width cap is ncols // 4."""
+        width = self.ncols * self._R.itemsize // self.compute_dtype.itemsize
+        return max(d, min(self.block_rows, width) // d * d)
 
     def add_rows(self, rows) -> list[bool]:
         """Reduce a batch of integer rows into the state; returns the rank

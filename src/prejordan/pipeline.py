@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -59,11 +59,12 @@ IDENTITY_VERSION = 1
 
 #: per-partition memory gate in bytes for _estimated_bytes, which is
 #: 2*(t*d)**2: twice the int8 row store of an echelon state at full rank
-#: (t*d rows of t*d columns).  It is a size class, not the working set:
-#: one-partition degree-8 reports (two BLAS threads) peaked at 149 MiB
-#: for 44 (d = 14, estimate 72 MB), 214 MiB for 62 (d = 20, estimate
-#: 147 MB) and 688 MiB for 332 (d = 42, estimate 649 MB).  Only 4211
-#: (d = 90, estimate 2.98 GB) goes past it
+#: (t*d rows of t*d columns).  It is a size class, not the working set,
+#: which add_rows bounds by about twice the estimate (four full-rank
+#: stores; ModularEchelon docstring): one-partition degree-8 reports (two
+#: BLAS threads) peaked at 243 MiB for 44 (d = 14, estimate 72 MB),
+#: 322 MiB for 62 (d = 20, estimate 147 MB) and 628 MiB for 332 (d = 42,
+#: estimate 649 MB).  Only 4211 (d = 90, estimate 2.98 GB) goes past it
 MEMORY_BUDGET = 2_500_000_000
 
 
@@ -507,21 +508,6 @@ def relabeling_classes(idents) -> np.ndarray:
     return lead
 
 
-#: most entries (rows x columns) per add_rows call when identity blocks
-#: are fed to an echelon state; a single block may exceed it.  Each
-#: ModularEchelon call converts the whole stored echelon to its compute
-#: dtype (float32 at p = 101, float64 past p = 509) twice, so a few large
-#: calls cost much less than one per identity.  The bound
-#: keeps a batch near the size of a kernel_rank batch (300 x 792 at degree
-#: 7), so it adds no memory: one degree-7 F_101 partition (61) peaked at
-#: 62-63 MiB with it (252-row batches), 87 MiB with 1,032-row batches and
-#: 161 MiB with the 4,032 rows of all 672 liftings in one call; the 152
-#: liftings fed there now (_feed_identities) take 912 rows in 4 calls.
-#: Where two blocks exceed it (d = 35 at degree 7, d >= 16 at degree 8)
-#: a call takes one identity.
-BLOCK_BATCH_ENTRIES = 200_000
-
-
 def _fed(idents) -> list[bool]:
     """Per identity whether it is the first of its relabeling class
     (relabeling_classes) in input order; unkeyed identities are all
@@ -530,7 +516,8 @@ def _fed(idents) -> list[bool]:
     return (lead == np.arange(len(lead))).tolist()
 
 
-def _feed_identities(state, n: int, rho: RhoCache, idents) -> list[bool]:
+def _feed_identities(state, n: int, rho: RhoCache, idents,
+                     fed: list[bool] | None = None) -> list[bool]:
     """Feed the blocks of idents into state, whole blocks batched into few
     add_rows calls; returns per identity whether its block raised the rank.
 
@@ -540,15 +527,24 @@ def _feed_identities(state, n: int, rho: RhoCache, idents) -> list[bool]:
     so g spans the rows of f and never raises the rank after it: rank
     and flags are those of feeding every identity.  A row raises the
     rank exactly when it is independent of every row fed before it, so
-    batching changes neither the rank nor the flags either.
+    batching changes neither the rank nor the flags either.  fed, when
+    given, is _fed(idents), computed once by a caller that feeds the
+    same identities again.
+
+    A call takes state.batch_rows(d) // d blocks of d rows.  In
+    ModularEchelon that batch holds at most the bytes of the store at
+    full rank, and so do its product and, once batches reach 128 rows,
+    the store chunk add_rows converts: the call holds at most about four
+    times the full-rank store, and at most three block-sized float
+    arrays beside the store (ModularEchelon docstring).
     """
     t = len(assoc_types(n, 1))
     d = rho.dim
-    per_call = max(1, BLOCK_BATCH_ENTRIES // (d * state.ncols))
+    per_call = state.batch_rows(d) // d
     idents = list(idents)
     if any(ident.degree != n for ident in idents):
         raise ValueError("identity of the wrong degree")
-    fed = _fed(idents)
+    fed = _fed(idents) if fed is None else fed
     batch = [f for f, feed in zip(idents, fed) if feed]
     raised = []
     for start in range(0, len(batch), per_call):
@@ -562,10 +558,11 @@ def _feed_identities(state, n: int, rho: RhoCache, idents) -> list[bool]:
 
 
 def lifted_rank(n: int, lam, liftings, field='Q',
-                rho: RhoCache | None = None, certify: bool = False):
+                rho: RhoCache | None = None, certify: bool = False,
+                fed: list[bool] | None = None):
     """(rank, grew): rank of the stacked lifted-identity blocks, fed by
-    _feed_identities: one lifting per relabeling class (152 of the 672
-    at degree 7), one batch of whole blocks at a time.
+    _feed_identities (which takes fed): one lifting per relabeling class
+    (152 of the 672 at degree 7), one batch of whole blocks at a time.
 
     grew tells, per identity, whether its block increased the rank
     (False for every lifting not fed, as it would be if it were); the
@@ -583,7 +580,7 @@ def lifted_rank(n: int, lam, liftings, field='Q',
         rho = RhoCache(lam, field)
     t = len(assoc_types(n, 1))
     state = echelon_state(t * rho.dim, field, reduced=False)
-    grew = _feed_identities(state, n, rho, liftings)
+    grew = _feed_identities(state, n, rho, liftings, fed)
     if not certify:
         return state.rank, grew
     W = state.random_kernel_vectors(CERTIFICATE_VECTORS, random.Random())
@@ -591,14 +588,6 @@ def lifted_rank(n: int, lam, liftings, field='Q',
     if field != 'Q':
         W %= int(field)
     return state.rank, grew, W.reshape(len(W), -1)
-
-
-def checked_field(field, chunk: int):
-    """field as linalg.check_field returns it ('Q' or a prime), after
-    refusing a chunk of fewer than one D-type; ValueError for either."""
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
-    return check_field(field)
 
 
 #: the D-types kernel_rank feeds first, as half-open runs of indices into
@@ -644,7 +633,7 @@ def _kernel_order(n: int, s: int) -> list[np.ndarray]:
 CERTIFICATE_VECTORS = 3
 
 
-def kernel_rank(n: int, lam, field='Q', chunk: int = 50, table=None,
+def kernel_rank(n: int, lam, field='Q', table=None,
                 rho: RhoCache | None = None, keep_state: bool = False,
                 lifted=None):
     """(rank, nullity) of the transposed block matrix for one partition.
@@ -681,20 +670,20 @@ def kernel_rank(n: int, lam, field='Q', chunk: int = 50, table=None,
 
     The stop is exact in any order of D-types; the order only sets how
     soon it comes.  While new > 0 the rank stays below t*d - r_L and
-    every row is fed.  The D-types come in the order of _kernel_order:
-    at degrees 7 and 8 the pinned prefix KERNEL_PREFIX[n] first, in
-    batches of at most chunk D-types the last of which ends at the
-    prefix's end, then the others in canonical order; elsewhere
-    canonical order.  Every D-type is fed once before the rank is read
-    unstopped, the rank of a set of rows does not depend on their order,
-    and the stop and the certificate hold in any order, so the prefix
-    sets only the time: a wrong, scrambled or truncated prefix, or one
+    every row is fed.  The D-types come in batches of
+    state.batch_rows(d) // d, in the order of _kernel_order: at degrees
+    7 and 8 the pinned prefix KERNEL_PREFIX[n] first, its last batch
+    ending at the prefix's end, then the others in canonical order;
+    elsewhere canonical order.  Every D-type is fed once before the rank
+    is read unstopped, the rank of a set of rows does not depend on their
+    order, and the stop and the certificate hold in any order, so the
+    prefix sets only the time: a wrong, scrambled or truncated prefix, or one
     learned mod 101 and used over Q or at another prime, gives the same
     rank, nullity and checks, and moves only the batch at which the
     feed stops.  At degree 7 every partition reaches t*d - r_L at the
     prefix's end (118 of 429 D-types).
     """
-    field = checked_field(field, chunk)
+    field = check_field(field)
     if keep_state and lifted is not None:
         raise ValueError("keep_state feeds every row; lifted stops early")
     if rho is None:
@@ -707,8 +696,8 @@ def kernel_rank(n: int, lam, field='Q', chunk: int = 50, table=None,
     bound = None if lifted is None else t * d - lifted[0]
     fed = 0
     for batch in chain.from_iterable(xblock_transpose_rows(
-            n, lam, field=field, chunk=chunk, table=table, rho=rho,
-            dtype=state.row_dtype, order=part)
+            n, lam, field, chunk=state.batch_rows(d) // d, table=table,
+            rho=rho, dtype=state.row_dtype, order=part)
             for part in _kernel_order(n, len(table.offsets) - 1)):
         state.add_rows(batch)
         fed += len(batch) // d
@@ -740,7 +729,7 @@ def kernel_rank(n: int, lam, field='Q', chunk: int = 50, table=None,
     return rank, t * d - rank, fed
 
 
-def new_identity_vectors(n: int, lam, liftings, field='Q', chunk: int = 50,
+def new_identity_vectors(n: int, lam, liftings, field='Q',
                          table=None) -> list:
     """Canonical coset representatives of new identities for one partition.
 
@@ -758,8 +747,7 @@ def new_identity_vectors(n: int, lam, liftings, field='Q', chunk: int = 50,
     _feed_identities(state, n, rho, liftings)
     lifted_pivots = set(state.rcf()[1].tolist())
 
-    _, _, xstate = kernel_rank(n, lam, field, chunk, table, rho,
-                               keep_state=True)
+    _, _, xstate = kernel_rank(n, lam, field, table, rho, keep_state=True)
     N = np.asarray(xstate.nullspace_basis())
     state.add_rows((N.reshape(-1, t, d) @ rho.a_id).reshape(-1, t * d))
     final, pivs = state.rcf()
@@ -775,7 +763,6 @@ class ReportConfig:
     degree: int
     field: str = "auto"          # "Q", "F" or "auto": Q through degree 5
     prime: int = 101
-    chunk: int = 50
     partitions: tuple | None = None
     #: degree 8 only: lift just the degree-7 identities that grew a rank
     prune: bool = True
@@ -798,12 +785,13 @@ class PartitionRow:
     d: int
     lifted_rows: int
     lifted_cols: int
-    lifted_rank: int | None
     all_rows: int
     all_cols: int
-    all_rank: int | None
-    nullity: int | None
-    new: int | None
+    #: the ranks, nullity and new count; None for a skipped row
+    lifted_rank: int | None = None
+    all_rank: int | None = None
+    nullity: int | None = None
+    new: int | None = None
     skipped: bool = False
     new_vectors: list | None = None
     #: seconds of the lifted and the kernel rank, and the peak RSS of the
@@ -816,6 +804,20 @@ class PartitionRow:
     #: the D-types whose X^T rows the kernel rank fed before it stopped
     #: (all s when it did not stop); None for a skipped row
     kernel_dtypes_fed: int | None = None
+    #: rows of one add_rows call (the echelon state's batch_rows(d)) and
+    #: the calls of the lifted and the kernel rank; None for a skipped row
+    batch_rows: int | None = None
+    lifted_calls: int | None = None
+    kernel_calls: int | None = None
+
+
+#: PartitionRow fields a JSON row carries as they are, after "new"
+_MEASURED = ("lifted_s", "kernel_s", "lifted_peak_rss_mib", "peak_rss_mib",
+             "kernel_dtypes_fed", "batch_rows", "lifted_calls", "kernel_calls")
+#: PartitionRow fields of a CSV row, after the partition
+_CSV = ("d", "lifted_rows", "lifted_cols", "lifted_rank", "all_rows",
+        "all_cols", "all_rank", "nullity", "new", "skipped",
+        "kernel_dtypes_fed", "lifted_peak_rss_mib", *_MEASURED[5:])
 
 
 @dataclass
@@ -823,7 +825,6 @@ class DegreeReport:
     degree: int
     field: str
     prime: int | None
-    chunk: int
     lifting_count: int
     retained: tuple = ()
     rows: list = dc_field(default_factory=list)
@@ -833,7 +834,6 @@ class DegreeReport:
             "degree": self.degree,
             "field": self.field,
             "prime": self.prime,
-            "chunk": self.chunk,
             "liftings": self.lifting_count,
             "retained": len(self.retained),
             "rows": [],
@@ -845,11 +845,7 @@ class DegreeReport:
                               "rank": r.lifted_rank},
                    "all": {"rows": r.all_rows, "cols": r.all_cols,
                            "rank": r.all_rank, "nullity": r.nullity},
-                   "new": r.new, "lifted_s": r.lifted_s,
-                   "kernel_s": r.kernel_s,
-                   "lifted_peak_rss_mib": r.lifted_peak_rss_mib,
-                   "peak_rss_mib": r.peak_rss_mib,
-                   "kernel_dtypes_fed": r.kernel_dtypes_fed}
+                   "new": r.new, **{k: getattr(r, k) for k in _MEASURED}}
             if r.new_vectors is not None:
                 row["new_vectors"] = [[str(e) for e in v]
                                       for v in r.new_vectors]
@@ -859,21 +855,17 @@ class DegreeReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(["partition", "d", "lifted_rows", "lifted_cols",
-                    "lifted_rank", "all_rows", "all_cols", "all_rank",
-                    "nullity", "new", "skipped", "kernel_dtypes_fed",
-                    "lifted_peak_rss_mib"])
+        w.writerow(["partition", *_CSV])
         for r in self.rows:
-            w.writerow([format_partition(r.partition), r.d, r.lifted_rows,
-                        r.lifted_cols, r.lifted_rank, r.all_rows, r.all_cols,
-                        r.all_rank, r.nullity, r.new, int(r.skipped),
-                        r.kernel_dtypes_fed, r.lifted_peak_rss_mib])
+            w.writerow([format_partition(r.partition), *(
+                int(v) if isinstance(v, bool) else v
+                for v in (getattr(r, k) for k in _CSV))])
         return buf.getvalue()
 
     def to_text(self) -> str:
         head = (f"degree {self.degree}  field "
                 f"{self.field if self.field == 'Q' else 'F_%d' % self.prime}"
-                f"  chunk {self.chunk}  liftings {self.lifting_count}"
+                f"  liftings {self.lifting_count}"
                 f" ({len(self.retained)} grew a rank)")
         cols = ("partition", "d", "L rows", "L cols", "L rank",
                 "X^t rows", "X^t cols", "X^t rank", "nullity", "new")
@@ -926,7 +918,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
     n = config.degree
     if not 4 <= n <= 8:
         raise ValueError("reports cover degrees 4 through 8")
-    field = checked_field(config.resolved_field(), config.chunk)
+    field = check_field(config.resolved_field())
     table = expansion_arrays(n)
     t = len(assoc_types(n, 1))
     s = len(_dtypes(n))
@@ -952,18 +944,16 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
     report = DegreeReport(
         degree=n, field='Q' if field == 'Q' else 'F',
         prime=None if field == 'Q' else int(field),
-        chunk=config.chunk, lifting_count=len(liftings))
-    fed = sum(_fed(liftings)) if progress else None
+        lifting_count=len(liftings))
+    fed = _fed(liftings)
     grews = []
     for lam in lam_list:
         d = dimension(lam)
+        shape = dict(partition=lam, d=d, lifted_rows=len(liftings) * d,
+                     lifted_cols=t * d, all_rows=s * d, all_cols=t * d)
         if _estimated_bytes(n, d) > config.memory_budget \
                 and not config.allow_large:
-            report.rows.append(PartitionRow(
-                partition=lam, d=d, lifted_rows=len(liftings) * d,
-                lifted_cols=t * d, lifted_rank=None, all_rows=s * d,
-                all_cols=t * d, all_rank=None, nullity=None, new=None,
-                skipped=True))
+            report.rows.append(PartitionRow(**shape, skipped=True))
             if progress:
                 progress(f"partition {format_partition(lam)} (d={d}):"
                          f" skipped, memory gate")
@@ -973,42 +963,54 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
         start = time.perf_counter()
         rho = RhoCache(lam, field)
         lrank, grew, orth = lifted_rank(n, lam, liftings, field, rho,
-                                        certify=True)
+                                        certify=True, fed=fed)
         lifted_s = time.perf_counter() - start
         lifted_peak = _peak_rss_mib()
         grews.append(grew)
         xrank, nullity, fed_dtypes = kernel_rank(
-            n, lam, field, config.chunk, table, rho, lifted=(lrank, orth))
+            n, lam, field, table, rho, lifted=(lrank, orth))
         kernel_s = time.perf_counter() - start - lifted_s
+        batch_rows = echelon_state(t * d, field).batch_rows(d)
+        lifted_calls = _calls([sum(fed)], batch_rows // d, sum(fed))
+        kernel_calls = _calls([len(part) for part in _kernel_order(n, s)],
+                              batch_rows // d, fed_dtypes)
         new = nullity - lrank
         vectors = None
         if config.emit_new and new > 0:
-            vectors = new_identity_vectors(n, lam, liftings, field,
-                                           config.chunk, table)
+            vectors = new_identity_vectors(n, lam, liftings, field, table)
             if len(vectors) != new:
                 raise InvariantViolation(
                     f"extracted {len(vectors)} new identity vectors, "
                     f"expected {new}")
         peak = _peak_rss_mib()
         report.rows.append(PartitionRow(
-            partition=lam, d=d, lifted_rows=len(liftings) * d,
-            lifted_cols=t * d, lifted_rank=lrank, all_rows=s * d,
-            all_cols=t * d, all_rank=xrank, nullity=nullity, new=new,
-            new_vectors=vectors, lifted_s=lifted_s, kernel_s=kernel_s,
+            **shape, lifted_rank=lrank, all_rank=xrank, nullity=nullity,
+            new=new, new_vectors=vectors, lifted_s=lifted_s, kernel_s=kernel_s,
             lifted_peak_rss_mib=lifted_peak, peak_rss_mib=peak,
-            kernel_dtypes_fed=fed_dtypes))
+            kernel_dtypes_fed=fed_dtypes, batch_rows=batch_rows,
+            lifted_calls=lifted_calls, kernel_calls=kernel_calls))
         if progress:
             progress(f"partition {format_partition(lam)} (d={d}): done in "
                      f"{time.perf_counter() - start:.2f} s (lifted rank "
                      f"{lifted_s:.2f} s, kernel rank {kernel_s:.2f} s), "
-                     f"lifted rank {lrank}, fed {fed} of {len(liftings)} "
-                     f"liftings, X^T rank {xrank}, X^T fed {fed_dtypes} of "
-                     f"{s} D-types"
+                     f"lifted rank {lrank}, fed {sum(fed)} of {len(liftings)}"
+                     f" liftings in {lifted_calls} calls, X^T rank {xrank}, "
+                     f"X^T fed {fed_dtypes} of {s} D-types in {kernel_calls} "
+                     f"calls, at most {batch_rows} rows a call"
                      + ("" if peak is None else
                         f", peak RSS {peak:.0f} MiB ({lifted_peak:.0f} MiB "
                         f"after the lifted rank)"))
     report.retained = tuple(_grew_somewhere(grews))
     return report
+
+
+def _calls(parts, per_call: int, fed: int) -> int:
+    """add_rows calls that feed the first fed items of parts of the given
+    sizes, in turn, per_call items a call, no call crossing the end of a
+    part: the batching of _feed_identities (one part) and of kernel_rank,
+    which stops only at the end of a call."""
+    ends = [min(end, fed) for end in accumulate(parts)]
+    return sum(-(-(b - a) // per_call) for a, b in zip([0] + ends, ends))
 
 
 def _peak_rss_mib() -> float | None:

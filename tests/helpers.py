@@ -230,6 +230,7 @@ def dtype_rank_profile(n: int, lam, p: int = 101) -> list[int]:
     state = echelon_state(len(assoc_types(n, 1)) * d, p, reduced=False)
     flags: list[bool] = []
     for batch in xblock_transpose_rows(n, lam, p, rho=rho,
+                                       chunk=state.batch_rows(d) // d,
                                        dtype=state.row_dtype):
         flags.extend(state.add_rows(batch))
     return np.flatnonzero(np.reshape(flags, (-1, d)).any(axis=1)).tolist()

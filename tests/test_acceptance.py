@@ -286,16 +286,19 @@ def test_criterion_09_degree8_working_set():
     # `prejordan report --degree 8` on 8 (d = 1) and 44 (d = 14) in one
     # process: 8 costs next to nothing, so its peak RSS is the process's
     # peak before 44 (the pruning pass, the table and the liftings).  44
-    # may add at most the working set of its larger rank, in bytes:
-    # * kernel rank: an X^T batch of R = 50*d rows, a float32 chunk of
-    #   the store of as many rows and their product (3 * 4*R*C, C = t*d),
-    #   the coefficients (4*R*R) and the int8 store of r_K rows grown by
-    #   half (1.5*r_K*C);
-    # * lifted rank: a batch of R_L rows, its product and a chunk of 128
-    #   rows, and the int8 store of r_L rows while it grows (2.5*r_L*C);
+    # may add at most the working set of its larger rank, in bytes.  Both
+    # ranks feed add_rows batches of R = batch_rows(d) = 1,498 rows
+    # (C // 4 = 1,501 cut to whole blocks of d, C = t*d):
+    # * kernel rank: an X^T batch, a float32 chunk of the store of as
+    #   many rows and their product (3 * 4*R*C), the coefficients
+    #   (4*R*R) and the int8 store of r_K rows grown by half (1.5*r_K*C);
+    # * lifted rank: the same three arrays and coefficients, and the int8
+    #   store of r_L rows while it grows (2.5*r_L*C);
     # * the int8 A-matrices of every permutation met (8! * d*d).
-    # Before the store was converted in chunks the two peaks read 157
-    # and 232 MiB (2-vCPU VM, two BLAS threads); now 89 and 150 MiB.
+    # Each of the three float arrays holds at most the bytes of the int8
+    # store at full rank (C x C).  With batches of 50 D-types and single
+    # identities the two peaks read 89 and 150 MiB (2-vCPU VM, two BLAS
+    # threads); the bound below is then about 262 MiB.
     import json
     import math
     import os
@@ -314,11 +317,14 @@ def test_criterion_09_degree8_working_set():
         lam = tuple(int(c) for c in got["partition"])
         assert (got["lifted"]["rank"], got["all"]["rank"], got["new"]) \
             == DEGREE8_ROWS[lam]
+    from prejordan.linalg import ModularEchelon
     d, t = 14, TYPE_COUNTS[8][0]
-    C, R, R_L = t * d, 50 * d, pipeline.BLOCK_BATCH_ENTRIES // (d * t * d) * d
+    C = t * d
+    R = ModularEchelon(C, 101).batch_rows(d)
+    assert R == 1498 and 4 * R * C <= C * C
     r_L, r_K = DEGREE8_ROWS[(4, 4)][:2]
     kernel = 3 * 4 * R * C + 4 * R * R + 1.5 * r_K * C
-    lifted = 4 * (2 * R_L + 128) * C + 2.5 * r_L * C
+    lifted = 3 * 4 * R * C + 4 * R * R + 2.5 * r_L * C
     work = max(kernel, lifted) + math.factorial(8) * d * d
     assert row["lifted_peak_rss_mib"] <= row["peak_rss_mib"] \
         <= base["peak_rss_mib"] + work / 2 ** 20, (base, row)

@@ -611,7 +611,8 @@ class TestBlockMatrices:
                 s = len(normal_dtypes(n))
                 assert X.shape == (t * d, s * d)
                 raw_rows = [row for batch in xblock_transpose_rows(
-                    n, lam, table=expansion_arrays(n)) for row in batch]
+                    n, lam, chunk=50, table=expansion_arrays(n))
+                    for row in batch]
                 from prejordan.linalg import ExactMatrix
                 assert ExactMatrix(raw_rows).rank() == X.rank()
 
@@ -626,7 +627,8 @@ class TestBlockMatrices:
         for lam in partitions(4):
             d = dimension(lam)
             st = echelon_state(len(assoc_types(4, 1)) * d, 101)
-            for batch in xblock_transpose_rows(4, lam, 101, table=table):
+            for batch in xblock_transpose_rows(4, lam, 101, chunk=50,
+                                               table=table):
                 st.add_rows(batch)
             assert st.rank == DEGREE4_X_RANKS[lam]
 
@@ -683,8 +685,10 @@ class TestBlockMatrices:
         for lam in partitions(5):
             for field in ('Q', 101):
                 for a, b in zip(
-                        xblock_transpose_rows(5, lam, field, table=narrow),
-                        xblock_transpose_rows(5, lam, field, table=wide),
+                        xblock_transpose_rows(5, lam, field, chunk=50,
+                                              table=narrow),
+                        xblock_transpose_rows(5, lam, field, chunk=50,
+                                              table=wide),
                         strict=True):
                     assert b.dtype == object and a.shape == b.shape
                     assert (a.astype(object) == b).all()
@@ -694,7 +698,7 @@ class TestBlockMatrices:
         n = 4
         lam = (3, 1)
         d = dimension(lam)
-        rows = [row for batch in xblock_transpose_rows(n, lam)
+        rows = [row for batch in xblock_transpose_rows(n, lam, chunk=50)
                 for row in batch]
         assert len(rows) == len(normal_dtypes(n)) * d
         assert len(rows[0]) == len(assoc_types(n, 1)) * d
@@ -706,8 +710,9 @@ def float_and_integer_rows(n, lam, p):
     rho = RhoCache(lam, p)
     t = len(assoc_types(n, 1))
     dtype = echelon_state(t * rho.dim, p).row_dtype
-    pairs = list(zip(xblock_transpose_rows(n, lam, p, rho=rho),
-                     xblock_transpose_rows(n, lam, p, rho=rho, dtype=dtype)))
+    pairs = list(zip(xblock_transpose_rows(n, lam, p, chunk=50, rho=rho),
+                     xblock_transpose_rows(n, lam, p, chunk=50, rho=rho,
+                                           dtype=dtype)))
     liftings = liftings_to_degree(n)
     fed = [f for f, keep in zip(liftings, pipeline._fed(liftings)) if keep]
     pairs.append((pipeline._block_rows(fed, rho, t),
@@ -768,9 +773,10 @@ def test_float_rows_only_within_the_significand():
                         (2 ** 24 // weight + 1, np.int64)):
         scaled = table._replace(coeffs=table.coeffs * scale)
         for exact, batch in zip(
-                xblock_transpose_rows(5, (3, 1, 1), 101, table=scaled),
+                xblock_transpose_rows(5, (3, 1, 1), 101, chunk=50,
+                                      table=scaled),
                 xblock_transpose_rows(5, (3, 1, 1), 101, table=scaled,
-                                      dtype=np.float32)):
+                                      dtype=np.float32, chunk=50)):
             assert batch.dtype == want and (batch == exact).all()
 
 

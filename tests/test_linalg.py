@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import gram_det, random_int_matrix, random_rational_matrix
 from prejordan import linalg
@@ -737,6 +738,69 @@ class TestStoreChunks:
             == {65}
         monkeypatch.setattr(linalg, "_STORE_CHUNK", 7)
         assert [st._chunk_rows(r) for r in (1, 7, 300)] == [7, 7, 300]
+
+
+class TestBatchRows:
+    """batch_rows(d), the rows of one add_rows call fed in blocks of d: a
+    multiple of d, at least d, and the largest one whose float batch
+    holds at most the bytes of the store at full rank (ncols x ncols)
+    within one outer block."""
+
+    #: p: (store, compute) bytes per entry; 32771 is the least prime past
+    #: 2**15, the first with an int32 store
+    BYTES = {101: (1, 4), 509: (2, 4), 521: (2, 8), 32771: (4, 8)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(BYTES)), st.integers(1, 50_000),
+           st.integers(1, 100))
+    def test_rule(self, p, ncols, d):
+        state = ModularEchelon(ncols, p)
+        store, compute = self.BYTES[p]
+        assert (state._R.itemsize, state.compute_dtype.itemsize) \
+            == (store, compute)
+        R = state.batch_rows(d)
+        assert R % d == 0 and R >= d
+
+        def fits(rows):
+            return rows <= state.block_rows \
+                and rows * ncols * compute <= ncols * ncols * store
+        # within both caps, and one more block would break one; only a
+        # single block may break them, where no multiple of d fits
+        assert fits(R) or R == d
+        assert not fits(R + d)
+        if fits(d):
+            assert fits(R)
+
+    def test_widths_per_store(self):
+        # ncols // 4 for int8 and float32 (p <= 127) or int16 and float64
+        # (509 < p < 2**15); ncols // 2 for int16 and float32 (127 < p <=
+        # 509) or int32 and float64; block_rows caps all four
+        for p, ratio in ((101, 4), (509, 2), (521, 4), (32771, 2)):
+            for ncols in (792, 6006, 38610):
+                state = ModularEchelon(ncols, p)
+                assert state.batch_rows(1) \
+                    == min(state.block_rows, ncols // ratio)
+        assert ModularEchelon(792, 101).batch_rows(6) == 198
+        assert ModularEchelon(6006, 101).batch_rows(14) == 1498
+        assert ModularEchelon(8580, 101).batch_rows(20) == 1660
+
+    def test_tiny_widths_take_one_block(self):
+        for p in self.BYTES:
+            assert ModularEchelon(10, p).batch_rows(6) == 6
+            assert ModularEchelon(1, p).batch_rows(1) == 1
+        assert ModularEchelon(100, 509).batch_rows(90) == 90  # > block_rows
+        assert RationalEchelon(10).batch_rows(6) == 6
+        assert RationalEchelon(23).batch_rows(6) == 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 50_000), st.integers(1, 100))
+    def test_rational_rule(self, ncols, d):
+        # exact Python numbers have no byte ratio: the width cap ncols // 4
+        # and no block cap
+        R = RationalEchelon(ncols).batch_rows(d)
+        assert R % d == 0 and R >= d
+        assert R <= ncols // 4 or R == d
+        assert R + d > ncols // 4
 
 
 def _common_den(row):

@@ -28,10 +28,10 @@ from prejordan.cli import main
 from prejordan.errors import InvariantViolation
 from prejordan.expansion import (pj_normal_form, poly_normal_form,
                                  xblock_matrix)
-from prejordan.linalg import echelon_state
+from prejordan.linalg import ModularEchelon, RationalEchelon, echelon_state
 from prejordan.monomials import (assoc_types, classify, format_word,
                                  multilinear_basis, parse_word, relabel)
-from prejordan.pipeline import (BLOCK_BATCH_ENTRIES, DegreeReport, Identity,
+from prejordan.pipeline import (DegreeReport, Identity,
                                 ReportConfig, compare_modules,
                                 defining_identities, degree_report,
                                 identities_from_json, identities_to_json,
@@ -41,8 +41,9 @@ from prejordan.pipeline import (BLOCK_BATCH_ENTRIES, DegreeReport, Identity,
                                 nullspace_identities, permuted_stack_rank,
                                 relabeling_classes, save_identities,
                                 squared_lengths)
-from prejordan.symrep import RhoCache, partitions
+from prejordan.symrep import RhoCache, dimension, partitions
 from test_acceptance import DEGREE6_ROWS
+from test_linalg import CROSS_PRIMES
 
 PJ1_TERMS = {
     (1, "((x1*x2)*(x3*x4))"), (1, "((x1*x3)*(x2*x4))"),
@@ -400,7 +401,7 @@ class TestDegree5:
             reduced = echelon_state(t * rho.dim, 'Q')
             fast = echelon_state(t * rho.dim, 'Q', reduced=False)
             for batch in expansion.xblock_transpose_rows(5, lam, 'Q',
-                                                         rho=rho):
+                                                         rho=rho, chunk=50):
                 assert fast.add_rows(batch) == reduced.add_rows(batch)
             assert kernel_rank(5, lam, 'Q', rho=rho) \
                 == (reduced.rank, t * rho.dim - reduced.rank)
@@ -408,18 +409,19 @@ class TestDegree5:
 
 
 class TestBlockFeed:
-    @pytest.mark.parametrize("n, field, lams, crossing", [
-        pytest.param(5, 'Q', None, set(), id="5-Q"),
-        pytest.param(6, 101, None, {(3, 2, 1)}, id="6-101"),
-        pytest.param(7, 101, [(6, 1), (7,)], {(6, 1)}, id="7-101")])
+    @pytest.mark.parametrize("n, field, lams, per_call", [
+        pytest.param(5, 'Q', None, 3, id="5-Q"),
+        pytest.param(6, 101, None, 10, id="6-101"),
+        pytest.param(7, 101, [(6, 1), (7,)], 33, id="7-101")])
     def test_batched_flags_match_one_identity_at_a_time(
-            self, n, field, lams, crossing, monkeypatch):
+            self, n, field, lams, per_call, monkeypatch):
         # the reference feeds every identity's block in its own add_rows
         # call; lifted_rank feeds the first identity of each relabeling
         # class (9, 38 and 152 of 12, 84 and 672), whole blocks batched,
         # and must give the same rank and flags.  The batches are counted
-        # over the blocks actually fed: they span several add_rows calls
-        # exactly where those blocks pass BLOCK_BATCH_ENTRIES
+        # over the blocks actually fed: batch_rows(d) // d blocks a call,
+        # about t/4 at every d here (t*d columns, ncols // 4 rows a call),
+        # the last call taking the rest
         liftings = liftings_to_degree(n)
         fed = sum(pipeline._fed(liftings))
         assert fed == {5: 9, 6: 38, 7: 152}[n]
@@ -428,7 +430,6 @@ class TestBlockFeed:
         block_rows = pipeline._block_rows
         monkeypatch.setattr(pipeline, "_block_rows", lambda idents, *args: (
             batches.append(len(idents)) or block_rows(idents, *args)))
-        crossed = set()
         for lam in lams or partitions(n):
             rho = RhoCache(lam, field)
             state = echelon_state(t * rho.dim, field)
@@ -440,12 +441,35 @@ class TestBlockFeed:
             batches.clear()
             assert lifted_rank(n, lam, liftings, field, rho) \
                 == (state.rank, grew)
-            assert sum(batches) == fed
-            if len(batches) > 1:
-                crossed.add(lam)
-            assert (len(batches) > 1) == \
-                (fed * rho.dim * state.ncols > BLOCK_BATCH_ENTRIES)
-        assert crossed == crossing
+            assert state.batch_rows(rho.dim) // rho.dim == per_call
+            assert batches == [per_call] * (fed // per_call) \
+                + [fed % per_call] * (fed % per_call > 0)
+
+    @pytest.mark.parametrize("p", CROSS_PRIMES)
+    def test_rule_equals_one_identity_per_call(self, p, monkeypatch):
+        # flags, RCF and pivots of the lifted rows, and the RCF and pivots
+        # of the X^T rows, fed by the batch_rows rule and one block of d
+        # rows per call, at every degree-6 partition
+        liftings = liftings_to_degree(6)
+        t = len(assoc_types(6, 1))
+        for lam in partitions(6):
+            rho = RhoCache(lam, p)
+            got = []
+            for one in (False, True):
+                with monkeypatch.context() as m:
+                    if one:
+                        m.setattr(ModularEchelon, "batch_rows",
+                                  lambda self, d: d)
+                    state = echelon_state(t * rho.dim, p)
+                    assert one or state.batch_rows(rho.dim) > rho.dim
+                    flags = pipeline._feed_identities(state, 6, rho, liftings)
+                    xstate = kernel_rank(6, lam, p, rho=rho,
+                                         keep_state=True)[2]
+                got.append((flags, *state.rcf(), *xstate.rcf()))
+            (flags, *arrays), (want, *wants) = got
+            assert flags == want, lam
+            assert all(a.shape == w.shape and (a == w).all()
+                       for a, w in zip(arrays, wants)), lam
 
     @pytest.mark.parametrize("n, field", [(5, 'Q'), (6, 101)])
     def test_scaled_liftings_keep_rank_and_flags(self, n, field):
@@ -610,10 +634,9 @@ class TestKernelStop:
     # given the lifted rank r_L and its certificate vectors, kernel_rank
     # stops once the X^T rank reaches t*d - r_L (proof in its docstring)
 
-    @pytest.mark.parametrize("n, field, chunk, stops", [
-        (4, 'Q', 1, 5), (5, 'Q', 5, 7), (6, 101, 50, 11)])
-    def test_stop_matches_full_feed(self, n, field, chunk, stops,
-                                    monkeypatch):
+    @pytest.mark.parametrize("n, field, stops", [
+        (4, 'Q', 5), (5, 'Q', 7), (6, 101, 11)])
+    def test_stop_matches_full_feed(self, n, field, stops, monkeypatch):
         liftings = liftings_to_degree(n)
         s = len(expansion.expansion_arrays(n).offsets) - 1
         rows = count_xt_rows(monkeypatch)
@@ -623,11 +646,10 @@ class TestKernelStop:
             lrank, _, orth = lifted_rank(n, lam, liftings, field, rho,
                                          certify=True)
             rows.clear()
-            rank, nullity, fed = kernel_rank(n, lam, field, chunk, rho=rho,
+            rank, nullity, fed = kernel_rank(n, lam, field, rho=rho,
                                              lifted=(lrank, orth))
             assert sum(rows) == fed * rho.dim
-            assert (rank, nullity) == kernel_rank(n, lam, field, chunk,
-                                                  rho=rho)
+            assert (rank, nullity) == kernel_rank(n, lam, field, rho=rho)
             assert nullity == lrank
             stopped += fed < s
         assert stopped == stops
@@ -678,9 +700,9 @@ class TestKernelStop:
 
     def test_bound_one_too_low_fails(self):
         # r_L + 1 puts the stop one below the true X^T rank.  Where a batch
-        # ends exactly there (partition 6: rank 14 of 15 after 50
-        # D-types) the certificate finds the kernel one larger than the
-        # lifted span; elsewhere the rank passes the bound
+        # ends exactly there (partition 6: rank 14 of 15 after 20
+        # D-types, two batches of 10) the certificate finds the kernel one
+        # larger than the lifted span; elsewhere the rank passes the bound
         liftings = liftings_to_degree(6)
         seen = set()
         for lam in partitions(6):
@@ -704,7 +726,7 @@ class TestKernelStop:
         orth = orth.copy()
         orth[:, 0] += 1
         with pytest.raises(InvariantViolation, match="not the lifted span"):
-            kernel_rank(5, lam, field, 5, rho=rho, lifted=(lrank, orth))
+            kernel_rank(5, lam, field, rho=rho, lifted=(lrank, orth))
 
     def test_keep_state_refuses_lifted(self):
         # new_identity_vectors needs every row in its state
@@ -736,7 +758,7 @@ class TestKernelStop:
             else:
                 u = (u @ rho._a_id_inv % field).reshape(3, -1)
             for batch in expansion.xblock_transpose_rows(n, lam, field,
-                                                         rho=rho):
+                                                         rho=rho, chunk=50):
                 prod = batch @ u.T
                 assert not (prod if field == 'Q' else prod % field).any()
             if field == 'Q' and n == 6:
@@ -799,8 +821,12 @@ class TestKernelPrefix:
         stopped, full, batches = self.stopped_and_canonical(
             lam, field, monkeypatch, rows)
         assert stopped == (*full, 118)
-        # the last prefix batch ends at the prefix's end
-        assert batches == [50, 50, 18]
+        # batch_rows(d) // d D-types a batch, 132 // 4 = 33 at d = 1 and
+        # 6; the last prefix batch ends at the prefix's end
+        d = dimension(lam)
+        per = echelon_state(132 * d, field).batch_rows(d) // d
+        assert per == 33
+        assert batches == [per] * (118 // per) + [118 % per]
 
     @pytest.mark.parametrize("prefix", [
         pipeline.KERNEL_PREFIX[7][::-1],                  # runs reversed
@@ -990,14 +1016,11 @@ def test_rank_mod_p_never_exceeds_rank_over_q():
 
 
 @pytest.mark.parametrize("argv", [
-    ["report", "--chunk", "-2"], ["report", "--chunk", "0"],
-    ["kernel", "--chunk", "-3"], ["kernel", "--chunk", "0"],
     ["report", "--prime", "49"], ["report", "--prime", "1"],
     ["kernel", "--field", "p", "--prime", "121"]])
-def test_bad_chunk_and_prime_refused(argv, capsys, monkeypatch):
-    # a chunk below 1 used to feed no X^T rows (rank 0, a wrong table) and
-    # a composite modulus gave an "F_49" table: both are bad input, exit 1,
-    # refused before any lifting or elimination starts
+def test_bad_prime_refused(argv, capsys, monkeypatch):
+    # a composite modulus gave an "F_49" table: bad input, exit 1, refused
+    # before any lifting or elimination starts
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
@@ -1007,7 +1030,7 @@ def test_bad_chunk_and_prime_refused(argv, capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: bad input: ")
     with pytest.raises(ValueError):
-        kernel_rank(6, (5, 1), 101, chunk=0)
+        kernel_rank(6, (5, 1), 49)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1038,8 +1061,10 @@ def test_compare_mixed_degrees_exits_1(tmp_path, capsys):
 def test_report_progress_lines(capsys):
     # --progress adds one line per finished partition on stderr, with its
     # time and the part of it spent in each rank, both ranks, the
-    # liftings and D-types fed and the peak RSS after both ranks and after
-    # the lifted one, and leaves stdout as it was
+    # liftings and D-types fed and the add_rows calls that fed them, the
+    # rows of a call (56 // 4 = 14, cut to 12, three blocks of d = 4) and
+    # the peak RSS after both ranks and after the lifted one, and leaves
+    # stdout as it was
     assert main(["report", "--degree", "5"]) == 0
     plain = capsys.readouterr()
     assert main(["report", "--degree", "5", "--progress"]) == 0
@@ -1049,8 +1074,9 @@ def test_report_progress_lines(capsys):
     assert len(done) == len(partitions(5))
     assert re.fullmatch(r"partition 41 \(d=4\): done in \d+\.\d\d s "
                         r"\(lifted rank \d+\.\d\d s, "
-                        r"kernel rank \d+\.\d\d s\), lifted rank 21, fed 9 of 12 liftings, "
-                        r"X\^T rank 35, X\^T fed 42 of 42 D-types, "
+                        r"kernel rank \d+\.\d\d s\), lifted rank 21, fed 9 of 12 liftings "
+                        r"in 3 calls, X\^T rank 35, X\^T fed 18 of 42 D-types "
+                        r"in 6 calls, at most 12 rows a call, "
                         r"peak RSS \d+ MiB \(\d+ MiB after the lifted rank\)",
                         done[1])
 
@@ -1094,10 +1120,11 @@ class TestRowMemory:
     the store.
 
     The bounds count the arrays each step holds at once, from the shapes
-    of the run: R rows in the largest batch, C = t*d columns, r stored
-    rows at most (the rank reached), H = min(r, max(128, R)) rows in a
-    float chunk of the store (_STORE_CHUNK = 128) and B = 4*R*C bytes for
-    one float32 batch M.  add_rows eliminates M in place; next to it:
+    of the run: R = batch_rows(d) rows in a batch (C // 4 cut to whole
+    blocks of d), C = t*d columns, r stored rows at most (the rank
+    reached), H = min(r, max(128, R)) rows in a float chunk of the store
+    (_STORE_CHUNK = 128) and B = 4*R*C bytes for one float32 batch M.
+    add_rows eliminates M in place; next to it:
 
     * _forward holds the coefficients of one chunk (R x H), the chunk
       (H x C) and the product (R x C): B + 4*R*H + 4*H*C bytes;
@@ -1110,7 +1137,7 @@ class TestRowMemory:
       int8 and float32 (H x R each): 8*H*C + 5*H*R bytes;
     * _append holds the grown int8 store beside the old one;
     * the int8 store (at most max(r, 256) x C bytes grown by half) lives
-      throughout;
+      throughout, also while the next batch is built;
     * 64 KiB cover the small arrays: flags, pivots, T**-1 and the
       32 KiB scratch of _mod_inplace.
 
@@ -1128,48 +1155,59 @@ class TestRowMemory:
         kernel_rank(n, lam, self.P, rho=rho)
         return liftings, rho
 
-    def test_kernel_rank(self):
-        n, lam, chunk = 6, (3, 2, 1), 50
-        liftings, rho = self.setup_rho(n, lam)
+    @staticmethod
+    def shapes(n, rho, r):
+        """R, C, B, H and the store bytes of the docstring."""
         t, d = len(assoc_types(n, 1)), rho.dim
-        R, C = chunk * d, t * d
-        r = kernel_rank(n, lam, self.P, chunk, rho=rho)[0]
-        B, H = 4 * R * C, min(r, max(128, R))
-        store = 1.5 * max(r, 256) * C
-        elim = B + max(B + 4 * R * H + 4 * H * C,
+        C = t * d
+        R = echelon_state(C, TestRowMemory.P).batch_rows(d)
+        assert R == C // 4 // d * d
+        return R, C, 4 * R * C, min(r, max(128, R)), 1.5 * max(r, 256) * C
+
+    @staticmethod
+    def elim(R, C, B, H, r, store):
+        return B + max(B + 4 * R * H + 4 * H * C,
                        4 * 64 * (r + C) + 4 * r * C,
                        8 * H * C + 5 * H * R, store) + store
+
+    def test_kernel_rank(self):
+        n, lam = 6, (3, 2, 1)
+        liftings, rho = self.setup_rho(n, lam)
+        d = rho.dim
+        r = kernel_rank(n, lam, self.P, rho=rho)[0]
+        R, C, B, H, store = self.shapes(n, rho, r)
+        assert (R, C) == (160, 672)  # 10 D-types a batch
+        elim = self.elim(R, C, B, H, r, store)
         # building a batch: the batch, and for one raw_of_elements call
         # over E table entries the int8 A-matrices, their float32
         # products and the sums written into the batch (1 + 4 + 4 bytes
         # per entry times d*d), plus index arrays over its entries
         table = expansion.expansion_arrays(n)
-        E = int(np.diff(table.offsets[::chunk]).max())
+        s = len(table.offsets) - 1
+        E = int(np.diff(table.offsets[np.r_[0:s:R // d, s]]).max())
         assert E * d * d <= expansion.XBLOCK_CALL_ENTRIES  # one call
         build = B + 9 * E * d * d + 8 * (n + 8) * E + store
         bound = max(elim, build) + 2 ** 16
-        peak = traced_peak(lambda: kernel_rank(n, lam, self.P, chunk, rho=rho))
+        peak = traced_peak(lambda: kernel_rank(n, lam, self.P, rho=rho))
         assert peak <= bound, (peak, bound, B)
 
     def test_lifted_rank(self):
-        # one add_rows call into an empty state: no store chunk is
-        # converted, and the rows of all 38 fed liftings are one batch
+        # the 38 fed liftings in four add_rows calls of at most ten blocks
         n, lam = 6, (4, 1, 1)
         liftings, rho = self.setup_rho(n, lam)
-        t, d = len(assoc_types(n, 1)), rho.dim
+        d = rho.dim
         fed = [f for f, keep in zip(liftings, pipeline._fed(liftings)) if keep]
-        R, C = len(fed) * d, t * d
-        assert R * C <= BLOCK_BATCH_ENTRIES
         r = lifted_rank(n, lam, liftings, self.P, rho)[0]
-        B = 4 * R * C
-        # the batch, _add_block's arrays and the new int8 store
-        elim = B + 4 * 64 * (r + C) + 4 * r * C + max(R, 256) * C
-        # building: the rows and, per term of the fed liftings, one
-        # d x d product and at most one d x d sum, plus index arrays over
-        # the terms of every lifting
+        R, C, B, H, store = self.shapes(n, rho, r)
+        assert (R, C) == (100, 420)
+        elim = self.elim(R, C, B, H, r, store)
+        # building: the rows and, per term of the liftings of one batch,
+        # one d x d product and at most one d x d sum, plus index arrays
+        # over the terms of every lifting
         terms = sum(len(f.types) for f in liftings)
-        fed_terms = sum(len(f.types) for f in fed)
-        build = B + 2 * 4 * fed_terms * d * d + 10 * 8 * terms
+        batch_terms = max(sum(len(f.types) for f in fed[a:a + R // d])
+                          for a in range(0, len(fed), R // d))
+        build = B + 2 * 4 * batch_terms * d * d + 10 * 8 * terms + store
         bound = max(elim, build) + 2 ** 16
         peak = traced_peak(lambda: lifted_rank(n, lam, liftings, self.P, rho))
         assert peak <= bound, (peak, bound, B)
@@ -1184,9 +1222,11 @@ class TestReportFormats:
 
     def test_json_schema(self, report):
         data = report.to_json()
-        assert set(data) >= {"degree", "field", "prime", "chunk", "rows"}
+        assert set(data) >= {"degree", "field", "prime", "rows"}
+        assert "chunk" not in data
         row = data["rows"][0]
-        assert set(row) >= {"partition", "d", "lifted", "all", "new"}
+        assert set(row) >= {"partition", "d", "lifted", "all", "new",
+                            "batch_rows", "lifted_calls", "kernel_calls"}
         assert set(row["lifted"]) == {"rows", "cols", "rank"}
         assert set(row["all"]) == {"rows", "cols", "rank", "nullity"}
         json.dumps(data)  # must be serializable as-is
@@ -1209,7 +1249,8 @@ class TestReportFormats:
         for row in skipped.to_json()["rows"]:
             assert (row["lifted_s"], row["kernel_s"],
                     row["lifted_peak_rss_mib"], row["peak_rss_mib"],
-                    row["kernel_dtypes_fed"]) == (None,) * 5
+                    row["kernel_dtypes_fed"], row["batch_rows"],
+                    row["lifted_calls"], row["kernel_calls"]) == (None,) * 8
 
     def test_kernel_dtypes_fed(self, report):
         # the figure --progress prints as "X^T fed K of s D-types", in the
@@ -1220,6 +1261,43 @@ class TestReportFormats:
         assert all(1 <= k <= 14 for k in fed)
         assert [int(row["kernel_dtypes_fed"]) for row in
                 csv.DictReader(io.StringIO(report.to_csv()))] == fed
+
+    def test_batch_counts_are_the_calls_made(self, monkeypatch):
+        # batch_rows, lifted_calls and kernel_calls in the JSON rows and
+        # the CSV are the rows of the largest add_rows call and the calls
+        # each rank made, counted here on the echelon states
+        calls = []
+        for cls in (RationalEchelon, ModularEchelon):
+            def counted(self, rows, real=cls.add_rows):
+                calls.append(len(rows))
+                return real(self, rows)
+            monkeypatch.setattr(cls, "add_rows", counted)
+        made = []
+        for name in ("lifted_rank", "kernel_rank"):
+            def step(*args, real=getattr(pipeline, name), **kwargs):
+                calls.clear()
+                out = real(*args, **kwargs)
+                made.append(list(calls))
+                return out
+            monkeypatch.setattr(pipeline, name, step)
+        for config in (ReportConfig(degree=5, field="Q"),
+                       ReportConfig(degree=6, field="F",
+                                    partitions=((6,), (3, 2, 1)))):
+            made.clear()
+            rep = degree_report(config)
+            rows = rep.to_json()["rows"]
+            assert len(made) == 2 * len(rows)
+            for row, lifted, kernel in zip(rows, made[::2], made[1::2]):
+                assert (row["lifted_calls"], row["kernel_calls"]) \
+                    == (len(lifted), len(kernel))
+                assert max(lifted + kernel) == row["batch_rows"]
+            import csv
+            import io
+            assert [[int(r[k]) for k in ("batch_rows", "lifted_calls",
+                                         "kernel_calls")]
+                    for r in csv.DictReader(io.StringIO(rep.to_csv()))] \
+                == [[r["batch_rows"], r["lifted_calls"], r["kernel_calls"]]
+                    for r in rows]
 
     def test_csv_parses_back(self, report):
         import csv
