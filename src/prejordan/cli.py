@@ -110,21 +110,21 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _field(args) -> str:
-    # the ReportConfig.field of --field
-    return {"q": "Q", "p": "F", None: "auto"}[args.field]
+def _resolve_field(args, degree):
+    if args.field == "q" or (args.field is None and degree <= 5):
+        return 'Q'
+    return args.prime
 
 
 def cmd_kernel(args) -> int:
     from .linalg import check_field
     from .monomials import assoc_types
-    from .pipeline import ReportConfig, _dtypes, kernel_rank
+    from .pipeline import _dtypes, kernel_rank
     from .symrep import (dimension, format_partition, parse_partition,
                          partitions)
 
     n = args.degree
-    field = check_field(ReportConfig(n, _field(args), args.prime)
-                        .resolved_field())
+    field = check_field(_resolve_field(args, n))
     lams = [parse_partition(args.partition)] if args.partition \
         else list(partitions(n))
     for lam in lams:
@@ -165,7 +165,8 @@ def cmd_report(args) -> int:
 
     config = ReportConfig(
         degree=args.degree,
-        field=_field(args),
+        field="Q" if args.field == "q" else
+              ("F" if args.field == "p" else "auto"),
         prime=args.prime,
         partitions=tuple(parse_partition(s) for s in args.partition)
         if args.partition else None,

