@@ -943,7 +943,11 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
         degree=n, field='Q' if field == 'Q' else 'F',
         prime=None if field == 'Q' else int(field),
         lifting_count=len(liftings))
-    fed = sum(_fed(liftings))
+    # lifted_rank feeds the first lifting of each relabeling class and
+    # no other (_feed_identities), so the classes are found once here
+    # and it is given those; grews and retained index into them
+    leads = np.flatnonzero(_fed(liftings))
+    fed = [liftings[i] for i in leads]
     grews = []
     for lam in lam_list:
         d = dimension(lam)
@@ -962,7 +966,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             progress(f"partition {format_partition(lam)} (d={d})")
         start = time.perf_counter()
         rho = RhoCache(lam, field)
-        lrank, grew, orth = lifted_rank(n, lam, liftings, field, rho,
+        lrank, grew, orth = lifted_rank(n, lam, fed, field, rho,
                                         certify=True)
         lifted_s = time.perf_counter() - start
         lifted_peak = _peak_rss_mib()
@@ -971,7 +975,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             n, lam, field, table, rho, lifted=(lrank, orth))
         kernel_s = time.perf_counter() - start - lifted_s
         # _feed_identities feeds batch_rows // d liftings a call
-        lifted_calls = -(-fed // (batch_rows // d))
+        lifted_calls = -(-len(fed) // (batch_rows // d))
         new = nullity - lrank
         vectors = None
         if config.emit_new and new > 0:
@@ -993,14 +997,14 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             progress(f"partition {format_partition(lam)} (d={d}): done in "
                      f"{time.perf_counter() - start:.2f} s (lifted rank "
                      f"{lifted_s:.2f} s, kernel rank {kernel_s:.2f} s), "
-                     f"lifted rank {lrank}, fed {fed} of {len(liftings)}"
+                     f"lifted rank {lrank}, fed {len(fed)} of {len(liftings)}"
                      f" liftings in {lifted_calls} calls, X^T rank {xrank}, "
                      f"X^T fed {fed_dtypes} of {s} D-types in {kernel_calls} "
                      f"calls, at most {batch_rows} rows a call"
                      + ("" if peak is None else
                         f", peak RSS {peak:.0f} MiB ({lifted_peak:.0f} MiB "
                         f"after the lifted rank)"))
-    report.retained = tuple(_grew_somewhere(grews))
+    report.retained = tuple(leads[_grew_somewhere(grews)].tolist())
     return report
 
 
