@@ -62,8 +62,8 @@ IDENTITY_VERSION = 1
 #: (t*d rows of t*d columns).  It is a size class, not the working set,
 #: which add_rows bounds by about twice the estimate (four full-rank
 #: stores; ModularEchelon docstring): one-partition degree-8 reports (two
-#: BLAS threads) peaked at 243 MiB for 44 (d = 14, estimate 72 MB),
-#: 322 MiB for 62 (d = 20, estimate 147 MB) and 628 MiB for 332 (d = 42,
+#: BLAS threads) peaked at 244 MiB for 44 (d = 14, estimate 72 MB),
+#: 323 MiB for 62 (d = 20, estimate 147 MB) and 615 MiB for 332 (d = 42,
 #: estimate 649 MB).  Only 4211 (d = 90, estimate 2.98 GB) goes past it
 MEMORY_BUDGET = 2_500_000_000
 
@@ -945,7 +945,8 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
         lifting_count=len(liftings))
     # lifted_rank feeds the first lifting of each relabeling class and
     # no other (_feed_identities), so the classes are found once here
-    # and it is given those; grews and retained index into them
+    # and it is given those; grews index into them, retained into
+    # liftings
     leads = np.flatnonzero(_fed(liftings))
     fed = [liftings[i] for i in leads]
     grews = []

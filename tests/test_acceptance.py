@@ -296,9 +296,10 @@ def test_criterion_09_degree8_working_set():
     #   store of r_L rows while it grows (2.5*r_L*C);
     # * the int8 A-matrices of every permutation met (8! * d*d).
     # Each of the three float arrays holds at most the bytes of the int8
-    # store at full rank (C x C).  With batches of 50 D-types and single
-    # identities the two peaks read 89 and 150 MiB (2-vCPU VM, two BLAS
-    # threads); the bound below is then about 262 MiB.
+    # store at full rank (C x C).  The two peaks read 144 and 244 MiB
+    # against a bound of about 317 MiB (2-vCPU VM, two BLAS threads);
+    # with batches of 50 D-types and single identities they read 89 and
+    # 150 MiB.
     import json
     import math
     import os

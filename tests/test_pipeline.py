@@ -471,6 +471,17 @@ class TestBlockFeed:
             assert all(a.shape == w.shape and (a == w).all()
                        for a, w in zip(arrays, wants)), lam
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_report_retains_what_the_pruning_pass_keeps(self, n):
+        # degree_report gives lifted_rank only the first lifting of each
+        # relabeling class and maps the identities that grew a rank back
+        # to the full list; the pruning pass feeds the full list
+        liftings = liftings_to_degree(n)
+        retained = degree_report(ReportConfig(degree=n)).retained
+        assert retained == tuple(pipeline._retained_indices(
+            n, liftings, ReportConfig(degree=n + 1)))
+        assert retained != tuple(range(len(retained)))
+
     @pytest.mark.parametrize("n, field", [(5, 'Q'), (6, 101)])
     def test_scaled_liftings_keep_rank_and_flags(self, n, field):
         # times 2**70 every block is past the int64 bound of the raw-block
