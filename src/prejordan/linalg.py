@@ -532,13 +532,12 @@ class ModularEchelon:
             groups.append((fresh, fresh + j))
         if not npv:
             return
-        P = len(npv)
+        new = B[:len(npv)]
         for a, b in reversed(groups[:-1]):
             coef = B[a:b, npv[b:]]
             if coef.any():
-                B[a:b] -= coef @ B[b:P]
+                B[a:b] -= coef @ new[b:]
                 _mod_inplace(B[a:b], p)
-        new = B[:P]
         self._back_eliminate(new, npv)
         self._append(new, npv)
 
