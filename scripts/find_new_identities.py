@@ -3,11 +3,12 @@
 
 A partition carries new identities when the kernel of the expansion map
 is strictly bigger than the span of everything lifted from below.  This
-script recomputes both sides for a single partition and saves the coset
-representatives, i.e. reduced rows of the kernel that the lifted span
-misses.  Coordinates are group-algebra coefficients: the row is split
-into one length-d block per product type, d the dimension of the
-irreducible module.
+script runs the report of a single partition with --emit-new and saves
+the coset representatives, i.e. reduced rows of the kernel that the
+lifted span misses, read off the state of the report's own kernel rank.
+Coordinates are those of the raw lifted blocks: the row is split into
+one length-d block per product type, d the dimension of the irreducible
+module.
 
 At degree 8 only five partitions carry anything; 332 is the cheapest:
 

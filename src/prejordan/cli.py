@@ -138,7 +138,7 @@ def cmd_kernel(args) -> int:
           f"{'rank':>6} {'nullity':>7}")
     for lam in lams:
         d = dimension(lam)
-        rank, nullity = kernel_rank(n, lam, field)
+        rank, nullity = kernel_rank(n, lam, field)[:2]
         print(f"{format_partition(lam):>10} {d:>3} {s * d:>6} {t * d:>6} "
               f"{rank:>6} {nullity:>7}")
     return 0

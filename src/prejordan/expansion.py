@@ -714,9 +714,11 @@ def xblock_transpose_rows(n: int, lam, field='Q', *, chunk: int,
                                 table.perms[at[e0:e1]],
                                 table.coeffs[at[e0:e1]], dtype, t, blocks)
             lo = hi
-        yield rows.reshape(-1, t * d)
-        # the consumer may then free this batch before the next is built
-        del rows
+        # yielded with no reference left here, so that the consumer may
+        # free the batch as soon as it has read it
+        out = [rows.reshape(-1, t * d)]
+        del rows, blocks
+        yield out.pop()
 
 
 def xblock_matrix(n: int, lam, field='Q', table=None) -> ExactMatrix:

@@ -51,17 +51,12 @@ def check_field(field: Field) -> Field:
     return p
 
 
-#: random entries of RationalEchelon.random_kernel_vectors are drawn from
-#: [0, Q_SAMPLES)
-Q_SAMPLES = 2 ** 31
-
-
 class RationalEchelon:
     """Running RCF over Q; rows arrive in any order, singly or in chunks.
 
     With reduced=False the state keeps primitive integer rows without unit
     pivots (content cleared after every elimination), which is much faster
-    when only the rank is wanted; rcf_rows and nullspace_basis require
+    when the rank or the nullspace is wanted; rcf_rows requires
     reduced=True.
     """
 
@@ -139,27 +134,21 @@ class RationalEchelon:
         self.pivcols.append(piv)
         return True
 
-    def random_kernel_vectors(self, count: int, rng) -> np.ndarray:
-        """count random vectors z with row . z = 0 for every stored row,
-        as an object array of integers, shape (count, ncols).
+    def free_columns(self) -> np.ndarray:
+        """The columns without a pivot, sorted."""
+        free = np.ones(self.ncols, dtype=bool)
+        free[self.pivcols] = False
+        return np.flatnonzero(free)
 
-        The free columns get integers drawn uniformly from
-        [0, Q_SAMPLES) by rng (a random.Random); the pivot entries are
-        solved from the last stored row to the first.  A stored row is
-        zero at the pivot of every row stored before it, in both modes,
-        so it meets only free entries and pivots already solved.  Each
-        vector is then scaled to integers by its denominators.
-        """
-        out = np.empty((count, self.ncols), dtype=object)
-        free = sorted(set(range(self.ncols)) - set(self.pivcols))
-        for z in out:
-            z[:] = Fraction(0)
-            z[free] = [Fraction(rng.randrange(Q_SAMPLES)) for _ in free]
-            for row, pc in zip(reversed(self.rows), reversed(self.pivcols)):
-                z[pc] = -sum(a * b for a, b in zip(row, z) if a) / row[pc]
-            den = math.lcm(*(e.denominator for e in z))
-            z[:] = [int(e * den) for e in z]
-        return out
+    def random_combinations(self, count: int, rng) -> np.ndarray:
+        """count random combinations of the stored rows, which span the
+        rows fed, as an object array of exact numbers, shape
+        (count, ncols); the coefficients are integers drawn uniformly
+        from [0, 2**32) by rng (a random.Random)."""
+        Z = np.array([[rng.getrandbits(32) for _ in self.rows]
+                      for _ in range(count)], dtype=object)
+        return Z.reshape(count, -1) @ np.array(
+            self.rows, dtype=object).reshape(-1, self.ncols)
 
     def rcf_rows(self) -> list[list[Fraction]]:
         if not self.reduced:
@@ -176,19 +165,19 @@ class RationalEchelon:
                 np.array(self.sorted_pivcols(), dtype=np.intp))
 
     def nullspace_basis(self) -> list[list[Fraction]]:
-        if not self.reduced:
-            raise ValueError("state built with reduced=False has no RCF")
-        piv = self.sorted_pivcols()
-        rows = self.rcf_rows()
-        pivset = set(piv)
-        free = [c for c in range(self.ncols) if c not in pivset]
+        """The canonical nullspace basis, in either mode: for each free
+        column f the kernel vector with a 1 at f and 0 at the other free
+        columns, its pivot entries solved from the last stored row to the
+        first (a stored row is zero at the pivot of every row stored
+        before it, in both modes, so it meets only free entries and
+        pivots already solved), then the RCF of their stack."""
         vecs = []
-        for f in free:
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for r, pc in enumerate(piv):
-                v[pc] = -rows[r][f]
-            vecs.append(v)
+        for f in self.free_columns().tolist():
+            z = [Fraction(0)] * self.ncols
+            z[f] = Fraction(1)
+            for row, pc in zip(reversed(self.rows), reversed(self.pivcols)):
+                z[pc] = -sum(a * b for a, b in zip(row, z) if a) / row[pc]
+            vecs.append(z)
         canon = RationalEchelon(self.ncols)
         canon.add_rows(vecs)
         return canon.rcf_rows()
@@ -573,36 +562,30 @@ class ModularEchelon:
         self._piv = np.concatenate([self._piv, np.asarray(npv, dtype=np.intp)])
         self._n = need
 
-    def random_kernel_vectors(self, count: int, rng) -> np.ndarray:
-        """count random vectors z with R z = 0 mod p for the stored RCF R,
-        as int64 residues, shape (count, ncols).
-
-        The free columns get residues drawn uniformly by rng (a
-        random.Random), so each vector is uniform on the kernel.  Row j
-        of R has a unit at its pivot and zeros at the other pivots, so the
-        pivot entries are z[piv] = -R z0 with z0 the vector zero at every
-        pivot.  That product is formed _inner_bound columns at a time, so
-        it is exact, and from blocks of R of at most _MOD_CHUNK entries,
-        so it makes no copy of R.
-        """
-        p, n, dtype = self.p, self._n, self.compute_dtype
-        piv = self._piv[:n]
+    def free_columns(self) -> np.ndarray:
+        """The columns without a pivot, sorted."""
         free = np.ones(self.ncols, dtype=bool)
-        free[piv] = False
-        Z = np.zeros((self.ncols, count), dtype=dtype)
-        Z[free] = np.reshape(rng.choices(range(p), k=int(free.sum()) * count),
-                             (-1, count))
-        solved = np.zeros((n, count), dtype=dtype)
-        k = _inner_bound(p, dtype)
-        step = max(1, _MOD_CHUNK // min(k, self.ncols))
-        for a in range(0, n, step):
-            out = solved[a:a + step]
-            for c in range(0, self.ncols, k):
-                out -= self._R[a:a + len(out), c:c + k].astype(dtype) \
-                    @ Z[c:c + k]
-                _mod_inplace(out, p)
-        Z[piv] = solved
-        return Z.T.astype(np.int64)
+        free[self._piv[:self._n]] = False
+        return np.flatnonzero(free)
+
+    def random_combinations(self, count: int, rng) -> np.ndarray:
+        """count uniform random vectors of the row space of the rows fed,
+        as int64 residues, shape (count, ncols): combinations of the
+        stored rows with residues drawn uniformly by rng (a
+        random.Random).  The store is converted a chunk of at most
+        seg_rows <= _inner_bound rows at a time, as add_rows converts it,
+        and each chunk's product is subtracted from residues, so every
+        sum lies in [-k*(p-1)**2, p) and is reduced exactly."""
+        p, n, dtype = self.p, self._n, self.compute_dtype
+        Z = np.reshape(rng.choices(range(p), k=count * n),
+                       (count, n)).astype(dtype)
+        U = np.zeros((count, self.ncols), dtype=dtype)
+        h = self._chunk_rows(count)
+        for a in range(0, n, h):
+            b = min(a + h, n)
+            U -= Z[:, a:b] @ self._R[a:b].astype(dtype)
+            _mod_inplace(U, p)
+        return U.astype(np.int64)
 
     def rcf(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, pivcols) sorted by pivot column; rows have int entries."""
@@ -611,12 +594,17 @@ class ModularEchelon:
                 self._piv[:self._n][order].copy())
 
     def nullspace_basis(self) -> np.ndarray:
-        R, piv = self.rcf()
-        free = np.setdiff1d(np.arange(self.ncols), piv)
+        """The canonical nullspace basis as int64 residues: for each free
+        column f the kernel vector with a 1 at f and 0 at the other free
+        columns (a stored row has a unit at its pivot and zeros at the
+        other pivots, so its pivot entry is minus the row's entry at f),
+        then the RCF of their stack.  Only the stored rows' free columns
+        are read, so the store is not copied."""
+        free = self.free_columns()
         N = np.zeros((free.size, self.ncols), dtype=np.int64)
         N[np.arange(free.size), free] = 1
-        if piv.size:
-            N[:, piv] = (-R[:, free].T) % self.p
+        N[:, self._piv[:self._n]] = \
+            -self._R[:self._n, free].T.astype(np.int64) % self.p
         canon = ModularEchelon(self.ncols, self.p, block_rows=self.block_rows,
                                mini_rows=self.mini_rows, seg_rows=self.seg_rows)
         canon.add_rows(N)
@@ -641,13 +629,32 @@ def residues(M: np.ndarray, p: int) -> np.ndarray:
     return M.astype(np.int64) % p
 
 
-def echelon_state(ncols: int, field: Field, reduced: bool = True,
-                  **modular_opts):
-    """Fresh chunked-RCF state for the given field; feed it add_rows calls."""
+def annihilates(A: np.ndarray, B: np.ndarray, field: Field) -> bool:
+    """Whether A @ B is zero: over 'Q' in exact arithmetic; over a prime
+    p mod p, for A a float array of residues in [0, p) and B integer
+    residues.  The inner dimension is cut at _inner_bound(p, A.dtype)
+    and each part's product is subtracted from residues and reduced, so
+    every sum lies in [-k*(p-1)**2, p) and is exact, as in
+    ModularEchelon."""
+    if field == 'Q':
+        return not (A @ B).any()
+    k = _inner_bound(field, A.dtype)
+    B = B.astype(A.dtype)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=A.dtype)
+    for c in range(0, A.shape[1], k):
+        out -= A[:, c:c + k] @ B[c:c + k]
+        _mod_inplace(out, field)
+    return not out.any()
+
+
+def echelon_state(ncols: int, field: Field, reduced: bool = True):
+    """Fresh chunked-RCF state for the given field; feed it add_rows calls.
+    reduced is RationalEchelon's (a ModularEchelon always keeps its
+    RCF)."""
     field = check_field(field)
     if field == 'Q':
         return RationalEchelon(ncols, reduced=reduced)
-    return ModularEchelon(ncols, field, **modular_opts)
+    return ModularEchelon(ncols, field)
 
 
 class ExactMatrix:

@@ -47,8 +47,8 @@ from .errors import InvariantViolation
 from .expansion import (coeff_array, expansion_arrays, expansion_matrix,
                         poly_normal_form, split_normal_form, type_images,
                         xblock_transpose_rows)
-from .linalg import (check_field, echelon_state, hermite_with_transform,
-                     lll_reduce)
+from .linalg import (annihilates, check_field, echelon_state,
+                     hermite_with_transform, lll_reduce)
 from .monomials import (Word, all_perms, assoc_type_index, assoc_types,
                         classify, coeff_str, degree, format_word, relabel,
                         with_leaves)
@@ -62,9 +62,10 @@ IDENTITY_VERSION = 1
 #: (t*d rows of t*d columns).  It is a size class, not the working set,
 #: which add_rows bounds by about twice the estimate (four full-rank
 #: stores; ModularEchelon docstring): one-partition degree-8 reports (two
-#: BLAS threads) peaked at 244 MiB for 44 (d = 14, estimate 72 MB),
-#: 323 MiB for 62 (d = 20, estimate 147 MB) and 615 MiB for 332 (d = 42,
-#: estimate 649 MB).  Only 4211 (d = 90, estimate 2.98 GB) goes past it
+#: BLAS threads) peaked at 242-244 MiB for 44 (d = 14, estimate 72 MB),
+#: 322-323 MiB for 62 (d = 20, estimate 147 MB) and 608-610 MiB for 332
+#: (d = 42, estimate 649 MB), each in the lifted rank; the kernel rank's
+#: state is narrower.  Only 4211 (d = 90, estimate 2.98 GB) goes past it
 MEMORY_BUDGET = 2_500_000_000
 
 
@@ -508,25 +509,25 @@ def relabeling_classes(idents) -> np.ndarray:
     return lead
 
 
-def _fed(idents) -> list[bool]:
-    """Per identity whether it is the first of its relabeling class
-    (relabeling_classes) in input order; unkeyed identities are all
-    fed."""
+def _leads(idents) -> np.ndarray:
+    """Indices of the first identity of each relabeling class
+    (relabeling_classes), in input order; unkeyed identities are all
+    leads."""
     lead = relabeling_classes(idents)
-    return (lead == np.arange(len(lead))).tolist()
+    return np.flatnonzero(lead == np.arange(len(lead)))
 
 
-def _feed_identities(state, n: int, rho: RhoCache, idents) -> list[bool]:
+def _feed_identities(state, n: int, rho: RhoCache, idents):
     """Feed the blocks of idents into state, whole blocks batched into few
-    add_rows calls; returns per identity whether its block raised the rank.
+    add_rows calls; returns per identity whether its block raised the rank,
+    and the calls made.
 
-    Only the first identity of each relabeling class is fed; the flag of
-    every other one is False.  g = c * sigma f has the raw block row of f
-    times the invertible matrix A(id) rho(sigma) A(id)**-1 on the left,
-    so g spans the rows of f and never raises the rank after it: rank
-    and flags are those of feeding every identity.  A row raises the
-    rank exactly when it is independent of every row fed before it, so
-    batching changes neither the rank nor the flags either.
+    A row raises the rank exactly when it is independent of every row
+    fed before it, so batching changes neither the rank nor the flags.
+    Callers that rank many identities feed the first of each relabeling
+    class only (_leads): g = c * sigma f has the raw block row of f times
+    the invertible matrix A(id) rho(sigma) A(id)**-1 on the left, so g
+    spans the rows of f and never raises the rank after it.
 
     A call takes state.batch_rows(d) // d blocks of d rows.  In
     ModularEchelon that batch holds at most the bytes of the store at
@@ -541,49 +542,45 @@ def _feed_identities(state, n: int, rho: RhoCache, idents) -> list[bool]:
     idents = list(idents)
     if any(ident.degree != n for ident in idents):
         raise ValueError("identity of the wrong degree")
-    fed = _fed(idents)
-    batch = [f for f, feed in zip(idents, fed) if feed]
-    raised = []
-    for start in range(0, len(batch), per_call):
+    raised, calls = [], 0
+    for start in range(0, len(idents), per_call):
         # built in the state's row dtype, which add_rows reduces in place
         flags = state.add_rows(
-            _block_rows(batch[start:start + per_call], rho, t,
+            _block_rows(idents[start:start + per_call], rho, t,
                         state.row_dtype))
         raised.extend(any(flags[k:k + d]) for k in range(0, len(flags), d))
-    raised = iter(raised)
-    return [feed and next(raised) for feed in fed]
+        calls += 1
+    return raised, calls
+
+
+#: random combinations of the lifted rows that lifted_rank draws and
+#: kernel_rank checks every X^T batch against; a fed X^T row that does
+#: not annihilate the lifted rows passes with probability at most p**-3
+GUARD = 3
 
 
 def lifted_rank(n: int, lam, liftings, field='Q',
-                rho: RhoCache | None = None, certify: bool = False):
-    """(rank, grew): rank of the stacked lifted-identity blocks, fed by
-    _feed_identities: one lifting per relabeling class (152 of the 672
-    at degree 7), one batch of whole blocks at a time.
+                rho: RhoCache | None = None):
+    """(rank, grew, free, guard, calls, batch_rows) of the stacked blocks
+    of liftings, all of them fed by _feed_identities in calls add_rows
+    calls of at most batch_rows rows (the state's batch_rows(d)).
 
-    grew tells, per identity, whether its block increased the rank
-    (False for every lifting not fed, as it would be if it were); the
-    union of those flags across partitions drives pruning.
-
-    With certify a third element W holds CERTIFICATE_VECTORS random
-    vectors orthogonal to every lifted row in kernel coordinates (L',
-    see kernel_rank): each is a random kernel vector w0 of the stored
-    rows, L w0 = 0, with each type block multiplied by A(id), so that
-    L' w = L diag(A(id)**-1) diag(A(id)) w0 = 0.  They are formed while
-    the echelon state is alive and cost a product with it; kernel_rank
-    takes (rank, W) as its lifted argument.
+    grew tells, per identity, whether its block increased the rank; the
+    union of those flags across partitions drives pruning.  free holds
+    the columns F_L without a pivot in the RCF of the lifted rows, sorted,
+    and guard GUARD random combinations of the lifted rows: kernel_rank
+    takes both.  Both are read while the echelon state is alive, free
+    from its pivots and guard by products with its store a chunk at a
+    time, so neither copies the store, which is freed on return.
     """
     if rho is None:
         rho = RhoCache(lam, field)
     t = len(assoc_types(n, 1))
     state = echelon_state(t * rho.dim, field, reduced=False)
-    grew = _feed_identities(state, n, rho, liftings)
-    if not certify:
-        return state.rank, grew
-    W = state.random_kernel_vectors(CERTIFICATE_VECTORS, random.Random())
-    W = W.reshape(len(W), t, rho.dim) @ rho.a_id.T.astype(W.dtype)
-    if field != 'Q':
-        W %= int(field)
-    return state.rank, grew, W.reshape(len(W), -1)
+    grew, calls = _feed_identities(state, n, rho, liftings)
+    return (state.rank, grew, state.free_columns(),
+            state.random_combinations(GUARD, random.Random()), calls,
+            state.batch_rows(rho.dim))
 
 
 #: the D-types kernel_rank feeds first, as half-open runs of indices into
@@ -624,134 +621,122 @@ def _kernel_order(n: int, s: int) -> list[np.ndarray]:
     return [first, np.flatnonzero(rest)]
 
 
-#: random vectors on each side of the kernel_rank certificate; a wrong
-#: stop passes it with probability below 2 / p**3
-CERTIFICATE_VECTORS = 3
+#: rows of an X^T batch kernel_rank changes to the lifted coordinates at
+#: a time, so that beside the batch it holds one slice at full width and
+#: the batch's copy at the columns F_L; a whole batch at full width took
+#: 0.5-0.6 MiB more peak RSS at degree 7 (d = 6)
+_SLICE_ROWS = 64
 
 
 def kernel_rank(n: int, lam, field='Q', table=None,
-                rho: RhoCache | None = None, keep_state: bool = False,
-                lifted=None):
-    """(rank, nullity) of the transposed block matrix for one partition.
+                rho: RhoCache | None = None, free=None, guard=None):
+    """(rank, nullity, fed, calls, state) of the transposed block matrix
+    X^T for one partition: its rank and nullity, the D-types fed, the
+    add_rows calls that fed them and the echelon state they went into.
 
     nullity counts irreducible summands of the identity space: the block
     matrix has t*d columns and its left null vectors are the identities.
-    With keep_state the echelon state comes back as a third element so
-    the nullspace can be extracted; every row is fed.
+    Without free (as `prejordan kernel` calls it) the rows of X^T are fed
+    as they are, into a state of width t*d.
 
-    lifted = (r_L, W) from lifted_rank(..., certify=True) lets the feed
-    stop early; then the D-types fed, the add_rows calls made and the
-    rows of one call (the state's batch_rows(d)) come back after rank
-    and nullity.  Write
-    L' for the lifted rows with each type block times A(id)**-1, the
-    coordinates of X^T's kernel (new_identity_vectors converts back):
-    rank L' = r_L, and L' lies in ker(X^T) when the liftings are
-    identities, so that rank(X^T) <= t*d - r_L.  After each batch the
-    rank r of the rows fed so far is compared with t*d - r_L:
+    With free and guard from lifted_rank, write L for the raw lifted rows
+    and X' for X^T with each column block times A(id)**-T
+    (RhoCache.lifted_coordinates): X' has the rank of X^T, and L lies in
+    ker X' when the liftings are identities.  Each batch of X' is formed
+    _SLICE_ROWS rows at a time and checked against guard, GUARD random
+    combinations u of the lifted rows:
+    x' . u = 0 for every row x' fed, else InvariantViolation.  A row x'
+    with x' . l != 0 for some lifted row l passes one u with probability
+    1/p (1/2**32 over Q), so all of them with at most p**-3.  Only the
+    columns F_L = free of X' are fed, into a state of width |F_L|.
 
-    * r > t*d - r_L raises InvariantViolation: ker(X^T) is smaller than
-      span(L'), so a lifting is no identity (or r_L is wrong);
-    * r = t*d - r_L stops the feed after a check.  K, the kernel of the
-      rows fed, has dimension r_L.  The check draws k = len(W) uniform
-      vectors z of K from the echelon state and needs w . z = 0 for
-      every w of W, which are uniform in the annihilator of span(L').
-      If K is not inside span(L'), all k vectors z lie in span(L') with
-      probability at most p**-k, and a z outside it is orthogonal to
-      all k vectors w with probability p**-k: the check passes with
-      probability below 2/p**k (2/N**k over Q, entries drawn from N
-      integers).  Passing shows K inside span(L'), so K = span(L') by
-      dimension, and ker(X^T), inside K, is inside span(L'): every
-      identity of this component is a combination of lifted ones, so
-      new = 0 is proven whether or not the liftings are identities.
-      As they are, span(L') lies in ker(X^T) too, so ker(X^T) = K and
-      rank and nullity are those of the full feed.
+    Why that is exact: let K be the kernel of the rows fed, which holds L.
+    A vector v of K minus its lifted part (the RCF rows of L times v at
+    their pivots P_L) is a vector of K zero at P_L, so supported on F_L,
+    and K = span L + {w in K : w = 0 at P_L}, a direct sum.  Hence
+    dim K = r_L + nullity(X'[:, F_L]), r_L = t*d - |F_L| the lifted rank.
 
-    The stop is exact in any order of D-types; the order only sets how
-    soon it comes.  While new > 0 the rank stays below t*d - r_L and
-    every row is fed.  The D-types come in batches of
-    state.batch_rows(d) // d, in the order of _kernel_order: at degrees
-    7 and 8 the pinned prefix KERNEL_PREFIX[n] first, its last batch
-    ending at the prefix's end, then the others in canonical order;
-    elsewhere canonical order.  Every D-type is fed once before the rank
-    is read unstopped, the rank of a set of rows does not depend on their
-    order, and the stop and the certificate hold in any order, so the
-    prefix sets only the time: a wrong, scrambled or truncated prefix, or one
-    learned mod 101 and used over Q or at another prime, gives the same
-    rank, nullity and checks, and moves only the batch at which the
-    feed stops.  At degree 7 every partition reaches t*d - r_L at the
-    prefix's end (118 of 429 D-types).
+    * If the state's rank reaches |F_L|, the feed stops: K = span L, so
+      ker X^T (in these coordinates), inside K, is spanned by lifted rows,
+      and new = 0 is proven whether or not the liftings are identities
+      on the rows not fed.  As they are, rank = t*d - r_L = |F_L|.
+    * Otherwise every D-type is fed, new = |F_L| - rank, and the nullity
+      r_L + new = t*d - rank.
+
+    So rank and nullity are t*d minus each other in both cases, and the
+    state's canonical nullspace, placed at the columns F_L, is the RCF
+    of {w in ker X' : w = 0 at P_L} (new_identity_vectors).
+
+    The D-types come in batches of batch_rows(d) // d of a state t*d
+    wide, the width a batch is built at (so it holds at most the bytes
+    of a full-rank store of that width, as a lifted batch does), in the
+    order of _kernel_order: at degrees 7 and 8 the pinned prefix
+    KERNEL_PREFIX[n] first, its last batch ending at the prefix's end,
+    then the others in canonical order; elsewhere canonical order.  The
+    stop is exact in any order, and the rank of a set of rows does not
+    depend on their order, so the prefix sets only the time: a wrong,
+    scrambled or truncated prefix, or one learned mod 101 and used over
+    Q or at another prime, gives the same rank and nullity and moves
+    only the batch at which the feed stops.  At degree 7 every partition
+    stops at the prefix's end (118 of 429 D-types).
     """
     field = check_field(field)
-    if keep_state and lifted is not None:
-        raise ValueError("keep_state feeds every row; lifted stops early")
     if rho is None:
         rho = RhoCache(lam, field)
     t = len(assoc_types(n, 1))
     d = rho.dim
     if table is None:
         table = expansion_arrays(n)
-    state = echelon_state(t * d, field, reduced=keep_state)
-    bound = None if lifted is None else t * d - lifted[0]
+    width = t * d if free is None else len(free)
+    state = echelon_state(width, field, reduced=False)
+    # a batch is built t*d wide, so it takes the batch rule of that width
+    chunk = echelon_state(t * d, field, reduced=False).batch_rows(d) // d
     fed = calls = 0
     for batch in chain.from_iterable(xblock_transpose_rows(
-            n, lam, field, chunk=state.batch_rows(d) // d, table=table,
-            rho=rho, dtype=state.row_dtype, order=part)
+            n, lam, field, chunk=chunk, table=table, rho=rho,
+            dtype=state.row_dtype, order=part)
             for part in _kernel_order(n, len(table.offsets) - 1)):
+        if free is not None:
+            narrow = None
+            for a in range(0, len(batch), _SLICE_ROWS):
+                rows = rho.lifted_coordinates(batch[a:a + _SLICE_ROWS])
+                if not annihilates(rows, guard.T, field):
+                    raise InvariantViolation(
+                        f"X^T rows of partition {format_partition(lam)} do"
+                        f" not annihilate the lifted rows after {fed}"
+                        f" D-types: some lifting is not an identity")
+                if narrow is None:
+                    narrow = np.empty((len(batch), width), dtype=rows.dtype)
+                narrow[a:a + len(rows)] = rows[:, free]
+            batch = narrow
         state.add_rows(batch)
         fed += len(batch) // d
         calls += 1
         del batch  # freed before the next batch is built
-        if bound is not None and state.rank >= bound:
+        if state.rank == width:
             break
-    rank = state.rank
-    if keep_state:
-        return rank, t * d - rank, state
-    if bound is None:
-        return rank, t * d - rank
-    where = f"for partition {format_partition(lam)} after {fed} D-types"
-    blame = "some lifting is not an identity or r_L is not its rank"
-    if rank > bound:
-        raise InvariantViolation(
-            f"X^T rank {rank} exceeds t*d - lifted rank = {bound} {where}:"
-            f" {blame}")
-    if rank == bound:
-        W = lifted[1]
-        Z = state.random_kernel_vectors(len(W), random.Random())
-        # exact in int64: ModularEchelon needs ncols*(p-1)**2 + p <= 2**53
-        pairs = W @ Z.T
-        if field != 'Q':
-            pairs %= int(field)
-        if np.count_nonzero(pairs):
-            raise InvariantViolation(
-                f"the kernel of the X^T rows fed is not the lifted span "
-                f"{where}: {blame}")
-    return rank, t * d - rank, fed, calls, state.batch_rows(d)
+    return state.rank, t * d - state.rank, fed, calls, state
 
 
-def new_identity_vectors(n: int, lam, liftings, field='Q',
-                         table=None) -> list:
-    """Canonical coset representatives of new identities for one partition.
+def new_identity_vectors(state, free, ncols: int) -> list:
+    """Canonical coset representatives of new identities for one
+    partition: the canonical nullspace basis of the state kernel_rank fed
+    with the columns free of X', placed at those columns of vectors of
+    ncols = t*d entries, in the coordinates of the raw lifted blocks.
 
-    The left nullspace of the raw block matrix is converted to genuine
-    representation coordinates by multiplying each type block on the
-    right by the A-matrix of the identity permutation, then reduced
-    against the row space of the lifted identities (which raw blocks
-    span verbatim).  The representatives are the rows of the combined
-    reduced form whose pivot columns the lifted rows do not have.
+    They are the rows of RCF(span L + ker X') whose pivot columns the
+    lifted rows L do not have: since L lies in K = ker X', those are the
+    rows of RCF(K) with pivots outside P_L, and they are zero at P_L
+    (an RCF row is zero at the other pivots), so they are a basis of
+    {w in K : w = 0 at P_L} in RCF, its RCF; and that space is
+    {w : w at free in the nullspace of X'[:, free], 0 elsewhere}, whose
+    RCF is the state's canonical nullspace placed at free, which keeps
+    the order of the columns.
     """
-    rho = RhoCache(lam, field)
-    t = len(assoc_types(n, 1))
-    d = rho.dim
-    state = echelon_state(t * d, field)
-    _feed_identities(state, n, rho, liftings)
-    lifted_pivots = set(state.rcf()[1].tolist())
-
-    _, _, xstate = kernel_rank(n, lam, field, table, rho, keep_state=True)
-    N = np.asarray(xstate.nullspace_basis())
-    state.add_rows((N.reshape(-1, t, d) @ rho.a_id).reshape(-1, t * d))
-    final, pivs = state.rcf()
-    return [row for row, pc in zip(final.tolist(), pivs.tolist())
-            if pc not in lifted_pivots]
+    basis = np.asarray(state.nullspace_basis(), dtype=object)
+    out = np.zeros((len(basis), ncols), dtype=object)
+    out[:, free] = basis
+    return out.tolist()
 
 
 # -------------------------------------------------------------- reporting
@@ -766,9 +751,7 @@ class ReportConfig:
     #: degree 8 only: lift just the degree-7 identities that grew a rank
     prune: bool = True
     allow_large: bool = False
-    verify_liftings: bool = False
     emit_new: bool = False
-    memory_budget: int = MEMORY_BUDGET
 
     def resolved_field(self):
         if self.field == "Q":
@@ -802,8 +785,9 @@ class PartitionRow:
     #: the D-types whose X^T rows the kernel rank fed before it stopped
     #: (all s when it did not stop); None for a skipped row
     kernel_dtypes_fed: int | None = None
-    #: rows of one add_rows call (the echelon state's batch_rows(d)) and
-    #: the calls of the lifted and the kernel rank; None for a skipped row
+    #: rows of one add_rows call of the lifted rank (its echelon state's
+    #: batch_rows(d)) and the calls of the lifted and the kernel rank;
+    #: None for a skipped row
     batch_rows: int | None = None
     lifted_calls: int | None = None
     kernel_calls: int | None = None
@@ -898,8 +882,10 @@ def _grew_somewhere(grews) -> list[int]:
 
 def _retained_indices(k: int, lifts, config: 'ReportConfig') -> list[int]:
     field = 'Q' if k <= 5 else config.prime
-    return _grew_somewhere(lifted_rank(k, lam, lifts, field)[1]
-                           for lam in partitions(k))
+    leads = _leads(lifts)
+    fed = [lifts[i] for i in leads]
+    return leads[_grew_somewhere(lifted_rank(k, lam, fed, field)[1]
+                                 for lam in partitions(k))].tolist()
 
 
 def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
@@ -931,8 +917,7 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             retained = {7: kept}
             if progress:
                 progress(f"degree-7 pruning: kept {len(kept)} of {len(pool)}")
-        liftings = liftings_to_degree(n, retained,
-                                      verify=config.verify_liftings)
+        liftings = liftings_to_degree(n, retained)
 
     lam_list = [tuple(p) for p in (config.partitions or partitions(n))]
     for lam in lam_list:
@@ -943,17 +928,14 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
         degree=n, field='Q' if field == 'Q' else 'F',
         prime=None if field == 'Q' else int(field),
         lifting_count=len(liftings))
-    # lifted_rank feeds the first lifting of each relabeling class and
-    # no other (_feed_identities), so the classes are found once here
-    # and it is given those; grews index into them, retained into
-    # liftings
-    leads = np.flatnonzero(_fed(liftings))
+    # the lifted ranks are fed the first lifting of each relabeling class
+    # (_feed_identities); grews index into them, retained into liftings
+    leads = _leads(liftings)
     fed = [liftings[i] for i in leads]
     grews = []
     for lam in lam_list:
         d = dimension(lam)
-        if _estimated_bytes(n, d) > config.memory_budget \
-                and not config.allow_large:
+        if _estimated_bytes(n, d) > MEMORY_BUDGET and not config.allow_large:
             report.rows.append(PartitionRow(
                 partition=lam, d=d, lifted_rows=len(liftings) * d,
                 lifted_cols=t * d, lifted_rank=None, all_rows=s * d,
@@ -967,24 +949,19 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
             progress(f"partition {format_partition(lam)} (d={d})")
         start = time.perf_counter()
         rho = RhoCache(lam, field)
-        lrank, grew, orth = lifted_rank(n, lam, fed, field, rho,
-                                        certify=True)
+        lrank, grew, free, guard, lifted_calls, batch_rows = lifted_rank(
+            n, lam, fed, field, rho)
         lifted_s = time.perf_counter() - start
         lifted_peak = _peak_rss_mib()
         grews.append(grew)
-        xrank, nullity, fed_dtypes, kernel_calls, batch_rows = kernel_rank(
-            n, lam, field, table, rho, lifted=(lrank, orth))
+        xrank, nullity, fed_dtypes, kernel_calls, state = kernel_rank(
+            n, lam, field, table, rho, free, guard)
         kernel_s = time.perf_counter() - start - lifted_s
-        # _feed_identities feeds batch_rows // d liftings a call
-        lifted_calls = -(-len(fed) // (batch_rows // d))
         new = nullity - lrank
         vectors = None
         if config.emit_new and new > 0:
-            vectors = new_identity_vectors(n, lam, liftings, field, table)
-            if len(vectors) != new:
-                raise InvariantViolation(
-                    f"extracted {len(vectors)} new identity vectors, "
-                    f"expected {new}")
+            vectors = new_identity_vectors(state, free, t * d)
+        del state  # freed before the next partition
         peak = _peak_rss_mib()
         report.rows.append(PartitionRow(
             partition=lam, d=d, lifted_rows=len(liftings) * d,
@@ -999,9 +976,9 @@ def degree_report(config: ReportConfig, progress=None) -> DegreeReport:
                      f"{time.perf_counter() - start:.2f} s (lifted rank "
                      f"{lifted_s:.2f} s, kernel rank {kernel_s:.2f} s), "
                      f"lifted rank {lrank}, fed {len(fed)} of {len(liftings)}"
-                     f" liftings in {lifted_calls} calls, X^T rank {xrank}, "
-                     f"X^T fed {fed_dtypes} of {s} D-types in {kernel_calls} "
-                     f"calls, at most {batch_rows} rows a call"
+                     f" liftings in {lifted_calls} calls of at most "
+                     f"{batch_rows} rows, X^T rank {xrank}, X^T fed "
+                     f"{fed_dtypes} of {s} D-types in {kernel_calls} calls"
                      + ("" if peak is None else
                         f", peak RSS {peak:.0f} MiB ({lifted_peak:.0f} MiB "
                         f"after the lifted rank)"))

@@ -26,8 +26,8 @@ from functools import cache
 import numpy as np
 
 from .errors import InvariantViolation, ResourceLimit
-from .linalg import (_SIGNIFICAND, RationalEchelon, express_in_rowspace,
-                     residues)
+from .linalg import (_SIGNIFICAND, RationalEchelon, _mod_inplace,
+                     express_in_rowspace, residues)
 
 Partition = tuple
 
@@ -440,6 +440,39 @@ class RhoCache:
             i = owner[starts]
             out[i // per_row, i % per_row] = np.add.reduceat(products, starts)
         return out if raw is None else raw.reshape(-1, per_row * d)
+
+    def lifted_coordinates(self, rows: np.ndarray) -> np.ndarray:
+        """rows, integer arrays of k*d columns, with each block of d
+        columns times A(id)**-T.  A raw block row l of an identity is
+        A(id) times the identity's representation blocks, so l with each
+        block times A(id)**-1 is annihilated by the rows of X^T, and
+        x . (l A(id)**-1) = (x A(id)**-T) . l blockwise: the rows returned
+        annihilate the raw blocks of identities.
+
+        Over 'Q' the factor is num**T, the integer numerator of
+        A(id)**-1 = num / den (den changes no kernel and no rank), applied
+        in exact arithmetic; the result is an object array.  Over a prime
+        rows must be a float array of integers (a batch of
+        xblock_transpose_rows in an echelon state's row dtype), and its
+        product, reduced into [0, p) in place, comes back.  Each entry
+        sums d products of an entry of rows, at most top in magnitude,
+        and a residue, so it is exact while d*top*(p-1) + p <= 2**m, m
+        the significand: at degree 8 top is 35, the largest sum |c| of a
+        table cell, and d = 90 at p = 509 gives 1.6e6 against 2**24.
+        ValueError past the bound.
+        """
+        d = self.dim
+        if self.field == 'Q':
+            out = rows.astype(object).reshape(-1, d) @ self._a_id_inv[0].T
+            return out.reshape(rows.shape)
+        p = int(self.field)
+        top = int(np.abs(rows).max())
+        if d * top * (p - 1) + p > 2 ** _SIGNIFICAND.get(rows.dtype, 0):
+            raise ValueError(f"entries up to {top} times A(id)**-T mod {p}"
+                             f" are past the exact bound of {rows.dtype}")
+        out = rows.reshape(-1, d) @ self._a_id_inv.T.astype(rows.dtype)
+        _mod_inplace(out, p)
+        return out.reshape(rows.shape)
 
     def raw_of_element(self, terms: dict) -> np.ndarray:
         """The raw d x d block of one element {perm: coeff}, perms

@@ -12,7 +12,7 @@ from prejordan.linalg import echelon_state, int_det, int_rows
 from prejordan.monomials import (Word, assoc_types, basis_index, coeff_str,
                                  degree, format_word, leaves, parse_word,
                                  split)
-from prejordan.pipeline import Identity
+from prejordan.pipeline import Identity, _feed_identities
 from prejordan.symrep import (Partition, RhoCache, character, class_types,
                               conjugate, partitions, standard_tableaux)
 
@@ -249,3 +249,28 @@ def prefix_runs(n: int, lams, p: int = 101) -> tuple:
         else:
             runs.append([j, j + 1])
     return tuple(map(tuple, runs))
+
+
+def new_identity_vectors_reference(n: int, lam, liftings, field='Q') -> list:
+    """Canonical coset representatives of the new identities of one
+    partition by two full passes: the reference for the report's
+    pipeline.new_identity_vectors.  The lifted rows go into a reduced
+    state and their pivot columns are kept; the canonical nullspace of
+    the whole X^T, every D-type fed, is converted to the lifted rows'
+    coordinates by multiplying each type block on the right by A(id)
+    and fed after them; the rows of the combined RCF whose pivot columns
+    the lifted rows do not have are the representatives."""
+    rho = RhoCache(lam, field)
+    t = len(assoc_types(n, 1))
+    d = rho.dim
+    state = echelon_state(t * d, field)
+    _feed_identities(state, n, rho, liftings)
+    lifted_pivots = set(state.rcf()[1].tolist())
+    xstate = echelon_state(t * d, field)
+    for batch in xblock_transpose_rows(n, lam, field, rho=rho, chunk=50):
+        xstate.add_rows(batch)
+    N = np.asarray(xstate.nullspace_basis())
+    state.add_rows((N.reshape(-1, t, d) @ rho.a_id).reshape(-1, t * d))
+    final, pivs = state.rcf()
+    return [row for row, pc in zip(final.tolist(), pivs.tolist())
+            if pc not in lifted_pivots]

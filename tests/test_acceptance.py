@@ -287,19 +287,24 @@ def test_criterion_09_degree8_working_set():
     # process: 8 costs next to nothing, so its peak RSS is the process's
     # peak before 44 (the pruning pass, the table and the liftings).  44
     # may add at most the working set of its larger rank, in bytes.  Both
-    # ranks feed add_rows batches of R = batch_rows(d) = 1,498 rows
-    # (C // 4 = 1,501 cut to whole blocks of d, C = t*d):
-    # * kernel rank: an X^T batch, a float32 chunk of the store of as
-    #   many rows and their product (3 * 4*R*C), the coefficients
-    #   (4*R*R) and the int8 store of r_K rows grown by half (1.5*r_K*C);
-    # * lifted rank: the same three arrays and coefficients, and the int8
-    #   store of r_L rows while it grows (2.5*r_L*C);
+    # ranks take batches of R = batch_rows(d) = 1,498 rows of C = t*d
+    # columns (C // 4 = 1,501 cut to whole blocks of d):
+    # * kernel rank: an X^T batch built C wide (4*R*C), its copy at the
+    #   F = C - r_L free columns of the lifted rows (4*R*F, formed 64
+    #   rows at a time beside one 64-row slice at full width), then in
+    #   add_rows its product and a float32 chunk of the store (2 * 4*R*F),
+    #   the coefficients (4*R*R) and the int8 store of r_K <= F rows, F
+    #   wide, grown by half; all of it within 3 * 4*R*C + 4*R*R +
+    #   1.5*r_K*C, the bound of a kernel state C wide;
+    # * lifted rank: an identity batch, a float32 chunk of the store of
+    #   as many rows and their product (3 * 4*R*C), the coefficients
+    #   and the int8 store of r_L rows while it grows (2.5*r_L*C);
     # * the int8 A-matrices of every permutation met (8! * d*d).
     # Each of the three float arrays holds at most the bytes of the int8
-    # store at full rank (C x C).  The two peaks read 144 and 244 MiB
-    # against a bound of about 317 MiB (2-vCPU VM, two BLAS threads);
-    # with batches of 50 D-types and single identities they read 89 and
-    # 150 MiB.
+    # store at full rank (C x C).  The two peaks read 143 and 243 MiB
+    # against a bound of about 317 MiB (2-vCPU VM, two BLAS threads),
+    # the second set by the lifted rank; with batches of 50 D-types and
+    # single identities they read 89 and 150 MiB.
     import json
     import math
     import os

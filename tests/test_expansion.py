@@ -714,7 +714,7 @@ def float_and_integer_rows(n, lam, p):
                      xblock_transpose_rows(n, lam, p, chunk=50, rho=rho,
                                            dtype=dtype)))
     liftings = liftings_to_degree(n)
-    fed = [f for f, keep in zip(liftings, pipeline._fed(liftings)) if keep]
+    fed = [liftings[i] for i in pipeline._leads(liftings)]
     pairs.append((pipeline._block_rows(fed, rho, t),
                   pipeline._block_rows(fed, rho, t, dtype)))
     return dtype, pairs

@@ -188,9 +188,9 @@ class TestRationalEchelon:
                     assert sum(a * b for a, b in zip(r, v)) == 0
 
 
-class TestRandomKernelVectors:
-    # the certificate of pipeline.kernel_rank draws kernel vectors from
-    # the stored rows of both kinds of state
+class TestRandomCombinations:
+    # the guard of pipeline.kernel_rank: random combinations of the rows
+    # a state was fed, formed from its stored rows
 
     @pytest.mark.parametrize("reduced", [True, False])
     def test_rational(self, reduced):
@@ -198,32 +198,90 @@ class TestRandomKernelVectors:
         for _ in range(30):
             m, n = rng.randrange(1, 8), rng.randrange(1, 9)
             rows = random_int_matrix(rng, m, n)
-            st = RationalEchelon(n, reduced=reduced)
-            st.add_rows(rows)
-            Z = st.random_kernel_vectors(n - st.rank + 2, rng)
-            assert Z.shape == (n - st.rank + 2, n)
-            assert all(isinstance(e, int) for e in Z.flat)
-            assert not (np.array(rows, dtype=object) @ Z.T).any()
-            # free entries are random, so the vectors span the kernel
-            assert naive_rank_mod(Z.tolist(), 1_000_003) == n - st.rank
+            state = RationalEchelon(n, reduced=reduced)
+            state.add_rows(rows)
+            U = state.random_combinations(state.rank + 2, rng)
+            assert U.shape == (state.rank + 2, n) and U.dtype == object
+            # inside the row space of the rows fed, and spanning it
+            both = RationalEchelon(n, reduced=False)
+            both.add_rows(rows)
+            both.add_rows(U)
+            alone = RationalEchelon(n, reduced=False)
+            alone.add_rows(U)
+            assert both.rank == alone.rank == state.rank
 
     @pytest.mark.parametrize("p", CROSS_PRIMES)
     def test_modular(self, p):
-        # the product with the store goes in row blocks of _MOD_CHUNK
-        # entries (40 rows at 200 columns) and, past the float32 inner
-        # bound (65 columns at p = 509), in column chunks
+        # three vectors take the store in chunks of 128 rows (65 at
+        # p = 509, where one product over all 350 stored rows would pass
+        # 2**24), so a rank of 150 or 350 takes several products
         rng = random.Random(p)
-        for m, n in ((5, 9), (120, 200), (200, 120)):
+        for m, n in ((5, 9), (300, 200), (700, 400)):
             rows = np.array(random_int_matrix(rng, m, n, bound=50))
             rows[m // 2:] = rows[:m - m // 2] * 3 % p  # rank deficient
-            st = ModularEchelon(n, p)
-            st.add_rows(rows)
-            # 20 more than the nullity span the kernel even at p = 2
-            Z = st.random_kernel_vectors(n - st.rank + 20, rng)
-            assert Z.dtype == np.int64 and Z.shape == (n - st.rank + 20, n)
-            assert ((0 <= Z) & (Z < p)).all()
-            assert not (rows @ Z.T % p).any()
-            assert naive_rank_mod(Z.tolist(), p) == n - st.rank
+            state = ModularEchelon(n, p)
+            state.add_rows(rows)
+            for count in (3, state.rank + 20):
+                U = state.random_combinations(count, rng)
+                assert U.dtype == np.int64 and U.shape == (count, n)
+                assert ((0 <= U) & (U < p)).all()
+                both = ModularEchelon(n, p)
+                both.add_rows(rows)
+                both.add_rows(U)
+                assert both.rank == state.rank
+            # 20 more than the rank span the row space even at p = 2
+            alone = ModularEchelon(n, p)
+            alone.add_rows(U)
+            assert alone.rank == state.rank
+
+    def test_nothing_stored(self):
+        for state in (RationalEchelon(4, reduced=False), ModularEchelon(4, P)):
+            U = state.random_combinations(3, random.Random(0))
+            assert U.shape == (3, 4) and not U.any()
+
+
+@pytest.mark.parametrize("p", CROSS_PRIMES)
+def test_annihilates_is_exact(p):
+    # the inner dimension is cut at _inner_bound (65 columns in float32
+    # at p = 509, 1,677 at p = 101), so 300 columns of residues near p
+    # decide as exact integer arithmetic does
+    rng = np.random.default_rng(p)
+    A = rng.integers(max(0, p - 5), p, (20, 300))
+    state = ModularEchelon(300, p)
+    state.add_rows(A)
+    # dense combinations of the nullspace basis, whose rows are sparse
+    B = state.nullspace_basis().T.astype(object) @ rng.integers(
+        0, p, (280, 3)).astype(object) % p
+    B = B.astype(np.int64)
+    assert (B != 0).mean() > 0.4
+    dtype = state.compute_dtype
+    assert linalg.annihilates(A.astype(dtype), B, p)
+    for _ in range(5):
+        C = B.copy()
+        C[rng.integers(300), rng.integers(3)] += rng.integers(1, p)
+        C %= p
+        want = not (A.astype(object) @ C.astype(object) % p).any()
+        assert linalg.annihilates(A.astype(dtype), C, p) == want
+    exact = np.array(random_int_matrix(random.Random(p), 4, 6), dtype=object)
+    assert linalg.annihilates(exact, np.zeros((6, 2), dtype=object), 'Q')
+    assert not linalg.annihilates(exact, np.eye(6, 2, dtype=int).astype(
+        object), 'Q') or not exact[:, :2].any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 8), st.randoms(use_true_random=False))
+def test_nullspace_basis_in_both_modes(m, n, rng):
+    # the primitive state (reduced=False) back-substitutes the same unit
+    # free entries as the reduced one, so the canonical bases are equal
+    rows = random_int_matrix(rng, m, n)
+    bases = []
+    for reduced in (True, False):
+        state = RationalEchelon(n, reduced=reduced)
+        state.add_rows(rows)
+        bases.append(state.nullspace_basis())
+    assert bases[0] == bases[1]
+    assert all(sum(a * b for a, b in zip(r, v)) == 0
+               for r in rows for v in bases[1])
 
 
 class TestModularEchelon:
@@ -304,8 +362,8 @@ class TestModularEchelon:
                 rc, pc = chunked.rcf()
                 assert whole.rank == chunked.rank
                 assert (rw == rc).all() and (pw == pc).all()
-                tiny = echelon_state(n, p, block_rows=3, mini_rows=2,
-                                     seg_rows=2)
+                tiny = ModularEchelon(n, p, block_rows=3, mini_rows=2,
+                                      seg_rows=2)
                 assert tiny.compute_dtype == whole.compute_dtype
                 assert flags == chunk_flags == increments \
                     == tiny.add_rows(rows)
@@ -324,8 +382,8 @@ class TestModularEchelon:
                 n = 30
                 rows = [[rng.randint(1, p - 1) if rng.random() < 0.2 else 0
                          for _ in range(n)] for _ in range(40)]
-                st = echelon_state(n, p, block_rows=4, mini_rows=2,
-                                   seg_rows=3)
+                st = ModularEchelon(n, p, block_rows=4, mini_rows=2,
+                                    seg_rows=3)
                 flags = []
                 for k in range(0, 40, 10):
                     flags += st.add_rows(rows[k:k + 10])

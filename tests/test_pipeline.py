@@ -22,13 +22,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import group_algebra, lift_reference, prefix_runs
+from helpers import (group_algebra, lift_reference,
+                     new_identity_vectors_reference, prefix_runs)
 from prejordan import expansion, monomials, pipeline
 from prejordan.cli import main
 from prejordan.errors import InvariantViolation
 from prejordan.expansion import (pj_normal_form, poly_normal_form,
                                  xblock_matrix)
-from prejordan.linalg import ModularEchelon, echelon_state
+from prejordan.linalg import ModularEchelon, annihilates, echelon_state
 from prejordan.monomials import (assoc_types, classify, format_word,
                                  multilinear_basis, parse_word, relabel)
 from prejordan.pipeline import (DegreeReport, Identity,
@@ -325,13 +326,13 @@ class TestDegree4:
     def test_kernel_ranks_both_fields(self):
         for lam, (_, xrank, nullity) in DEGREE4_TABLE.items():
             for field in ('Q', 101):
-                rank, null = kernel_rank(4, lam, field)
+                rank, null = kernel_rank(4, lam, field)[:2]
                 assert (rank, null) == (xrank, nullity)
 
     def test_lifted_ranks(self):
         pair = list(defining_identities())
         for lam, (lrank, _, _) in DEGREE4_TABLE.items():
-            rank, grew = lifted_rank(4, lam, pair)
+            rank, grew = lifted_rank(4, lam, pair)[:2]
             assert rank == lrank
             assert len(grew) == 2
 
@@ -381,9 +382,9 @@ class TestDegree5:
         # so flags and ranks are those of the reduced state
         built = []
 
-        def recording(ncols, field, reduced=True, **opts):
+        def recording(ncols, field, reduced=True):
             built.append(reduced)
-            return echelon_state(ncols, field, reduced, **opts)
+            return echelon_state(ncols, field, reduced)
 
         monkeypatch.setattr(pipeline, "echelon_state", recording)
         liftings = liftings_to_degree(5)
@@ -396,16 +397,18 @@ class TestDegree5:
                 before = state.rank
                 state.add_rows(identity_block(ident, lam, rho, t))
                 grew.append(state.rank > before)
-            assert lifted_rank(5, lam, liftings, 'Q', rho) \
+            assert lifted_rank(5, lam, liftings, 'Q', rho)[:2] \
                 == (state.rank, grew)
             reduced = echelon_state(t * rho.dim, 'Q')
             fast = echelon_state(t * rho.dim, 'Q', reduced=False)
             for batch in expansion.xblock_transpose_rows(5, lam, 'Q',
                                                          rho=rho, chunk=50):
                 assert fast.add_rows(batch) == reduced.add_rows(batch)
-            assert kernel_rank(5, lam, 'Q', rho=rho) \
+            assert kernel_rank(5, lam, 'Q', rho=rho)[:2] \
                 == (reduced.rank, t * rho.dim - reduced.rank)
-        assert built == [False, False] * len(partitions(5))
+        # the lifted state, the kernel state and the one kernel_rank
+        # reads its batch rule from
+        assert built == [False] * 3 * len(partitions(5))
 
 
 class TestBlockFeed:
@@ -416,15 +419,18 @@ class TestBlockFeed:
     def test_batched_flags_match_one_identity_at_a_time(
             self, n, field, lams, per_call, monkeypatch):
         # the reference feeds every identity's block in its own add_rows
-        # call; lifted_rank feeds the first identity of each relabeling
-        # class (9, 38 and 152 of 12, 84 and 672), whole blocks batched,
-        # and must give the same rank and flags.  The batches are counted
-        # over the blocks actually fed: batch_rows(d) // d blocks a call,
-        # about t/4 at every d here (t*d columns, ncols // 4 rows a call),
-        # the last call taking the rest
+        # call; the report feeds lifted_rank the first identity of each
+        # relabeling class (9, 38 and 152 of 12, 84 and 672), whole blocks
+        # batched.  Every other identity is a multiple of a relabeled
+        # earlier one, so the leads reach the reference's rank and each
+        # raises it exactly where it does in the reference, where no
+        # other identity does.  batch_rows(d) // d blocks a call, about
+        # t/4 at every d here (t*d columns, ncols // 4 rows a call), the
+        # last call taking the rest, counted where they are made
         liftings = liftings_to_degree(n)
-        fed = sum(pipeline._fed(liftings))
-        assert fed == {5: 9, 6: 38, 7: 152}[n]
+        leads = pipeline._leads(liftings)
+        assert len(leads) == {5: 9, 6: 38, 7: 152}[n]
+        fed = [liftings[i] for i in leads]
         t = len(assoc_types(n, 1))
         batches = []
         block_rows = pipeline._block_rows
@@ -439,11 +445,16 @@ class TestBlockFeed:
                 state.add_rows(identity_block(ident, lam, rho, t))
                 grew.append(state.rank > before)
             batches.clear()
-            assert lifted_rank(n, lam, liftings, field, rho) \
-                == (state.rank, grew)
-            assert state.batch_rows(rho.dim) // rho.dim == per_call
-            assert batches == [per_call] * (fed // per_call) \
-                + [fed % per_call] * (fed % per_call > 0)
+            rank, flags, _, _, calls, rows = lifted_rank(n, lam, fed, field,
+                                                         rho)
+            assert rank == state.rank
+            assert flags == [grew[i] for i in leads]
+            assert sum(grew) == sum(flags)
+            assert rows == state.batch_rows(rho.dim)
+            assert rows // rho.dim == per_call
+            assert batches == [per_call] * (len(fed) // per_call) \
+                + [len(fed) % per_call] * (len(fed) % per_call > 0)
+            assert calls == len(batches)
 
     @pytest.mark.parametrize("p", CROSS_PRIMES)
     def test_rule_equals_one_identity_per_call(self, p, monkeypatch):
@@ -462,9 +473,9 @@ class TestBlockFeed:
                                   lambda self, d: d)
                     state = echelon_state(t * rho.dim, p)
                     assert one or state.batch_rows(rho.dim) > rho.dim
-                    flags = pipeline._feed_identities(state, 6, rho, liftings)
-                    xstate = kernel_rank(6, lam, p, rho=rho,
-                                         keep_state=True)[2]
+                    flags = pipeline._feed_identities(state, 6, rho,
+                                                      liftings)[0]
+                    xstate = kernel_rank(6, lam, p, rho=rho)[4]
                 got.append((flags, *state.rcf(), *xstate.rcf()))
             (flags, *arrays), (want, *wants) = got
             assert flags == want, lam
@@ -473,13 +484,17 @@ class TestBlockFeed:
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_report_retains_what_the_pruning_pass_keeps(self, n):
-        # degree_report gives lifted_rank only the first lifting of each
-        # relabeling class and maps the identities that grew a rank back
-        # to the full list; the pruning pass feeds the full list
+        # degree_report and the pruning pass give lifted_rank only the
+        # first lifting of each relabeling class and map the identities
+        # that grew a rank back to the full list, which fed whole gives
+        # the same union
         liftings = liftings_to_degree(n)
         retained = degree_report(ReportConfig(degree=n)).retained
         assert retained == tuple(pipeline._retained_indices(
             n, liftings, ReportConfig(degree=n + 1)))
+        field = 'Q' if n <= 5 else 101
+        assert retained == tuple(pipeline._grew_somewhere(
+            lifted_rank(n, lam, liftings, field)[1] for lam in partitions(n)))
         assert retained != tuple(range(len(retained)))
 
     @pytest.mark.parametrize("n, field", [(5, 'Q'), (6, 101)])
@@ -494,8 +509,10 @@ class TestBlockFeed:
         for lam in partitions(n):
             rho = RhoCache(lam, field)
             assert identity_block(scaled[0], lam, rho, t).dtype == object
-            assert lifted_rank(n, lam, scaled, field, rho) \
-                == lifted_rank(n, lam, liftings, field, rho)
+            big = lifted_rank(n, lam, scaled, field, rho)
+            small = lifted_rank(n, lam, liftings, field, rho)
+            assert big[:2] == small[:2] and big[4:] == small[4:]
+            assert big[2].tolist() == small[2].tolist()
 
 
 def scaled_relabeling(f, sigma, c):
@@ -544,7 +561,8 @@ class TestRelabelingClasses:
         assert len(set(lead.tolist())) == classes
         assert (lead <= np.arange(len(lead))).all()
         assert (lead[lead] == lead).all()
-        assert sum(pipeline._fed(liftings)) == classes
+        assert pipeline._leads(liftings).tolist() \
+            == sorted(set(lead.tolist()))
         if n == 7:
             return
 
@@ -575,7 +593,7 @@ class TestRelabelingClasses:
         lead = relabeling_classes(scaled + liftings)
         assert lead[:12].tolist() == list(range(12))
         assert len(set(lead[12:].tolist())) == 9
-        assert pipeline._fed(scaled) == [True] * 12
+        assert pipeline._leads(scaled).tolist() == list(range(12))
         # codes below t * n**n fit in int64 through degree 12 (58786 types);
         # at degree 13 (208012 types) they would not, so no key is formed.
         # Words stop at degree 10, so these are made from arrays
@@ -591,23 +609,35 @@ class TestRelabelingClasses:
             assert lead.tolist() == ([0, 0] if keyed else [0, 1])
 
 
+def deficient(n: int) -> list:
+    """The liftings to degree n of the first defining identity alone:
+    they leave new > 0 in every partition of degrees 5 and 6."""
+    f, _ = defining_identities()
+    current = [f]
+    for _ in range(4, n):
+        current = [g for h in current for g in lift(h)]
+    return current
+
+
 class TestNewIdentityExtraction:
     @pytest.mark.parametrize("field", ['Q', 101])
     def test_deficient_generating_set(self, field):
         # lifting only the first defining identity leaves a gap at degree
         # 5 for some partition; the extracted vectors must close exactly
         # that gap and be genuine kernel elements
-        f, _ = defining_identities()
-        partial = lift(f)
+        partial = deficient(5)
         found_gap = False
         for lam in partitions(5):
-            lrank, _ = lifted_rank(5, lam, partial, field)
-            _, nullity = kernel_rank(5, lam, field)
+            rho = RhoCache(lam, field)
+            lrank, _, free, guard, _, _ = lifted_rank(5, lam, partial, field,
+                                                      rho)
+            _, nullity, _, _, state = kernel_rank(5, lam, field, rho=rho,
+                                                  free=free, guard=guard)
             missing = nullity - lrank
             if missing == 0:
                 continue
             found_gap = True
-            vectors = new_identity_vectors(5, lam, partial, field)
+            vectors = new_identity_vectors(state, free, 14 * rho.dim)
             assert len(vectors) == missing
             X = xblock_matrix(5, lam, field)
             for v in vectors:
@@ -618,13 +648,34 @@ class TestNewIdentityExtraction:
                 assert not any(prod)
             # independent from the lifted span: ranks add up
             state = echelon_state(len(vectors[0]), field)
-            rho = RhoCache(lam, field)
             for g in partial:
                 state.add_rows(identity_block(g, lam, rho, 14))
             assert state.rank == lrank
             state.add_rows(vectors)
             assert state.rank == lrank + missing
         assert found_gap
+
+    @pytest.mark.parametrize("n, field", [(5, 'Q'), (5, 101), (6, 101)])
+    def test_emit_new_equals_the_two_pass_reference(self, n, field,
+                                                    monkeypatch):
+        # the report's --emit-new vectors, read off its own kernel state,
+        # are the rows the two full passes of the reference give, and
+        # print the same
+        partial = deficient(n)
+        monkeypatch.setattr(pipeline, "liftings_to_degree",
+                            lambda *args, **kwargs: partial)
+        rep = degree_report(ReportConfig(
+            degree=n, field="Q" if field == 'Q' else "F", emit_new=True))
+        rows = rep.to_json()["rows"]
+        # every partition of degrees 5 and 6 misses some identities
+        assert all(row.new > 0 for row in rep.rows)
+        for row, printed in zip(rep.rows, rows):
+            want = new_identity_vectors_reference(n, row.partition, partial,
+                                                  field)
+            assert len(want) == row.new
+            assert (row.new_vectors or []) == want
+            assert printed.get("new_vectors", []) \
+                == [[str(e) for e in v] for v in want]
 
 
 def count_xt_rows(monkeypatch) -> list:
@@ -642,53 +693,60 @@ def count_xt_rows(monkeypatch) -> list:
 
 
 class TestKernelStop:
-    # given the lifted rank r_L and its certificate vectors, kernel_rank
-    # stops once the X^T rank reaches t*d - r_L (proof in its docstring)
+    # given the free columns F_L of the lifted rows and the guard vectors,
+    # kernel_rank feeds X^T in the coordinates of the lifted rows at the
+    # columns F_L and stops once that rank reaches |F_L| (proof in its
+    # docstring)
 
     @pytest.mark.parametrize("n, field, stops", [
         (4, 'Q', 5), (5, 'Q', 7), (6, 101, 11)])
     def test_stop_matches_full_feed(self, n, field, stops, monkeypatch):
         liftings = liftings_to_degree(n)
         s = len(expansion.expansion_arrays(n).offsets) - 1
+        t = len(assoc_types(n, 1))
         rows = count_xt_rows(monkeypatch)
         stopped = 0
         for lam in partitions(n):
             rho = RhoCache(lam, field)
-            lrank, _, orth = lifted_rank(n, lam, liftings, field, rho,
-                                         certify=True)
+            lrank, _, free, guard, _, _ = lifted_rank(n, lam, liftings,
+                                                      field, rho)
+            assert len(free) == t * rho.dim - lrank
             rows.clear()
-            rank, nullity, fed, calls, batch_rows = kernel_rank(
-                n, lam, field, rho=rho, lifted=(lrank, orth))
+            rank, nullity, fed, calls, state = kernel_rank(
+                n, lam, field, rho=rho, free=free, guard=guard)
+            assert state.ncols == len(free) == rank
             assert sum(rows) == fed * rho.dim
-            assert calls == len(rows) and max(rows) <= batch_rows
-            assert (rank, nullity) == kernel_rank(n, lam, field, rho=rho)
+            assert calls == len(rows) and max(rows) <= echelon_state(
+                t * rho.dim, field).batch_rows(rho.dim)
+            assert (rank, nullity) == kernel_rank(n, lam, field, rho=rho)[:2]
             assert nullity == lrank
             stopped += fed < s
         assert stopped == stops
 
     def test_no_stop_while_new_is_positive(self, monkeypatch):
         # the liftings of one defining identity leave new > 0 in every
-        # degree-6 partition: the rank never reaches t*d - r_L, so every
-        # X^T row is fed and the ranks are those of the full feed
-        f, _ = defining_identities()
-        partial = [g for h in lift(f) for g in lift(h)]
+        # degree-6 partition: the rank at the columns F_L stays below
+        # |F_L|, so every X^T row is fed and rank and nullity are those of
+        # the full feed
+        partial = deficient(6)
         s = len(expansion.expansion_arrays(6).offsets) - 1
         rows = count_xt_rows(monkeypatch)
         for lam in partitions(6):
             rho = RhoCache(lam, 101)
-            lrank, _, orth = lifted_rank(6, lam, partial, 101, rho,
-                                         certify=True)
-            full = kernel_rank(6, lam, 101, rho=rho)
+            lrank, _, free, guard, _, _ = lifted_rank(6, lam, partial, 101,
+                                                      rho)
+            full = kernel_rank(6, lam, 101, rho=rho)[:2]
             rows.clear()
             rank, nullity, fed, _, _ = kernel_rank(6, lam, 101, rho=rho,
-                                                   lifted=(lrank, orth))
-            assert nullity > lrank
+                                                   free=free, guard=guard)
+            assert nullity > lrank and rank < len(free)
             assert fed == s and sum(rows) == s * rho.dim
             assert (rank, nullity) == full
 
     def test_non_identity_lifting_fails(self, monkeypatch):
-        # one fed lifting perturbed into a non-identity: every degree-6
-        # partition either passes t*d - r_L or fails the certificate
+        # one fed lifting perturbed into a non-identity: some X^T row
+        # does not annihilate the lifted rows, and the guard finds it in
+        # every degree-6 partition
         liftings = liftings_to_degree(6)
         f = liftings[0]
         coeffs = f.coeffs.copy()
@@ -698,88 +756,63 @@ class TestKernelStop:
             bad.check_kernel_membership()
         monkeypatch.setattr(pipeline, "liftings_to_degree",
                             lambda *args, **kwargs: [bad] + liftings[1:])
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="not an identity"):
             degree_report(ReportConfig(degree=6, field="F"))
-        seen = set()
         for lam in partitions(6):
             rho = RhoCache(lam, 101)
-            lrank, _, orth = lifted_rank(6, lam, [bad] + liftings[1:], 101,
-                                         rho, certify=True)
-            with pytest.raises(InvariantViolation) as err:
-                kernel_rank(6, lam, 101, rho=rho, lifted=(lrank, orth))
-            seen.add("exceeds" in str(err.value))
-        assert seen == {True, False}
-
-    def test_bound_one_too_low_fails(self):
-        # r_L + 1 puts the stop one below the true X^T rank.  Where a batch
-        # ends exactly there (partition 6: rank 14 of 15 after 20
-        # D-types, two batches of 10) the certificate finds the kernel one
-        # larger than the lifted span; elsewhere the rank passes the bound
-        liftings = liftings_to_degree(6)
-        seen = set()
-        for lam in partitions(6):
-            rho = RhoCache(lam, 101)
-            lrank, _, orth = lifted_rank(6, lam, liftings, 101, rho,
-                                         certify=True)
-            with pytest.raises(InvariantViolation) as err:
-                kernel_rank(6, lam, 101, rho=rho, lifted=(lrank + 1, orth))
-            seen.add("exceeds" in str(err.value))
-        assert seen == {True, False}
+            _, _, free, guard, _, _ = lifted_rank(
+                6, lam, [bad] + liftings[1:], 101, rho)
+            with pytest.raises(InvariantViolation, match="not an identity"):
+                kernel_rank(6, lam, 101, rho=rho, free=free, guard=guard)
 
     @pytest.mark.parametrize("field", ['Q', 101])
     def test_foreign_certificate_fails(self, field):
-        # vectors that are not orthogonal to the lifted span fail the check
-        # at the stop
+        # forged guard vectors, not combinations of the lifted rows, fail
+        # the check of the first X^T batch
         liftings = liftings_to_degree(5)
         lam = (3, 1, 1)
         rho = RhoCache(lam, field)
-        lrank, _, orth = lifted_rank(5, lam, liftings, field, rho,
-                                     certify=True)
-        orth = orth.copy()
-        orth[:, 0] += 1
-        with pytest.raises(InvariantViolation, match="not the lifted span"):
-            kernel_rank(5, lam, field, rho=rho, lifted=(lrank, orth))
-
-    def test_keep_state_refuses_lifted(self):
-        # new_identity_vectors needs every row in its state
-        with pytest.raises(ValueError):
-            kernel_rank(4, (3, 1), 101, keep_state=True, lifted=(3, None))
+        _, _, free, guard, _, _ = lifted_rank(5, lam, liftings, field, rho)
+        kernel_rank(5, lam, field, rho=rho, free=free, guard=guard)
+        guard = guard.copy()
+        guard[:, 0] += 1
+        if field != 'Q':
+            guard %= field
+        with pytest.raises(InvariantViolation, match="after 0 D-types"):
+            kernel_rank(5, lam, field, rho=rho, free=free, guard=guard)
 
     @pytest.mark.parametrize("n, field", [(6, 101), (6, 'Q'), (5, 'Q')])
     def test_kernel_coordinates(self, n, field):
-        # random combinations of lifted rows with each type block times
-        # A(id)**-1 are annihilated by the whole X^T, and the certificate
-        # vectors lifted_rank draws are orthogonal to them (at degree 6
-        # over Q only the first, which needs no elimination)
+        # random combinations of the raw lifted rows are annihilated by
+        # every X^T row with each column block times A(id)**-T, and so
+        # are the guard vectors lifted_rank draws (at degree 6 over Q,
+        # whose lifted rank is slow, only the first)
         liftings = liftings_to_degree(n)
         t = len(assoc_types(n, 1))
         rng = np.random.default_rng(n)
         for lam in partitions(n):
             rho = RhoCache(lam, field)
-            d = rho.dim
             L = pipeline._block_rows(liftings, rho, t)
-            u = (rng.integers(0, 101, (3, len(L))) @ L).reshape(3, t, d)
+            u = rng.integers(0, 101, (3, len(L))) @ L
             if field == 'Q':
-                num, _ = rho._a_id_inv
-                u = (u.astype(object) @ num).reshape(3, -1)
-                # the products below are exact in int64
-                top = max(abs(int(e)) for e in u.flat) * t * d
-                assert top * int(expansion.expansion_arrays(n).coeffs.max()
-                                 ) * 2 < 2 ** 63
-                u = u.astype(np.int64)
+                u = u.astype(object)
             else:
-                u = (u @ rho._a_id_inv % field).reshape(3, -1)
-            for batch in expansion.xblock_transpose_rows(n, lam, field,
-                                                         rho=rho, chunk=50):
-                prod = batch @ u.T
-                assert not (prod if field == 'Q' else prod % field).any()
-            if field == 'Q' and n == 6:
-                continue
-            _, _, orth = lifted_rank(n, lam, liftings, field, rho,
-                                     certify=True)
-            pairs = orth @ u.T.astype(orth.dtype)
-            assert not np.count_nonzero(pairs if field == 'Q'
-                                        else pairs % field)
+                u %= field
+            checks = [u.T]
+            if field != 'Q' or n == 5 or lam == (6,):
+                checks.append(lifted_rank(n, lam, liftings, field, rho)[3].T)
+            raw = []
+            for batch in expansion.xblock_transpose_rows(
+                    n, lam, field, rho=rho, chunk=50,
+                    dtype=echelon_state(1, field).row_dtype):
+                if field != 'Q':
+                    raw.append(annihilates(batch % field, u.T, field))
+                X = rho.lifted_coordinates(batch)
+                assert all(annihilates(X, vectors, field)
+                           for vectors in checks)
+            # without the change of coordinates they are not, where A(id)
+            # is not the identity matrix
+            assert not raw or all(raw) == (rho.a_id == np.eye(rho.dim)).all()
 
 
 class TestKernelPrefix:
@@ -807,19 +840,22 @@ class TestKernelPrefix:
 
     @staticmethod
     def stopped_and_canonical(lam, field, monkeypatch, rows):
-        """(rank, nullity, D-types fed) of a stopped degree-7 kernel rank,
-        (rank, nullity) of the canonical full feed and the D-types of
-        each batch of the stopped feed."""
+        """(rank, nullity, D-types fed, calls) of a stopped degree-7
+        kernel rank, (rank, nullity) of the canonical full feed and the
+        D-types of each batch of the stopped feed."""
         rho = RhoCache(lam, field)
-        lrank, _, orth = lifted_rank(7, lam, liftings_to_degree(7), field,
-                                     rho, certify=True)
+        liftings = liftings_to_degree(7)
+        lrank, _, free, guard, _, _ = lifted_rank(
+            7, lam, [liftings[i] for i in pipeline._leads(liftings)], field,
+            rho)
         rows.clear()
-        stopped = kernel_rank(7, lam, field, rho=rho, lifted=(lrank, orth))
+        stopped = kernel_rank(7, lam, field, rho=rho, free=free,
+                              guard=guard)[:4]
         batches = [k // rho.dim for k in rows]
         assert sum(batches) == stopped[2]
         with monkeypatch.context() as m:
             m.delitem(pipeline.KERNEL_PREFIX, 7)
-            full = kernel_rank(7, lam, field, rho=rho)
+            full = kernel_rank(7, lam, field, rho=rho)[:2]
         assert full[1] == lrank
         return stopped, full, batches
 
@@ -833,13 +869,16 @@ class TestKernelPrefix:
         stopped, full, batches = self.stopped_and_canonical(
             lam, field, monkeypatch, rows)
         assert stopped[:3] == (*full, 118)
-        # batch_rows(d) // d D-types a batch, 132 // 4 = 33 at d = 1 and
-        # 6; the last prefix batch ends at the prefix's end
-        calls, batch_rows = stopped[3:]
-        per = batch_rows // dimension(lam)
+        # the batches are built 132*d wide, and so take batch_rows(d) // d
+        # D-types of a state that wide, 132 // 4 = 33 at d = 1 and 6
+        # (not of the narrower state they feed, which at 1111111, 94
+        # columns and 23 D-types a batch, would stop after 115); the last
+        # prefix batch ends at the prefix's end
+        per = echelon_state(132 * dimension(lam), field).batch_rows(
+            dimension(lam)) // dimension(lam)
         assert per == 33
         assert batches == [per] * (118 // per) + [118 % per]
-        assert calls == len(batches)
+        assert stopped[3] == len(batches)
 
     @pytest.mark.parametrize("prefix", [
         pipeline.KERNEL_PREFIX[7][::-1],                  # runs reversed
@@ -983,9 +1022,9 @@ class TestReportConfig:
             degree_report(ReportConfig(degree=4, partitions=((5,),),
                                        field="Q"))
 
-    def test_memory_gate_marks_skipped(self):
-        rep = degree_report(ReportConfig(degree=4, field="Q",
-                                         memory_budget=0))
+    def test_memory_gate_marks_skipped(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MEMORY_BUDGET", 0)
+        rep = degree_report(ReportConfig(degree=4, field="Q"))
         assert all(row.skipped for row in rep.rows)
         assert all(row.lifted_rank is None for row in rep.rows)
         text = rep.to_text()
@@ -1075,9 +1114,9 @@ def test_report_progress_lines(capsys):
     # --progress adds one line per finished partition on stderr, with its
     # time and the part of it spent in each rank, both ranks, the
     # liftings and D-types fed and the add_rows calls that fed them, the
-    # rows of a call (56 // 4 = 14, cut to 12, three blocks of d = 4) and
-    # the peak RSS after both ranks and after the lifted one, and leaves
-    # stdout as it was
+    # rows of a lifted call (56 // 4 = 14, cut to 12, three blocks of
+    # d = 4) and the peak RSS after both ranks and after the lifted one,
+    # and leaves stdout as it was
     assert main(["report", "--degree", "5"]) == 0
     plain = capsys.readouterr()
     assert main(["report", "--degree", "5", "--progress"]) == 0
@@ -1088,8 +1127,8 @@ def test_report_progress_lines(capsys):
     assert re.fullmatch(r"partition 41 \(d=4\): done in \d+\.\d\d s "
                         r"\(lifted rank \d+\.\d\d s, "
                         r"kernel rank \d+\.\d\d s\), lifted rank 21, fed 9 of 12 liftings "
-                        r"in 3 calls, X\^T rank 35, X\^T fed 18 of 42 D-types "
-                        r"in 6 calls, at most 12 rows a call, "
+                        r"in 3 calls of at most 12 rows, X\^T rank 35, X\^T fed "
+                        r"18 of 42 D-types in 6 calls, "
                         r"peak RSS \d+ MiB \(\d+ MiB after the lifted rank\)",
                         done[1])
 
@@ -1166,7 +1205,7 @@ class TestRowMemory:
         rho = RhoCache(lam, self.P)
         lifted_rank(n, lam, liftings, self.P, rho)
         kernel_rank(n, lam, self.P, rho=rho)
-        return liftings, rho
+        return [liftings[i] for i in pipeline._leads(liftings)], rho
 
     @staticmethod
     def shapes(n, rho, r):
@@ -1205,24 +1244,25 @@ class TestRowMemory:
         assert peak <= bound, (peak, bound, B)
 
     def test_lifted_rank(self):
-        # the 38 fed liftings in four add_rows calls of at most ten blocks
+        # the 38 liftings the report feeds, one per relabeling class, in
+        # four add_rows calls of at most ten blocks; the guard vectors
+        # convert a chunk of the store at a time, within the same bounds
         n, lam = 6, (4, 1, 1)
-        liftings, rho = self.setup_rho(n, lam)
+        fed, rho = self.setup_rho(n, lam)
         d = rho.dim
-        fed = [f for f, keep in zip(liftings, pipeline._fed(liftings)) if keep]
-        r = lifted_rank(n, lam, liftings, self.P, rho)[0]
+        r = lifted_rank(n, lam, fed, self.P, rho)[0]
         R, C, B, H, store = self.shapes(n, rho, r)
         assert (R, C) == (100, 420)
         elim = self.elim(R, C, B, H, r, store)
         # building: the rows and, per term of the liftings of one batch,
         # one d x d product and at most one d x d sum, plus index arrays
         # over the terms of every lifting
-        terms = sum(len(f.types) for f in liftings)
+        terms = sum(len(f.types) for f in fed)
         batch_terms = max(sum(len(f.types) for f in fed[a:a + R // d])
                           for a in range(0, len(fed), R // d))
         build = B + 2 * 4 * batch_terms * d * d + 10 * 8 * terms + store
         bound = max(elim, build) + 2 ** 16
-        peak = traced_peak(lambda: lifted_rank(n, lam, liftings, self.P, rho))
+        peak = traced_peak(lambda: lifted_rank(n, lam, fed, self.P, rho))
         assert peak <= bound, (peak, bound, B)
 
 
@@ -1244,7 +1284,7 @@ class TestReportFormats:
         assert set(row["all"]) == {"rows", "cols", "rank", "nullity"}
         json.dumps(data)  # must be serializable as-is
 
-    def test_json_timings_and_peak(self, report):
+    def test_json_timings_and_peak(self, report, monkeypatch):
         # each row carries the seconds of its two ranks and the peak RSS
         # after its lifted rank and after it, as --progress prints them,
         # the first also in the CSV; a skipped row has none
@@ -1257,8 +1297,8 @@ class TestReportFormats:
         assert [float(row["lifted_peak_rss_mib"]) for row in
                 csv.DictReader(io.StringIO(report.to_csv()))] \
             == [row["lifted_peak_rss_mib"] for row in rows]
-        skipped = degree_report(ReportConfig(degree=4, field="Q",
-                                             memory_budget=0))
+        monkeypatch.setattr(pipeline, "MEMORY_BUDGET", 0)
+        skipped = degree_report(ReportConfig(degree=4, field="Q"))
         for row in skipped.to_json()["rows"]:
             assert (row["lifted_s"], row["kernel_s"],
                     row["lifted_peak_rss_mib"], row["peak_rss_mib"],

@@ -332,6 +332,33 @@ class TestCliftonMatrices:
         assert (mixed[:, :d] == reference(edge)).all()
         assert (mixed[:, d:] == reference(over)).all()
 
+    @pytest.mark.parametrize("lam, p", [
+        ((4, 2, 1, 1), 509), ((3, 2), 101), ((3, 2), 'Q')])
+    def test_lifted_coordinates(self, lam, p):
+        # each block of d columns times A(id)**-T, checked by multiplying
+        # back by A(id)**T; 4211 (d = 90) at p = 509 is the widest case at
+        # degree 8, exact while d*top*(p-1) + p <= 2**24, top the largest
+        # entry: 366 passes, 367 does not (35 is the largest at degree 8)
+        rho = RhoCache(lam, p)
+        d = rho.dim
+        a_t = rho.a_id.T.astype(object)
+        rng = np.random.default_rng(d)
+        top = 35 if p == 'Q' else (2 ** 24 - p) // (d * (p - 1))
+        rows = rng.integers(-top, top + 1, (7, 3 * d))
+        rows[0, 0] = -top
+        if p == 'Q':
+            out = rho.lifted_coordinates(rows)
+            den = rho._a_id_inv[1]
+            assert (out.reshape(-1, d) @ a_t == den * rows.reshape(-1, d)).all()
+            return
+        out = rho.lifted_coordinates(rows.astype(np.float32))
+        assert out.dtype == np.float32 and ((0 <= out) & (out < p)).all()
+        back = out.astype(np.int64).astype(object).reshape(-1, d) @ a_t
+        assert ((back - rows.reshape(-1, d)) % p == 0).all()
+        rows[0, 0] -= 1
+        with pytest.raises(ValueError, match="exact bound"):
+            rho.lifted_coordinates(rows.astype(np.float32))
+
     def test_clifton_matrix_helper(self):
         assert clifton_matrix((2, 1), (1, 2, 3)) == \
             [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
